@@ -410,7 +410,8 @@ let enum_cmd =
           Printf.eprintf "scliques: error: %s\n%!" msg;
           Stdlib.exit 1
       | exception Sgraph.Io_error.Parse_error { file; line; msg } ->
-          Printf.eprintf "scliques: error: %s:%d: %s\n%!" file line msg;
+          Printf.eprintf "scliques: error: %s\n%!"
+            (Sgraph.Io_error.to_string ~file ~line msg);
           Stdlib.exit 1
     end
     else begin
@@ -825,7 +826,9 @@ let refresh_cmd =
           or_parse_error (fun () -> Stream.read_records results_file)
         with
         | payloads, clean_len, `Clean ->
-            (List.map Stream.decode_set payloads, clean_len)
+            ( or_parse_error (fun () ->
+                  List.map (Stream.decode_set ~file:results_file) payloads),
+              clean_len )
         | _, _, `Torn ->
             (* a torn prior is an incomplete answer: refreshing it would
                bake the missing tail into the "unaffected" half *)
@@ -1252,7 +1255,12 @@ let client_query_term =
           match resume with
           | None -> None
           | Some p ->
-              let ck = Ckpt.load p in
+              let ck =
+                match Ckpt.load p with
+                | ck -> ck
+                | exception Sgraph.Io_error.Parse_error { file; line; msg } ->
+                    die "%s" (Sgraph.Io_error.to_string ~file ~line msg)
+              in
               Ckpt.check_compat ck ~s ~n ~m ~min_size;
               Some ck
         in

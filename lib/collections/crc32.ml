@@ -79,4 +79,6 @@ let bytes ?(off = 0) ?len b =
 
 let string ?(off = 0) ?len s =
   let len = match len with Some l -> l | None -> String.length s - off in
-  digest_bytes (Bytes.of_string s) off len
+  (* SAFETY: digest_bytes only reads its buffer, so viewing the
+     immutable string as bytes without a copy cannot mutate it *)
+  digest_bytes (Bytes.unsafe_of_string s) off len

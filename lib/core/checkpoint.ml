@@ -36,36 +36,27 @@ let chunk n xs =
 let ids_payload tag ids = String.concat " " (tag :: List.map string_of_int ids)
 
 let save ?fault t path =
-  let tmp = path ^ ".tmp" in
-  let w = Stream.open_writer ?fault tmp in
-  Fun.protect
-    ~finally:(fun () -> Stream.close w)
-    (fun () ->
-      Stream.write_record w
-        (Printf.sprintf "H %s %s %d %d %d %d %d" t.algorithm (family t.state) t.s
-           t.n t.m t.min_size t.emitted);
-      (match t.state with
-      | Roots { retired } ->
-          List.iter
-            (fun ids -> Stream.write_record w (ids_payload "R" ids))
-            (chunk 4096 retired)
-      | Pd_frontier { index; queue } ->
-          List.iter
-            (fun set -> Stream.write_record w (ids_payload "I" (Node_set.to_list set)))
-            index;
-          List.iter
-            (fun set -> Stream.write_record w (ids_payload "Q" (Node_set.to_list set)))
-            queue
-      | Brute_mask { next_mask } ->
-          Stream.write_record w (Printf.sprintf "M %d" next_mask));
-      Stream.write_record w "E";
-      Stream.flush w);
-  (match fault with Some f -> Scoll.Fault.check f "ckpt.rename" | None -> ());
+  let header =
+    Printf.sprintf "H %s %s %d %d %d %d %d" t.algorithm (family t.state) t.s t.n t.m
+      t.min_size t.emitted
+  in
+  let body =
+    match t.state with
+    | Roots { retired } -> List.map (ids_payload "R") (chunk 4096 retired)
+    | Pd_frontier { index; queue } ->
+        List.map (fun set -> ids_payload "I" (Node_set.to_list set)) index
+        @ List.map (fun set -> ids_payload "Q" (Node_set.to_list set)) queue
+    | Brute_mask { next_mask } -> [ Printf.sprintf "M %d" next_mask ]
+  in
   (* the atomic commit: a reader sees either the whole previous
      checkpoint or the whole new one, never a mixture *)
-  Sys.rename tmp path
+  Sgraph.Codec.durable_replace ?fault ~site:"ckpt" path (fun oc ->
+      output_string oc Stream.magic;
+      List.iter
+        (fun r -> output_string oc (Stream.encode_record r))
+        ((header :: body) @ [ "E" ]))
 
-let corrupt path msg = failwith (path ^ ": corrupt checkpoint: " ^ msg)
+let corrupt path msg = Sgraph.Io_error.fail ~file:path ~line:0 ("corrupt checkpoint: " ^ msg)
 
 let split payload =
   List.filter (fun tok -> String.length tok > 0) (String.split_on_char ' ' payload)
@@ -78,10 +69,11 @@ let ints path toks =
       | None -> corrupt path ("bad integer " ^ tok))
     toks
 
-let load path =
-  let records, _, tail = Stream.read_records path in
-  (* checkpoints are committed by atomic rename, so a torn checkpoint was
-     never legitimately written; refuse rather than silently resume less *)
+let of_string ~file:path src =
+  let records, _, tail = Stream.records_of_string ~file:path src in
+  (* checkpoints are committed by durable replace, so a torn checkpoint
+     was never legitimately written: this format refuses the torn tail
+     its SCLQS1 framing would tolerate, rather than silently resume less *)
   (match tail with `Torn -> corrupt path "torn tail" | `Clean -> ());
   match records with
   | [] -> corrupt path "empty"
@@ -140,6 +132,8 @@ let load path =
         | other -> corrupt path ("unknown state family " ^ other)
       in
       make state
+
+let load path = of_string ~file:path (Sgraph.Codec.read_file path)
 
 let check_compat t ~s ~n ~m ~min_size =
   let mismatch what ckpt cur =

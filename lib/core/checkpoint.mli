@@ -14,11 +14,11 @@
     - {b Brute_mask}: for the brute-force oracle — the next subset mask
       to test in its descending scan.
 
-    Checkpoints are written with the {!Result_io.Stream} record format to
-    a temporary file and committed by an atomic rename, so a crash during
-    {!save} leaves the previous checkpoint intact; {!load} refuses torn
-    or truncated files outright (they cannot result from a completed
-    [save]). *)
+    Checkpoints are written in the {!Result_io.Stream} record format
+    through {!Sgraph.Codec.durable_replace}, so a crash or power loss
+    during {!save} leaves the previous checkpoint intact; {!load} refuses
+    torn or truncated files outright (they cannot result from a completed
+    [save]), although the stream format itself tolerates a torn tail. *)
 
 type state =
   | Roots of { retired : int list }
@@ -40,16 +40,21 @@ val family : state -> string
     algorithms may resume this checkpoint. *)
 
 val save : ?fault:Scoll.Fault.t -> t -> string -> unit
-(** Write atomically (tmp + rename). [fault] arms the [stream.write],
-    [stream.flush] and [ckpt.rename] injection sites; an injected fault
-    leaves the previous checkpoint at the path untouched (the [.tmp]
-    file may remain and is overwritten next time).
+(** Replace the file through {!Sgraph.Codec.durable_replace}. [fault]
+    arms its [ckpt.write], [ckpt.fsync], [ckpt.rename] and [ckpt.dirsync]
+    injection sites; a fault before the rename leaves the previous
+    checkpoint at the path untouched (a leftover temp file is
+    overwritten by the next save).
     @raise Scoll.Fault.Injected when an armed fault fires.
     @raise Sys_error on real I/O failure. *)
 
 val load : string -> t
 (** @raise Sys_error when the file cannot be read.
-    @raise Failure on a corrupt, torn, or non-checkpoint file. *)
+    @raise Sgraph.Io_error.Parse_error naming the file on a corrupt,
+    torn, or non-checkpoint file. *)
+
+val of_string : file:string -> string -> t
+(** {!load} over an image held in memory; [file] only labels errors. *)
 
 val check_compat : t -> s:int -> n:int -> m:int -> min_size:int -> unit
 (** Refuse to resume against a different graph or different enumeration

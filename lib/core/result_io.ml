@@ -57,21 +57,30 @@ let load path =
   close_in ic;
   parse_string contents
 
+module Codec = Sgraph.Codec
+
 module Stream = struct
-  (* Crash-safe append-only record stream.
-
-     Layout: a 7-byte magic ["SCLQS1\n"], then records of
-     [u32le payload length | u32le CRC-32 of payload | payload bytes].
-     A process killed mid-write leaves a torn tail — a partial header,
-     an oversized length, or a CRC mismatch — which readers detect and
-     drop, reporting [`Torn] together with the byte length of the clean
-     prefix so a resuming writer can truncate back to it and append. *)
-
-  let magic = "SCLQS1\n"
+  (* Crash-safe append-only record stream: a 7-byte magic ["SCLQS1\n"],
+     then Codec frames. A process killed mid-write leaves a torn tail —
+     a partial header, an oversized length, or a CRC mismatch — which
+     readers detect and drop, reporting [`Torn] together with the byte
+     length of the clean prefix so a resuming writer can truncate back
+     to it and append. *)
 
   (* Corrupt length words must not drive a giant allocation: no record
      written by this module approaches this. *)
   let max_record_len = 1 lsl 28
+
+  let format =
+    {
+      Codec.magic = "SCLQS1\n";
+      name = "stream";
+      title = "a scliques stream";
+      max_frame = max_record_len;
+      torn = Codec.Tolerate;
+    }
+
+  let magic = format.magic
 
   type writer = { oc : out_channel; fault : Scoll.Fault.t; mutable closed : bool }
 
@@ -95,14 +104,7 @@ module Stream = struct
           raise e
     end
 
-  let encode_record payload =
-    let len = String.length payload in
-    if len > max_record_len then invalid_arg "Stream.encode_record: oversized";
-    let b = Bytes.create (8 + len) in
-    Bytes.set_int32_le b 0 (Int32.of_int len);
-    Bytes.set_int32_le b 4 (Int32.of_int (Scoll.Crc32.string payload));
-    Bytes.blit_string payload 0 b 8 len;
-    Bytes.to_string b
+  let encode_record payload = Codec.frame format payload
 
   let write_record w payload =
     Scoll.Fault.check w.fault "stream.write";
@@ -120,65 +122,36 @@ module Stream = struct
 
   let encode_set set = String.concat " " (List.map string_of_int (Node_set.to_list set))
 
-  let decode_set payload =
+  let decode_set ?(file = "<string>") payload =
     (* the CRC already vouched for the bytes; a malformed payload means a
        foreign or buggy writer, which is a hard error, not a torn tail *)
-    let members =
-      List.filter_map
-        (fun tok -> if String.length tok = 0 then None else Some (int_of_string tok))
-        (String.split_on_char ' ' payload)
+    let id tok =
+      match int_of_string_opt tok with
+      | Some v when v >= 0 -> v
+      | Some _ -> Sgraph.Io_error.failf ~file ~line:0 "negative node id %S" tok
+      | None -> Sgraph.Io_error.failf ~file ~line:0 "expected a node id, got %S" tok
     in
-    Node_set.of_list members
+    Node_set.of_list
+      (List.filter_map
+         (fun tok -> if String.length tok = 0 then None else Some (id tok))
+         (String.split_on_char ' ' payload))
 
   let write_set w set = write_record w (encode_set set)
 
-  let u32_at s off = Int32.to_int (String.get_int32_le s off) land 0xFFFFFFFF
+  let records_of_string ~file src =
+    Codec.decode format ~file (fun () ->
+        let c = Codec.cursor src in
+        match Codec.magic format c with
+        | () -> Codec.records format c (Codec.read_frame format)
+        | exception Codec.Error (Codec.Truncated _) ->
+            (* a crash can even tear the magic itself *)
+            ([], 0, `Torn))
 
-  let read_records path =
-    let ic = open_in_bin path in
-    let contents =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    let total = String.length contents in
-    let mlen = String.length magic in
-    if total < mlen then begin
-      (* a crash can even tear the magic itself; any prefix of it is a
-         torn empty stream, anything else is not ours *)
-      if String.equal contents (String.sub magic 0 total) then ([], 0, `Torn)
-      else failwith (path ^ ": not a scliques stream (bad magic)")
-    end
-    else if not (String.equal (String.sub contents 0 mlen) magic) then
-      failwith (path ^ ": not a scliques stream (bad magic)")
-    else begin
-      let records = ref [] in
-      let off = ref mlen in
-      let clean = ref mlen in
-      let torn = ref false in
-      while (not !torn) && !off < total do
-        if total - !off < 8 then torn := true
-        else begin
-          let len = u32_at contents !off in
-          let crc = u32_at contents (!off + 4) in
-          if len > max_record_len || total - (!off + 8) < len then torn := true
-          else begin
-            let payload = String.sub contents (!off + 8) len in
-            if Scoll.Crc32.string payload <> crc then torn := true
-            else begin
-              records := payload :: !records;
-              off := !off + 8 + len;
-              clean := !off
-            end
-          end
-        end
-      done;
-      (List.rev !records, !clean, if !torn then `Torn else `Clean)
-    end
+  let read_records path = records_of_string ~file:path (Codec.read_file path)
 
   let read_results path =
     let records, _, tail = read_records path in
-    (List.map decode_set records, tail)
+    (List.map (decode_set ~file:path) records, tail)
 end
 
 module Index = struct
@@ -207,7 +180,16 @@ module Index = struct
      the stream (it is derived data), whereas trusting a half-written
      one would patch result bytes into the wrong extents. *)
 
-  let magic = "SCLQIDX1"
+  let format =
+    {
+      Codec.magic = "SCLQIDX1";
+      name = "index";
+      title = "an index";
+      max_frame = 0;
+      torn = Codec.Refuse;
+    }
+
+  let magic = format.magic
 
   let failf path fmt = Sgraph.Io_error.failf ~file:path ~line:0 fmt
 
@@ -222,11 +204,6 @@ module Index = struct
   let n t = Array.length t.entries
 
   let path_for stream_path = stream_path ^ ".idx"
-
-  let record payload =
-    let crc = Bytes.create 4 in
-    Bytes.set_int32_le crc 0 (Int32.of_int (Scoll.Crc32.bytes payload));
-    Bytes.to_string payload ^ Bytes.to_string crc
 
   let header_payload t =
     let b = Bytes.create 24 in
@@ -248,73 +225,23 @@ module Index = struct
   let to_string t =
     let buf = Buffer.create (8 + 28 + (32 * Array.length t.entries)) in
     Buffer.add_string buf magic;
-    Buffer.add_string buf (record (header_payload t));
-    Array.iteri
-      (fun root e -> Buffer.add_string buf (record (entry_payload root e)))
-      t.entries;
+    Codec.record (Buffer.add_bytes buf) (header_payload t);
+    Array.iteri (fun root e -> Codec.record (Buffer.add_bytes buf) (entry_payload root e)) t.entries;
     Buffer.contents buf
 
   let save t path =
-    let tmp = path ^ ".tmp" in
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc (to_string t);
-        close_out oc);
-    Sys.rename tmp path
-
-  (* {2 Strict reading} — cursor + per-record CRC, as in Sgraph.Diff *)
-
-  type cursor = { src : string; mutable pos : int }
-
-  let read_exact path c len what =
-    if c.pos + len > String.length c.src then
-      failf path "index truncated reading %s" what;
-    let b = Bytes.create len in
-    Bytes.blit_string c.src c.pos b 0 len;
-    c.pos <- c.pos + len;
-    b
-
-  let check_crc path c payload what =
-    let crc = read_exact path c 4 (what ^ " CRC") in
-    let stored = Int32.to_int (Bytes.get_int32_le crc 0) land 0xFFFFFFFF in
-    let computed = Scoll.Crc32.bytes payload in
-    if stored <> computed then
-      failf path "index %s CRC mismatch (stored %08x, computed %08x)" what stored
-        computed
-
-  let decode_u64 path b off what =
-    let hi = Char.code (Bytes.get b (off + 7)) in
-    if hi >= 0x40 then
-      failf path "index %s %Ld out of range" what (Bytes.get_int64_le b off);
-    Int64.to_int (Bytes.get_int64_le b off)
-
-  let decode_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF
-
-  let structured ~file f =
-    try f () with
-    | Sgraph.Io_error.Parse_error _ as e -> raise e
-    | Sys_error _ as e -> raise e
-    | (Out_of_memory | Stack_overflow) as e -> raise e
-    | e ->
-        Sgraph.Io_error.fail ~file ~line:0
-          ("unexpected parser failure: " ^ Printexc.to_string e)
+    Codec.durable_replace ~site:"index" path (fun oc -> output_string oc (to_string t))
 
   let max_node_count = 1 lsl 30
 
   let of_string ~file src =
-    structured ~file (fun () ->
-        let c = { src; pos = 0 } in
-        let m8 = read_exact file c 8 "magic" in
-        if not (String.equal (Bytes.to_string m8) magic) then
-          failf file "not an index: bad magic %S (expected %S)"
-            (Bytes.to_string m8) magic;
-        let hb = read_exact file c 24 "header" in
-        check_crc file c hb "header";
-        let stream_len = decode_u64 file hb 0 "stream length" in
-        let s = decode_u32 hb 8 in
-        let count = decode_u32 hb 12 in
+    Codec.decode format ~file (fun () ->
+        let c = Codec.cursor src in
+        Codec.magic format c;
+        let h = Codec.read_record c 24 "header" in
+        let stream_len = Codec.u64 h "stream length" in
+        let s = Codec.u32 h "s" in
+        let count = Codec.u32 h "root count" in
         if s < 1 then failf file "index has s = %d (must be >= 1)" s;
         if count > max_node_count then
           failf file "index root count %d exceeds the %d limit" count
@@ -322,19 +249,21 @@ module Index = struct
         if stream_len < String.length Stream.magic then
           failf file "index claims a stream of %d bytes (shorter than the \
                       stream magic)" stream_len;
+        (* every entry record is 28 + 4 bytes: refuse a short image before
+           the count drives the allocation *)
+        Codec.need c (32 * count) "entry record";
         let covered = ref 0 in
         let entries =
           Array.init count (fun root ->
-              let eb = read_exact file c 28 "entry record" in
-              check_crc file c eb "entry record";
-              let r = decode_u32 eb 0 in
+              let e = Codec.read_record c 28 "entry record" in
+              let r = Codec.u32 e "root" in
               if r <> root then
                 failf file "index entry %d names root %d (entries must be \
                             ascending and complete)" root r;
-              let fingerprint = decode_u32 eb 4 in
-              let offset = decode_u64 file eb 8 "entry offset" in
-              let extent = decode_u64 file eb 16 "entry extent" in
-              let count = decode_u32 eb 24 in
+              let fingerprint = Codec.u32 e "fingerprint" in
+              let offset = Codec.u64 e "entry offset" in
+              let extent = Codec.u64 e "entry extent" in
+              let count = Codec.u32 e "record count" in
               if (count = 0) <> (extent = 0) then
                 failf file "index root %d has %d records in %d bytes" root
                   count extent;
@@ -349,22 +278,14 @@ module Index = struct
               end;
               { fingerprint; offset; extent; count })
         in
-        if c.pos <> String.length src then
-          failf file "index has %d trailing bytes" (String.length src - c.pos);
+        Codec.finish c;
         if !covered + String.length Stream.magic <> stream_len then
           failf file "index extents cover %d of %d stream payload bytes"
             !covered
             (stream_len - String.length Stream.magic);
         { stream_len; s; entries })
 
-  let load path =
-    let ic = open_in_bin path in
-    let contents =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    of_string ~file:path contents
+  let load path = of_string ~file:path (Codec.read_file path)
 
   (* {2 Building from a stream} *)
 
@@ -399,7 +320,7 @@ module Index = struct
     let off = ref (String.length Stream.magic) in
     List.iter
       (fun payload ->
-        let set = Stream.decode_set payload in
+        let set = Stream.decode_set ~file:path payload in
         if Node_set.is_empty set then
           failf path "stream has an empty result record";
         let root = Node_set.min_elt set in
@@ -464,57 +385,47 @@ module Index = struct
           invalid_arg "Index.splice: duplicate patched root";
         patch.(root) <- Some p)
       patched;
-    let tmp = out ^ ".tmp" in
-    let ic = open_in_bin old_stream in
-    let oc = open_out_bin tmp in
     let entries = Array.make (max n 1) { fingerprint = 0; offset = 0; extent = 0; count = 0 } in
     let fresh = ref 0 and copied = ref 0 and roots_patched = ref 0 in
+    let pos = ref (String.length Stream.magic) in
+    let ic = open_in_bin old_stream in
     Fun.protect
-      ~finally:(fun () ->
-        close_in_noerr ic;
-        close_out_noerr oc)
+      ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
-        output_string oc Stream.magic;
-        let pos = ref (String.length Stream.magic) in
-        for root = 0 to n - 1 do
-          let old = index.entries.(root) in
-          match patch.(root) with
-          | Some (_, fingerprint, sets) ->
-              incr roots_patched;
-              let extent = ref 0 and count = ref 0 in
-              List.iter
-                (fun set ->
-                  let r = Stream.encode_record (Stream.encode_set set) in
-                  output_string oc r;
-                  extent := !extent + String.length r;
-                  incr count)
-                sets;
-              fresh := !fresh + !extent;
-              entries.(root) <-
-                {
-                  fingerprint;
-                  offset = (if !count = 0 then 0 else !pos);
-                  extent = !extent;
-                  count = !count;
-                };
-              pos := !pos + !extent
-          | None ->
-              if old.extent > 0 then begin
-                copy_extent ic oc ~offset:old.offset ~extent:old.extent;
-                copied := !copied + old.extent
-              end;
-              entries.(root) <-
-                { old with offset = (if old.extent = 0 then 0 else !pos) };
-              pos := !pos + old.extent
-        done;
-        close_out oc);
-    Sys.rename tmp out;
-    let stream_len =
-      let ic = open_in_bin out in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> in_channel_length ic)
-    in
+        Codec.durable_replace ~site:"splice" out (fun oc ->
+            output_string oc Stream.magic;
+            for root = 0 to n - 1 do
+              let old = index.entries.(root) in
+              match patch.(root) with
+              | Some (_, fingerprint, sets) ->
+                  incr roots_patched;
+                  let extent = ref 0 and count = ref 0 in
+                  List.iter
+                    (fun set ->
+                      let r = Stream.encode_record (Stream.encode_set set) in
+                      output_string oc r;
+                      extent := !extent + String.length r;
+                      incr count)
+                    sets;
+                  fresh := !fresh + !extent;
+                  entries.(root) <-
+                    {
+                      fingerprint;
+                      offset = (if !count = 0 then 0 else !pos);
+                      extent = !extent;
+                      count = !count;
+                    };
+                  pos := !pos + !extent
+              | None ->
+                  if old.extent > 0 then begin
+                    copy_extent ic oc ~offset:old.offset ~extent:old.extent;
+                    copied := !copied + old.extent
+                  end;
+                  entries.(root) <-
+                    { old with offset = (if old.extent = 0 then 0 else !pos) };
+                  pos := !pos + old.extent
+            done));
+    let stream_len = !pos in
     let t = { stream_len; s = index.s; entries } in
     save t (path_for out);
     ( t,

@@ -19,13 +19,17 @@ val load : string -> Sgraph.Node_set.t list
 (** Crash-safe append-only record stream — the on-disk format behind
     [--checkpoint] result streaming and checkpoint files.
 
-    Byte layout: the 7-byte magic ["SCLQS1\n"], then zero or more records
-    of [u32le payload length | u32le CRC-32 of payload | payload].
-    A record becomes durable the instant its last byte hits the disk; a
-    process killed mid-write leaves a {e torn tail} (short header, bogus
-    length, CRC mismatch) which {!Stream.read_records} detects, drops,
-    and reports as [`Torn] — everything before it is trusted. *)
+    Byte layout: the 7-byte magic ["SCLQS1\n"], then zero or more
+    {!Sgraph.Codec} frames [u32le payload length | u32le CRC-32 of
+    payload | payload]. A record becomes durable the instant its last
+    byte hits the disk; a process killed mid-write leaves a {e torn tail}
+    (short header, bogus length, CRC mismatch) which
+    {!Stream.read_records} detects, drops, and reports as [`Torn] —
+    everything before it is trusted. This is the one format whose torn
+    tail is tolerated ([format.torn = Tolerate]). *)
 module Stream : sig
+  val format : Sgraph.Codec.format
+
   val magic : string
 
   val max_record_len : int
@@ -33,11 +37,8 @@ module Stream : sig
       in a torn file must never drive a giant allocation. *)
 
   val encode_record : string -> string
-  (** The raw framing of one record —
-      [u32le payload length | u32le CRC-32 of payload | payload] — as the
-      exact bytes {!write_record} appends. The daemon's [SCLQRPC1] wire
-      protocol reuses this framing for its socket messages, so one
-      encoder (and one fuzz surface) covers both.
+  (** The raw framing of one record ({!Sgraph.Codec.frame}) — the exact
+      bytes {!write_record} appends.
       @raise Invalid_argument on a payload above {!max_record_len}. *)
 
   type writer
@@ -68,20 +69,29 @@ module Stream : sig
   val read_records : string -> string list * int * [ `Clean | `Torn ]
   (** [read_records path] is [(payloads, clean_len, tail)]: every intact
       record in order, the byte length of the intact prefix, and whether
-      a torn tail was dropped.
+      a torn tail was dropped. A file that is a proper prefix of the
+      magic is a torn empty stream.
       @raise Sys_error when the file cannot be read.
-      @raise Failure when the file does not start with the magic (it is
-      not a stream at all, as opposed to a torn one). *)
+      @raise Sgraph.Io_error.Parse_error when the file does not start
+      with the magic (it is not a stream at all, as opposed to a torn
+      one). *)
+
+  val records_of_string : file:string -> string -> string list * int * [ `Clean | `Torn ]
+  (** {!read_records} over an image held in memory; [file] only labels
+      errors. *)
 
   val encode_set : Sgraph.Node_set.t -> string
 
-  val decode_set : string -> Sgraph.Node_set.t
-  (** @raise Failure on a payload {!encode_set} could not have produced
-      (possible only for hand-built files — CRC-validated records from
-      this writer always decode). *)
+  val decode_set : ?file:string -> string -> Sgraph.Node_set.t
+  (** @raise Sgraph.Io_error.Parse_error naming [file] (default
+      ["<string>"]) on a payload {!encode_set} could not have produced —
+      a token that is not a non-negative integer. Possible only for
+      hand-built files: CRC-validated records from this writer always
+      decode. *)
 
   val read_results : string -> Sgraph.Node_set.t list * [ `Clean | `Torn ]
-  (** {!read_records} + {!decode_set}. *)
+  (** {!read_records} + {!decode_set}.
+      @raise Sgraph.Io_error.Parse_error as both do. *)
 end
 
 (** The [SCLQIDX1] root→results index — a CRC'd sidecar beside a
@@ -130,7 +140,8 @@ module Index : sig
       @raise Sgraph.Io_error.Parse_error on any corruption. *)
 
   val save : t -> string -> unit
-  (** Atomic (write-to-temp + rename). *)
+  (** Through {!Sgraph.Codec.durable_replace}: the whole old index or the
+      whole new one, also across a power loss. *)
 
   val load : string -> t
   (** @raise Sgraph.Io_error.Parse_error on any corruption.
@@ -166,7 +177,8 @@ module Index : sig
       refresh re-ran (an empty result list drops the root). Every other
       root's bytes are copied by extent without decoding, output is
       normalized to ascending-root order, and the updated index is saved
-      at [path_for out] and returned.
+      at [path_for out] and returned. Both files are written through
+      {!Sgraph.Codec.durable_replace}.
       @raise Sgraph.Io_error.Parse_error when the index is stale (the
       old stream's size changed).
       @raise Invalid_argument on an out-of-range or duplicate patched

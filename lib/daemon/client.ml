@@ -46,15 +46,16 @@ let connect (addr : Server.addr) =
    with e ->
      c.open_ <- false;
      close_out_noerr oc;
-     close_in_noerr ic;
      raise e);
   c
 
 let close c =
   if c.open_ then begin
     c.open_ <- false;
-    close_out_noerr c.oc;
-    close_in_noerr c.ic
+    (* closing [oc] closes the fd both channels share; closing [ic] as
+       well would close the number again, after another thread may have
+       reused it *)
+    close_out_noerr c.oc
   end
 
 let send_request c req =

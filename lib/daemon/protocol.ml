@@ -73,7 +73,18 @@ type response =
   | Graphs of graph_info list
   | Pong
 
-(* ---------- little-endian primitives ---------- *)
+(* ---------- the codec, and little-endian primitives ---------- *)
+
+module Codec = Sgraph.Codec
+
+let format =
+  {
+    Codec.magic;
+    name = "frame";
+    title = "an SCLQRPC1 peer";
+    max_frame = max_payload;
+    torn = Codec.Refuse;
+  }
 
 let add_u8 b v = Buffer.add_char b (Char.chr (v land 0xFF))
 
@@ -85,53 +96,19 @@ let add_u64 b v = Buffer.add_int64_le b (Int64.of_int v)
 
 let add_f64 b v = Buffer.add_int64_le b (Int64.bits_of_float v)
 
-(* Strict cursor over a payload: every read names the field it is after,
-   so a short buffer surfaces as a typed [Bad_payload] rather than an
-   [Invalid_argument] from the string primitives. *)
-type cursor = { buf : string; mutable pos : int }
+(* The codec's errors as this protocol names them. Inside a payload every
+   read names the field it is after, so a short buffer is a malformed
+   payload; at the frame level it is a torn frame. *)
+let of_codec ~in_payload = function
+  | Codec.Truncated what when in_payload -> Bad_payload ("truncated " ^ what)
+  | Codec.Truncated what -> Truncated what
+  | Codec.Bad_magic got -> Bad_magic got
+  | Codec.Oversized len -> Oversized len
+  | Codec.Crc_mismatch _ -> Crc_mismatch
+  | Codec.Out_of_range { what; _ } -> Bad_payload (what ^ " out of range")
+  | Codec.Trailing -> Bad_payload "trailing garbage"
 
-let need c n what =
-  if n < 0 || String.length c.buf - c.pos < n then
-    fail (Bad_payload ("truncated " ^ what))
-
-let u8 c what =
-  need c 1 what;
-  let v = Char.code c.buf.[c.pos] in
-  c.pos <- c.pos + 1;
-  v
-
-let u16 c what =
-  need c 2 what;
-  let v = String.get_uint16_le c.buf c.pos in
-  c.pos <- c.pos + 2;
-  v
-
-let u32 c what =
-  need c 4 what;
-  let v = Int32.to_int (String.get_int32_le c.buf c.pos) land 0xFFFFFFFF in
-  c.pos <- c.pos + 4;
-  v
-
-let u64 c what =
-  need c 8 what;
-  let v = Int64.to_int (String.get_int64_le c.buf c.pos) in
-  c.pos <- c.pos + 8;
-  v
-
-let f64 c what =
-  need c 8 what;
-  let v = Int64.float_of_bits (String.get_int64_le c.buf c.pos) in
-  c.pos <- c.pos + 8;
-  v
-
-let bytes_of c len what =
-  need c len what;
-  let v = String.sub c.buf c.pos len in
-  c.pos <- c.pos + len;
-  v
-
-let finish c =
-  if c.pos <> String.length c.buf then fail (Bad_payload "trailing garbage")
+let typed ~in_payload f = try f () with Codec.Error e -> fail (of_codec ~in_payload e)
 
 (* ---------- engines and outcomes ---------- *)
 
@@ -194,12 +171,12 @@ let read_list count f =
   go count []
 
 let read_set_list c what =
-  let nsets = u32 c (what ^ " count") in
-  need c (4 * nsets) what;
+  let nsets = Codec.u32 c (what ^ " count") in
+  Codec.need c (4 * nsets) what;
   read_list nsets (fun () ->
-      let card = u32 c (what ^ " set size") in
-      need c (4 * card) (what ^ " set members");
-      Node_set.of_list (read_list card (fun () -> u32 c what)))
+      let card = Codec.u32 c (what ^ " set size") in
+      Codec.need c (4 * card) (what ^ " set members");
+      Node_set.of_list (read_list card (fun () -> Codec.u32 c what)))
 
 let add_state b = function
   | Ckpt.Roots { retired } ->
@@ -215,16 +192,16 @@ let add_state b = function
       add_u64 b next_mask
 
 let read_state c =
-  match u8 c "resume token family" with
+  match Codec.u8 c "resume token family" with
   | 1 ->
-      let count = u32 c "retired root count" in
-      need c (4 * count) "retired root ids";
-      Ckpt.Roots { retired = read_list count (fun () -> u32 c "retired root id") }
+      let count = Codec.u32 c "retired root count" in
+      Codec.need c (4 * count) "retired root ids";
+      Ckpt.Roots { retired = read_list count (fun () -> Codec.u32 c "retired root id") }
   | 2 ->
       let index = read_set_list c "pd index" in
       let queue = read_set_list c "pd queue" in
       Ckpt.Pd_frontier { index; queue }
-  | 3 -> Ckpt.Brute_mask { next_mask = u64 c "brute mask" }
+  | 3 -> Ckpt.Brute_mask { next_mask = Codec.u64 c "brute mask" }
   | n -> fail (Bad_payload (Printf.sprintf "unknown resume token family %d" n))
 
 let add_state_opt b = function
@@ -234,7 +211,7 @@ let add_state_opt b = function
       add_state b st
 
 let read_state_opt c =
-  match u8 c "resume token flag" with
+  match Codec.u8 c "resume token flag" with
   | 0 -> None
   | 1 -> Some (read_state c)
   | n -> fail (Bad_payload (Printf.sprintf "bad resume token flag %d" n))
@@ -287,52 +264,53 @@ let encode_request req =
   Buffer.contents b
 
 let decode_request payload =
-  let c = { buf = payload; pos = 0 } in
+  typed ~in_payload:true @@ fun () ->
+  let c = Codec.cursor payload in
   let req =
-    match u8 c "opcode" with
+    match Codec.u8 c "opcode" with
     | 0x51 (* 'Q' *) ->
-        let q_id = u32 c "query id" in
-        let q_engine = engine_of_code (u8 c "engine") in
-        let q_s = u32 c "s" in
-        let q_min_size = u32 c "min size" in
+        let q_id = Codec.u32 c "query id" in
+        let q_engine = engine_of_code (Codec.u8 c "engine") in
+        let q_s = Codec.u32 c "s" in
+        let q_min_size = Codec.u32 c "min size" in
         let q_deadline_s =
-          match u8 c "deadline flag" with
+          match Codec.u8 c "deadline flag" with
           | 0 -> None
-          | 1 -> Some (f64 c "deadline")
+          | 1 -> Some (Codec.f64 c "deadline")
           | n -> fail (Bad_payload (Printf.sprintf "bad deadline flag %d" n))
         in
         let q_max_results =
-          match u8 c "max-results flag" with
+          match Codec.u8 c "max-results flag" with
           | 0 -> None
-          | 1 -> Some (u32 c "max results")
+          | 1 -> Some (Codec.u32 c "max results")
           | n -> fail (Bad_payload (Printf.sprintf "bad max-results flag %d" n))
         in
-        let name_len = u16 c "graph name length" in
-        let q_graph = bytes_of c name_len "graph name" in
+        let name_len = Codec.u16 c "graph name length" in
+        let q_graph = Codec.string c name_len "graph name" in
         let q_resume = read_state_opt c in
         Query { q_id; q_engine; q_graph; q_s; q_min_size; q_deadline_s; q_max_results; q_resume }
     | 0x4D (* 'M' *) ->
-        let m_id = u32 c "mutation id" in
-        let name_len = u16 c "graph name length" in
-        let m_graph = bytes_of c name_len "graph name" in
-        let script_len = u32 c "script length" in
-        let m_script = bytes_of c script_len "edit script" in
+        let m_id = Codec.u32 c "mutation id" in
+        let name_len = Codec.u16 c "graph name length" in
+        let m_graph = Codec.string c name_len "graph name" in
+        let script_len = Codec.u32 c "script length" in
+        let m_script = Codec.string c script_len "edit script" in
         Mutate { m_id; m_graph; m_script }
     | 0x52 (* 'R' *) ->
-        let rl_id = u32 c "reload id" in
-        let name_len = u16 c "graph name length" in
-        let rl_graph = bytes_of c name_len "graph name" in
+        let rl_id = Codec.u32 c "reload id" in
+        let name_len = Codec.u16 c "graph name length" in
+        let rl_graph = Codec.string c name_len "graph name" in
         Reload { rl_id; rl_graph }
-    | 0x43 (* 'C' *) -> Cancel (u32 c "cancel id")
+    | 0x43 (* 'C' *) -> Cancel (Codec.u32 c "cancel id")
     | 0x48 (* 'H' *) ->
-        let token_len = u16 c "token length" in
-        let h_token = bytes_of c token_len "client token" in
+        let token_len = Codec.u16 c "token length" in
+        let h_token = Codec.string c token_len "client token" in
         Hello { h_token }
     | 0x4C (* 'L' *) -> List_graphs
     | 0x50 (* 'P' *) -> Ping
     | op -> fail (Bad_opcode op)
   in
-  finish c;
+  Codec.finish c;
   req
 
 (* ---------- responses ---------- *)
@@ -399,80 +377,73 @@ let encode_response resp =
   Buffer.contents b
 
 let decode_response payload =
-  let c = { buf = payload; pos = 0 } in
+  typed ~in_payload:true @@ fun () ->
+  let c = Codec.cursor payload in
   let resp =
-    match u8 c "opcode" with
+    match Codec.u8 c "opcode" with
     | 0x52 (* 'R' *) ->
-        let id = u32 c "query id" in
-        let set = bytes_of c (String.length payload - c.pos) "result set" in
+        let id = Codec.u32 c "query id" in
+        let set = Codec.string c (String.length payload - Codec.pos c) "result set" in
         Result (id, set)
     | 0x44 (* 'D' *) ->
-        let d_id = u32 c "query id" in
-        let d_outcome = outcome_of_code (u8 c "outcome") in
-        let d_emitted = u64 c "emitted count" in
+        let d_id = Codec.u32 c "query id" in
+        let d_outcome = outcome_of_code (Codec.u8 c "outcome") in
+        let d_emitted = Codec.u64 c "emitted count" in
         let d_resume = read_state_opt c in
         Done { d_id; d_outcome; d_emitted; d_resume }
     | 0x42 (* 'B' *) ->
-        let b_id = u32 c "query id" in
-        let b_running = u32 c "running count" in
-        let b_queued = u32 c "queued count" in
+        let b_id = Codec.u32 c "query id" in
+        let b_running = Codec.u32 c "running count" in
+        let b_queued = Codec.u32 c "queued count" in
         Busy { b_id; b_running; b_queued }
     | 0x41 (* 'A' *) ->
-        let ra_id = u32 c "query id" in
-        let ra_seconds = f64 c "retry delay" in
+        let ra_id = Codec.u32 c "query id" in
+        let ra_seconds = Codec.f64 c "retry delay" in
         Retry_after { ra_id; ra_seconds }
     | 0x4D (* 'M' *) ->
-        let mu_id = u32 c "mutation id" in
-        let mu_epoch = u64 c "epoch" in
-        let mu_edits = u32 c "edit count" in
-        let mu_n = u32 c "node count" in
-        let mu_m = u64 c "edge count" in
+        let mu_id = Codec.u32 c "mutation id" in
+        let mu_epoch = Codec.u64 c "epoch" in
+        let mu_edits = Codec.u32 c "edit count" in
+        let mu_n = Codec.u32 c "node count" in
+        let mu_m = Codec.u64 c "edge count" in
         Mutated { mu_id; mu_epoch; mu_edits; mu_n; mu_m }
     | 0x48 (* 'H' *) ->
-        let rl_id = u32 c "reload id" in
-        let rl_epoch = u64 c "epoch" in
-        let rl_n = u32 c "node count" in
-        let rl_m = u64 c "edge count" in
+        let rl_id = Codec.u32 c "reload id" in
+        let rl_epoch = Codec.u64 c "epoch" in
+        let rl_n = Codec.u32 c "node count" in
+        let rl_m = Codec.u64 c "edge count" in
         Reloaded { rl_id; rl_epoch; rl_n; rl_m }
     | 0x45 (* 'E' *) ->
-        let e_id = u32 c "query id" in
-        let e_code = error_code_of_byte (u8 c "error code") in
-        let e_msg = bytes_of c (String.length payload - c.pos) "error message" in
+        let e_id = Codec.u32 c "query id" in
+        let e_code = error_code_of_byte (Codec.u8 c "error code") in
+        let e_msg = Codec.string c (String.length payload - Codec.pos c) "error message" in
         Error_resp { e_id; e_code; e_msg }
     | 0x47 (* 'G' *) ->
-        let count = u16 c "graph count" in
+        let count = Codec.u16 c "graph count" in
         Graphs
           (read_list count (fun () ->
-               let name_len = u16 c "graph name length" in
-               let g_name = bytes_of c name_len "graph name" in
-               let g_n = u32 c "node count" in
-               let g_m = u64 c "edge count" in
-               let g_epoch = u64 c "epoch" in
+               let name_len = Codec.u16 c "graph name length" in
+               let g_name = Codec.string c name_len "graph name" in
+               let g_n = Codec.u32 c "node count" in
+               let g_m = Codec.u64 c "edge count" in
+               let g_epoch = Codec.u64 c "epoch" in
                { g_name; g_n; g_m; g_epoch }))
     | 0x4F (* 'O' *) -> Pong
     | op -> fail (Bad_opcode op)
   in
-  finish c;
+  Codec.finish c;
   resp
 
 (* ---------- frame layer ---------- *)
 
-let encode_frame payload =
-  if String.length payload > max_payload then invalid_arg "Protocol.encode_frame: oversized";
-  Scliques_core.Result_io.Stream.encode_record payload
-
-let u32_at s off = Int32.to_int (String.get_int32_le s off) land 0xFFFFFFFF
+let encode_frame payload = Codec.frame format payload
 
 let decode_frame buf ~pos =
   if pos < 0 || pos > String.length buf then invalid_arg "Protocol.decode_frame: pos";
-  if String.length buf - pos < 8 then fail (Truncated "frame header");
-  let len = u32_at buf pos in
-  let crc = u32_at buf (pos + 4) in
-  if len > max_payload then fail (Oversized len);
-  if String.length buf - (pos + 8) < len then fail (Truncated "frame payload");
-  let payload = String.sub buf (pos + 8) len in
-  if Scoll.Crc32.string payload <> crc then fail Crc_mismatch;
-  (payload, pos + 8 + len)
+  typed ~in_payload:false (fun () ->
+      let c = Codec.cursor ~pos buf in
+      let payload = Codec.read_frame format c in
+      (payload, Codec.pos c))
 
 (* ---------- channel I/O ---------- *)
 
@@ -483,7 +454,7 @@ let input_magic ic =
     try really_input_string ic (String.length magic)
     with End_of_file -> fail (Truncated "connection magic")
   in
-  if not (String.equal got magic) then fail (Bad_magic got)
+  typed ~in_payload:false (fun () -> Codec.magic format (Codec.cursor got))
 
 let output_frame oc payload = output_string oc (encode_frame payload)
 
@@ -493,16 +464,14 @@ let input_frame ic =
   match input_char ic with
   | exception End_of_file -> None
   | first ->
-      let rest =
-        try really_input_string ic 7 with End_of_file -> fail (Truncated "frame header")
+      let header =
+        try String.make 1 first ^ really_input_string ic 7
+        with End_of_file -> fail (Truncated "frame header")
       in
-      let header = String.make 1 first ^ rest in
-      let len = u32_at header 0 in
-      let crc = u32_at header 4 in
-      if len > max_payload then fail (Oversized len);
+      (* the ceiling is checked before the payload is read or allocated *)
+      let len = typed ~in_payload:false (fun () -> Codec.frame_length format header 0) in
       let payload =
         try really_input_string ic len
         with End_of_file -> fail (Truncated "frame payload")
       in
-      if Scoll.Crc32.string payload <> crc then fail Crc_mismatch;
-      Some payload
+      Some (fst (decode_frame (header ^ payload) ~pos:0))

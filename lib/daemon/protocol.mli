@@ -3,11 +3,12 @@
     A connection opens with both ends sending the 8-byte magic
     ["SCLQRPC1"]. Everything after is a stream of {e frames} in the exact
     byte framing of the [SCLQS1] result stream
-    ([u32le payload length | u32le CRC-32 of payload | payload], via
-    {!Scliques_core.Result_io.Stream.encode_record}), so one encoder and
-    one fuzz surface cover both the on-disk and on-wire formats. A frame
-    payload's first byte is an opcode; clients send {!request} payloads,
-    the daemon answers with {!response} payloads.
+    ([u32le payload length | u32le CRC-32 of payload | payload]): both
+    are {!Sgraph.Codec} frames, so one encoder, one decoder and one fuzz
+    surface cover the on-disk and on-wire formats. A frame payload's
+    first byte is an opcode; clients send {!request} payloads, the daemon
+    answers with {!response} payloads, and both are read through the
+    codec's cursor.
 
     Decoding is strict and total: any byte sequence either decodes or
     raises {!Error} with a typed {!error} — truncation at every boundary,

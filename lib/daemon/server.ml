@@ -174,18 +174,12 @@ let write_all fd s =
   let rec go off = if off < len then go (off + Unix.write fd b off (len - off)) in
   go 0
 
-(* The manifest is one line, replaced atomically: a crash mid-rebase
-   leaves either the old generation fully live or the new one. *)
-let write_manifest path ~gen ~offset =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  (try
-     Printf.fprintf oc "%s %d %d\n" manifest_magic gen offset;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     raise e);
-  Sys.rename tmp path
+(* The manifest is one line, replaced durably: a crash or power loss
+   mid-rebase leaves either the old generation fully live or the new
+   one. *)
+let write_manifest ~fault path ~gen ~offset =
+  Sgraph.Codec.durable_replace ~fault ~site:"manifest" path (fun oc ->
+      Printf.fprintf oc "%s %d %d\n" manifest_magic gen offset)
 
 let read_manifest path =
   let ic = open_in_bin path in
@@ -222,22 +216,43 @@ let open_fresh_journal ~dir ~name gen graph =
 
 (* Fold the journal into a new generation: snapshot [graph], start an
    empty journal beside it, then flip the manifest — the only moment the
-   new generation becomes live. Raises on I/O failure with the old
-   generation still fully intact (at worst a dead [.base]/[.journal]
-   file of the never-activated generation remains). *)
-let persist_rebase p graph ~epoch =
+   new generation becomes live. Every file is on the device before the
+   manifest names it (durable_replace, the journal's fsync, and the
+   manifest's directory sync, which also covers the journal's entry), so
+   a power loss cannot leave a manifest naming unwritten data. Raises on
+   I/O failure with the old generation still fully intact (at worst a
+   dead [.base]/[.journal] file of the never-activated generation
+   remains). *)
+let persist_rebase ~fault p graph ~epoch =
   let dir = p.p_dir and name = p.p_name in
   let gen = p.p_gen + 1 in
-  Sgraph.Snapshot.save graph (base_path ~dir ~name gen);
+  let mpath = manifest_path ~dir ~name in
+  Sgraph.Snapshot.save ~fault graph (base_path ~dir ~name gen);
   let fd, len = open_fresh_journal ~dir ~name gen graph in
-  (try write_manifest (manifest_path ~dir ~name) ~gen ~offset:epoch
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
+  let flip_durable =
+    match write_manifest ~fault mpath ~gen ~offset:epoch with
+    | () -> true
+    | exception e ->
+        (* the manifest now holds the old line or the new one; only if
+           the rename landed is the new generation live, though not yet
+           known durable *)
+        let live =
+          match read_manifest mpath with
+          | g, _ -> g = gen
+          | exception (Sgraph.Io_error.Parse_error _ | Sys_error _) -> false
+        in
+        if not live then begin
+          (try Unix.close fd with Unix.Unix_error _ -> ());
+          raise e
+        end;
+        false
+  in
   (try Unix.close p.p_journal with Unix.Unix_error _ -> ());
-  List.iter
-    (fun f -> try Sys.remove f with Sys_error _ -> ())
-    [ base_path ~dir ~name p.p_gen; journal_path ~dir ~name p.p_gen ];
+  (* the old generation is the fallback until the flip is durable *)
+  if flip_durable then
+    List.iter
+      (fun f -> try Sys.remove f with Sys_error _ -> ())
+      [ base_path ~dir ~name p.p_gen; journal_path ~dir ~name p.p_gen ];
   p.p_gen <- gen;
   p.p_journal <- fd;
   p.p_journal_len <- len
@@ -250,7 +265,7 @@ let persist_rebase p graph ~epoch =
    When persisted state exists it wins over the provided graph: the
    state dir is the durable truth, [Reload] is the way back to the
    source. *)
-let attach_state ~dir name g =
+let attach_state ~fault ~dir name g =
   let mpath = manifest_path ~dir ~name in
   if Sys.file_exists mpath then begin
     let gen, offset = read_manifest mpath in
@@ -281,9 +296,9 @@ let attach_state ~dir name g =
       { p_dir = dir; p_name = name; p_gen = gen; p_journal = fd; p_journal_len = len } )
   end
   else begin
-    Sgraph.Snapshot.save g (base_path ~dir ~name 0);
+    Sgraph.Snapshot.save ~fault g (base_path ~dir ~name 0);
     let fd, len = open_fresh_journal ~dir ~name 0 g in
-    write_manifest mpath ~gen:0 ~offset:0;
+    write_manifest ~fault mpath ~gen:0 ~offset:0;
     ( Overlay.of_graph g,
       g,
       0,
@@ -616,7 +631,7 @@ let journal_append srv entry edits =
 (* SAFETY: called only from [apply_mutation], i.e. under [ge_lock] — the
    fact collector is per-call-site for held locks, so the ge_* field
    accesses below look unlocked to it *)
-let[@lint.allow "atomicity"] try_rebase entry after =
+let[@lint.allow "atomicity"] try_rebase srv entry after =
   let epoch = entry.ge_offset + entry.ge_jcount in
   let ok =
     match entry.ge_persist with
@@ -624,9 +639,12 @@ let[@lint.allow "atomicity"] try_rebase entry after =
     | Some p -> (
         (* SAFETY: rebase I/O under [ge_lock] — see journal_append; it
            runs once per [compact_threshold] edits, not per mutation *)
-        match (persist_rebase p after ~epoch [@lint.allow "lock-order"]) with
+        match
+          (persist_rebase ~fault:srv.fault p after ~epoch
+          [@lint.allow "lock-order"])
+        with
         | () -> true
-        | exception ((Sys_error _ | Unix.Unix_error _) as e) ->
+        | exception ((Sys_error _ | Unix.Unix_error _ | Scoll.Fault.Injected _) as e) ->
             prerr_endline
               (Printf.sprintf
                  "scliques-daemon: rebase of %S deferred (%s); journal keeps \
@@ -711,7 +729,7 @@ let[@lint.allow "atomicity"] apply_mutation srv entry (header : Diff.header) edi
             let epoch = entry.ge_offset + entry.ge_jcount in
             entry.ge_cell <- { ec_epoch = epoch; ec_graph = after; ec_stores = stores };
             if Overlay.delta_size tip >= srv.compact_threshold then
-              try_rebase entry after;
+              try_rebase srv entry after;
             Ok (epoch, Sgraph.Graph.n after, Sgraph.Graph.m after))
   end
 
@@ -809,7 +827,7 @@ let reload srv ~graph =
                     | Some p ->
                         (* SAFETY: rebase I/O under ge_lock — reload is a
                            rare admin action; see journal_append *)
-                        (persist_rebase p g ~epoch:0
+                        (persist_rebase ~fault:srv.fault p g ~epoch:0
                         [@lint.allow "lock-order"]));
                     entry.ge_tip <- Overlay.of_graph g;
                     entry.ge_offset <- 0;
@@ -828,7 +846,7 @@ let reload srv ~graph =
                     | None -> ()
                     | Some p ->
                         (* SAFETY: see above *)
-                        (persist_rebase p g ~epoch
+                        (persist_rebase ~fault:srv.fault p g ~epoch
                         [@lint.allow "lock-order"]));
                     entry.ge_tip <- Overlay.of_graph g;
                     entry.ge_offset <- epoch;
@@ -930,7 +948,8 @@ let session_thread srv sess () =
          the close under [wlock] waits out at most one in-flight frame *)
       Scoll.Sync.with_lock sess.wlock (fun () ->
           (close_out_noerr sess.oc [@lint.allow "lock-order"]));
-      close_in_noerr sess.ic;
+      (* [ic] shares the fd: closing it too would close a number another
+         thread may already have reused *)
       Scoll.Sync.with_lock srv.lock (fun () ->
           srv.sessions <-
             List.filter (fun (s, _) -> s.sid <> sess.sid) srv.sessions))
@@ -1083,7 +1102,7 @@ let create ?(workers = 2) ?(max_queue = 16) ?(par_workers = 1)
         match state_dir with
         | None -> (Overlay.of_graph g, g, 0, 0, None)
         | Some dir ->
-            let tip, serving, offset, jcount, p = attach_state ~dir name g in
+            let tip, serving, offset, jcount, p = attach_state ~fault ~dir name g in
             (tip, serving, offset, jcount, Some p)
       in
       Smap.add table name

@@ -37,8 +37,12 @@
     passed to {!create}: the base snapshot of the live generation is
     loaded and its journal replayed. Once a graph's overlay delta
     crosses [compact_threshold] edits, the journal is folded into a new
-    generation (snapshot + empty journal, switched by an atomically
-    renamed manifest).
+    generation (snapshot + empty journal, switched by a manifest). Base
+    snapshots and manifests are written through
+    {!Sgraph.Codec.durable_replace}, so a power loss leaves the old
+    generation or the new one, never a manifest naming unwritten data;
+    the [snapshot.*] and [manifest.*] fault sites of that writer are
+    armed from [fault].
 
     {2 Admission}
 

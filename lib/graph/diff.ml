@@ -1,27 +1,29 @@
-(* Byte layout is documented in the .mli. The record helpers mirror
-   Snapshot's: every multi-byte integer is little-endian, ids travel as
-   u64, and a record is a payload followed by its CRC-32 as u32le. *)
+(* Byte layout is documented in the .mli: a Codec record header, then
+   one Codec record per edit; ids travel as u64. *)
 
 type header = { base_n : int; base_m : int }
 
-let magic = "SGRDIFF1"
+let format =
+  {
+    Codec.magic = "SGRDIFF1";
+    name = "diff";
+    title = "a diff";
+    max_frame = 0;
+    torn = Codec.Refuse;
+  }
+
+let magic = format.magic
 
 let max_node_count = (1 lsl 30) - 1
 
-let failf path fmt = Io_error.failf ~file:path ~line:0 fmt
-
-let record payload =
-  let crc = Bytes.create 4 in
-  Bytes.set_int32_le crc 0 (Int32.of_int (Scoll.Crc32.bytes payload));
-  Bytes.to_string payload ^ Bytes.to_string crc
-
-let header_payload ~base_n ~base_m =
+let add_header buf ~base_n ~base_m =
   let b = Bytes.create 16 in
   Bytes.set_int64_le b 0 (Int64.of_int base_n);
   Bytes.set_int64_le b 8 (Int64.of_int base_m);
-  b
+  Buffer.add_string buf magic;
+  Codec.record (Buffer.add_bytes buf) b
 
-let edit_payload e =
+let add_edit buf e =
   let op, u, v =
     match e with
     | Overlay.Insert (u, v) -> (0, u, v)
@@ -31,17 +33,19 @@ let edit_payload e =
   Bytes.set b 0 (Char.chr op);
   Bytes.set_int64_le b 1 (Int64.of_int u);
   Bytes.set_int64_le b 9 (Int64.of_int v);
-  b
-
-let encode_header ~base_n ~base_m =
-  magic ^ record (header_payload ~base_n ~base_m)
-
-let encode_edit e = record (edit_payload e)
+  Codec.record (Buffer.add_bytes buf) b
 
 let to_string ~base_n ~base_m edits =
   let buf = Buffer.create (28 + (21 * List.length edits)) in
-  Buffer.add_string buf (encode_header ~base_n ~base_m);
-  List.iter (fun e -> Buffer.add_string buf (encode_edit e)) edits;
+  add_header buf ~base_n ~base_m;
+  List.iter (add_edit buf) edits;
+  Buffer.contents buf
+
+let encode_header ~base_n ~base_m = to_string ~base_n ~base_m []
+
+let encode_edit e =
+  let buf = Buffer.create 21 in
+  add_edit buf e;
   Buffer.contents buf
 
 (* {2 Writing} *)
@@ -64,121 +68,50 @@ let flush w = Stdlib.flush w.oc
 let close w = close_out w.oc
 
 let save ~base_n ~base_m edits path =
-  let tmp = path ^ ".tmp" in
-  let w = open_writer ~base_n ~base_m tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr w.oc)
-    (fun () ->
-      List.iter (write_edit w) edits;
-      close w);
-  Sys.rename tmp path
+  Codec.durable_replace ~site:"diff" path (fun oc ->
+      output_string oc (to_string ~base_n ~base_m edits))
 
 (* {2 Reading}
 
    One strict decoder serves every SGRDIFF1 consumer — disk scripts,
    the daemon's mutation journal, and Mutate payloads arriving over the
-   wire — so all of them share the same CRC and torn-tail discipline. It
-   walks an in-memory image with a cursor; [load] is just file slurp +
-   decode. *)
-
-type cursor = { src : string; mutable pos : int }
-
-let read_exact path c len what =
-  if c.pos + len > String.length c.src then
-    failf path "diff truncated reading %s" what;
-  let b = Bytes.create len in
-  Bytes.blit_string c.src c.pos b 0 len;
-  c.pos <- c.pos + len;
-  b
-
-let check_crc path c payload what =
-  let crc = read_exact path c 4 (what ^ " CRC") in
-  let stored = Int32.to_int (Bytes.get_int32_le crc 0) land 0xFFFFFFFF in
-  let computed = Scoll.Crc32.bytes payload in
-  if stored <> computed then
-    failf path "diff %s CRC mismatch (stored %08x, computed %08x)" what stored
-      computed
-
-(* Same plain-int u64 decode as Snapshot: a top byte >= 0x40 would not
-   fit an OCaml int. *)
-let decode_int path b off what =
-  let b0 = Char.code (Bytes.get b off)
-  and b1 = Char.code (Bytes.get b (off + 1))
-  and b2 = Char.code (Bytes.get b (off + 2))
-  and b3 = Char.code (Bytes.get b (off + 3))
-  and b4 = Char.code (Bytes.get b (off + 4))
-  and b5 = Char.code (Bytes.get b (off + 5))
-  and b6 = Char.code (Bytes.get b (off + 6))
-  and b7 = Char.code (Bytes.get b (off + 7)) in
-  if b7 >= 0x40 then
-    failf path "diff %s %Ld out of range" what (Bytes.get_int64_le b off);
-  b0
-  lor (b1 lsl 8)
-  lor (b2 lsl 16)
-  lor (b3 lsl 24)
-  lor (b4 lsl 32)
-  lor (b5 lsl 40)
-  lor (b6 lsl 48)
-  lor (b7 lsl 56)
-
-(* Backstop for the totality contract: see Edge_list_io.structured. *)
-let structured ~file f =
-  try f () with
-  | Io_error.Parse_error _ as e -> raise e
-  | Sys_error _ as e -> raise e
-  | (Out_of_memory | Stack_overflow) as e -> raise e
-  | e -> Io_error.fail ~file ~line:0 ("unexpected parser failure: " ^ Printexc.to_string e)
+   wire — so all of them share the same CRC and torn-tail discipline. *)
 
 let of_string ~file s =
-  structured ~file (fun () ->
-      let c = { src = s; pos = 0 } in
-      let m8 = read_exact file c 8 "magic" in
-      if not (String.equal (Bytes.to_string m8) magic) then
-        failf file "not a diff: bad magic %S (expected %S)" (Bytes.to_string m8)
-          magic;
-      let hb = read_exact file c 16 "header" in
-      check_crc file c hb "header";
-      let base_n = decode_int file hb 0 "base node count" in
-      let base_m = decode_int file hb 8 "base edge count" in
+  let failf fmt = Io_error.failf ~file ~line:0 fmt in
+  Codec.decode format ~file (fun () ->
+      let c = Codec.cursor s in
+      Codec.magic format c;
+      let h = Codec.read_record c 16 "header" in
+      let base_n = Codec.u64 h "base node count" in
+      let base_m = Codec.u64 h "base edge count" in
       if base_n > max_node_count then
-        failf file "diff base node count %d exceeds the %d limit" base_n
-          max_node_count;
+        failf "diff base node count %d exceeds the %d limit" base_n max_node_count;
       if base_m > base_n * (base_n - 1) / 2 then
-        failf file "diff claims %d base edges for %d nodes" base_m base_n;
-      let decode_edit () =
-        (* a whole record must fit; a mid-record end is a torn tail and
-           refused, matching the journal-replay contract *)
-        let payload = read_exact file c 17 "edit record" in
-        check_crc file c payload "edit record";
-        let u = decode_int file payload 1 "edit endpoint" in
-        let v = decode_int file payload 9 "edit endpoint" in
+        failf "diff claims %d base edges for %d nodes" base_m base_n;
+      (* a whole record must fit: a mid-record end is a torn tail, which
+         this format refuses (the journal-replay contract) *)
+      let edit c =
+        let p = Codec.read_record c 17 "edit record" in
+        let op = Codec.u8 p "edit opcode" in
+        let u = Codec.u64 p "edit endpoint" in
+        let v = Codec.u64 p "edit endpoint" in
         if u >= base_n || v >= base_n then
-          failf file "diff edit endpoint out of range (%d--%d, base n %d)" u v
-            base_n;
-        if u = v then failf file "diff edit is a self-loop on %d" u;
-        match Char.code (Bytes.get payload 0) with
+          failf "diff edit endpoint out of range (%d--%d, base n %d)" u v base_n;
+        if u = v then failf "diff edit is a self-loop on %d" u;
+        match op with
         | 0 -> Overlay.Insert (u, v)
         | 1 -> Overlay.Delete (u, v)
-        | op -> failf file "diff edit has unknown opcode %d" op
+        | op -> failf "diff edit has unknown opcode %d" op
       in
-      let rec records acc =
-        if c.pos = String.length s then List.rev acc
-        else records (decode_edit () :: acc)
-      in
-      ({ base_n; base_m }, records []))
+      let edits, _, _ = Codec.records format c edit in
+      ({ base_n; base_m }, edits))
 
-let load path =
-  let ic = open_in_bin path in
-  let image =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  of_string ~file:path image
+let load path = of_string ~file:path (Codec.read_file path)
 
 let check_base ~file h g =
   if h.base_n <> Graph.n g || h.base_m <> Graph.m g then
-    failf file
+    Io_error.failf ~file ~line:0
       "diff base mismatch: recorded against n=%d m=%d, graph has n=%d m=%d"
       h.base_n h.base_m (Graph.n g) (Graph.m g)
 

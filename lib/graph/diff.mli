@@ -34,7 +34,7 @@ type header = { base_n : int; base_m : int }
 val magic : string
 
 val save : base_n:int -> base_m:int -> Overlay.edit list -> string -> unit
-(** Write a complete diff file atomically (temp file + rename), with the
+(** Write a complete diff file through {!Codec.durable_replace}, with the
     given base-graph identity in the header. *)
 
 val load : string -> header * Overlay.edit list

@@ -36,19 +36,8 @@ let parse_line builder ~file lineno line =
     end
   end
 
-(* Backstop for the totality contract: anything the line parser or the
-   builder throws that is not already structured (or an environment
-   error that must propagate untouched) becomes a [Parse_error], so
-   callers and the fuzz suite see exactly one exception type. *)
-let structured ~file f =
-  try f () with
-  | Io_error.Parse_error _ as e -> raise e
-  | Sys_error _ as e -> raise e
-  | (Out_of_memory | Stack_overflow) as e -> raise e
-  | e -> Io_error.fail ~file ~line:0 ("unexpected parser failure: " ^ Printexc.to_string e)
-
 let parse_string ?(file = "<string>") s =
-  structured ~file (fun () ->
+  Io_error.structured ~file (fun () ->
       let builder = Builder.create () in
       let lines = String.split_on_char '\n' s in
       List.iteri (fun i line -> parse_line builder ~file (i + 1) line) lines;
@@ -62,7 +51,7 @@ let load path =
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
-      structured ~file:path (fun () ->
+      Io_error.structured ~file:path (fun () ->
           let builder = Builder.create () in
           let lineno = ref 0 in
           (try

@@ -30,3 +30,11 @@ val to_string : file:string -> line:int -> string -> string
 val message : exn -> string option
 (** [Some] of the rendered message when the exception is {!Parse_error},
     [None] otherwise. *)
+
+val structured : file:string -> (unit -> 'a) -> 'a
+(** [structured ~file f] runs a parser body under the totality
+    contract: anything it throws that is not already a {!Parse_error}
+    (or an environment error that must propagate untouched: [Sys_error],
+    [Out_of_memory], [Stack_overflow]) becomes a {!Parse_error} naming
+    [file], so callers and the fuzz suites see exactly one exception
+    type. The one backstop every loader runs its parse under. *)

@@ -54,14 +54,6 @@ let parse_lines ~file lines =
           (Graph.m g);
       g
 
-(* Backstop for the totality contract: see Edge_list_io.structured. *)
-let structured ~file f =
-  try f () with
-  | Io_error.Parse_error _ as e -> raise e
-  | Sys_error _ as e -> raise e
-  | (Out_of_memory | Stack_overflow) as e -> raise e
-  | e -> Io_error.fail ~file ~line:0 ("unexpected parser failure: " ^ Printexc.to_string e)
-
 let parse_string ?(file = "<string>") s =
   (* drop the empty element a final newline leaves behind, so it is not
      mistaken for an isolated node's blank line *)
@@ -70,7 +62,7 @@ let parse_string ?(file = "<string>") s =
     | "" :: rest -> List.rev rest
     | lines -> List.rev lines
   in
-  structured ~file (fun () -> parse_lines ~file lines)
+  Io_error.structured ~file (fun () -> parse_lines ~file lines)
 
 let load path =
   let ic = open_in path in
@@ -88,7 +80,7 @@ let load path =
          with End_of_file -> ());
         List.rev !lines)
   in
-  structured ~file:path (fun () -> parse_lines ~file:path lines)
+  Io_error.structured ~file:path (fun () -> parse_lines ~file:path lines)
 
 let to_string g =
   let buf = Buffer.create (16 * (Graph.m g + 2)) in

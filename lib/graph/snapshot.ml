@@ -1,128 +1,57 @@
-(* Byte layout is documented in the .mli. All multi-byte integers are
-   little-endian; ids and counts travel as u64 even though they fit an
-   OCaml int, so the format does not depend on the host word size. *)
+(* Byte layout is documented in the .mli. Ids and counts travel as u64
+   even though they fit an OCaml int, so the format does not depend on
+   the host word size. *)
 
-let magic = "SGRSNAP1"
+let format =
+  {
+    Codec.magic = "SGRSNAP1";
+    name = "snapshot";
+    title = "a snapshot";
+    max_frame = 0;
+    torn = Codec.Refuse;
+  }
 
 let max_node_count = (1 lsl 30) - 1
 
-let fail path msg = Io_error.fail ~file:path ~line:0 msg
-
-let failf path fmt = Io_error.failf ~file:path ~line:0 fmt
-
-let encode_ints arr =
+let u64s arr =
   let b = Bytes.create (8 * Array.length arr) in
   Array.iteri (fun i v -> Bytes.set_int64_le b (8 * i) (Int64.of_int v)) arr;
   b
 
-(* a record is its payload followed by the payload's CRC-32 as u32le *)
-let write_record oc payload =
-  output_bytes oc payload;
-  let crc = Bytes.create 4 in
-  Bytes.set_int32_le crc 0 (Int32.of_int (Scoll.Crc32.bytes payload));
-  output_bytes oc crc
-
-let save g path =
+let save ?fault g path =
   let csr = Graph.csr g in
-  let header = Bytes.create 16 in
-  Bytes.set_int64_le header 0 (Int64.of_int (Graph.n g));
-  Bytes.set_int64_le header 8 (Int64.of_int (Graph.m g));
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  (* close_out inside the body so flush errors on the success path are
-     reported; the noerr close in [finally] is then a no-op *)
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc magic;
-      write_record oc header;
-      write_record oc (encode_ints (Csr.offsets csr));
-      write_record oc (encode_ints (Csr.adjacency csr));
-      close_out oc);
-  (* the atomic commit: a reader sees either the whole previous snapshot
-     or the whole new one, never a mixture *)
-  Sys.rename tmp path
+  Codec.durable_replace ?fault ~site:"snapshot" path (fun oc ->
+      output_string oc format.magic;
+      Codec.record (output_bytes oc) (u64s [| Graph.n g; Graph.m g |]);
+      Codec.record (output_bytes oc) (u64s (Csr.offsets csr));
+      Codec.record (output_bytes oc) (u64s (Csr.adjacency csr)))
 
-let read_exact path ic len what =
-  let b = Bytes.create len in
-  (try really_input ic b 0 len
-   with End_of_file -> failf path "snapshot truncated reading %s" what);
-  b
+let of_string ~file src =
+  let failf fmt = Io_error.failf ~file ~line:0 fmt in
+  let offsets, adjacency =
+    Codec.decode format ~file @@ fun () ->
+      let c = Codec.cursor src in
+      Codec.magic format c;
+      let header = Codec.read_record c 16 "header" in
+      let n = Codec.u64 header "node count" in
+      let m = Codec.u64 header "edge count" in
+      (* size sanity before the CRC-trusted counts drive allocations *)
+      if n > max_node_count then
+        failf "snapshot node count %d exceeds the %d limit" n max_node_count;
+      if m > n * (n - 1) / 2 then failf "snapshot claims %d edges for %d nodes" m n;
+      let ob = Codec.read_record c (8 * (n + 1)) "offsets" in
+      let ab = Codec.read_record c (16 * m) "adjacency" in
+      (* a concatenation or an in-place append is not a snapshot this
+         module wrote *)
+      Codec.finish c;
+      let offsets = Codec.u64s ob (n + 1) "offset" in
+      (offsets, Codec.u64s ab (2 * m) "neighbor")
+  in
+  (* full structural re-validation, same as the text loaders — once the
+     image is garbage, so the checker's transpose can reuse its memory *)
+  Io_error.structured ~file (fun () ->
+      match Graph.of_csr (Csr.of_arrays ~offsets ~adjacency) with
+      | g -> g
+      | exception Invalid_argument msg -> failf "snapshot fails validation: %s" msg)
 
-let check_crc path ic payload what =
-  let crc = read_exact path ic 4 (what ^ " CRC") in
-  let stored = Int32.to_int (Bytes.get_int32_le crc 0) land 0xFFFFFFFF in
-  let computed = Scoll.Crc32.bytes payload in
-  if stored <> computed then
-    failf path "snapshot %s CRC mismatch (stored %08x, computed %08x)" what stored
-      computed
-
-(* Assembles the u64 from individual bytes in plain int arithmetic: the
-   hot loops below decode hundreds of thousands of values, and boxed
-   [Int64] reads cost more than the I/O itself. A top byte >= 0x40 means
-   bit 62 or 63 is set, i.e. the value exceeds OCaml's max_int. *)
-let decode_int path b off what =
-  let b0 = Char.code (Bytes.get b off)
-  and b1 = Char.code (Bytes.get b (off + 1))
-  and b2 = Char.code (Bytes.get b (off + 2))
-  and b3 = Char.code (Bytes.get b (off + 3))
-  and b4 = Char.code (Bytes.get b (off + 4))
-  and b5 = Char.code (Bytes.get b (off + 5))
-  and b6 = Char.code (Bytes.get b (off + 6))
-  and b7 = Char.code (Bytes.get b (off + 7)) in
-  if b7 >= 0x40 then
-    failf path "snapshot %s %Ld out of range" what (Bytes.get_int64_le b off);
-  b0
-  lor (b1 lsl 8)
-  lor (b2 lsl 16)
-  lor (b3 lsl 24)
-  lor (b4 lsl 32)
-  lor (b5 lsl 40)
-  lor (b6 lsl 48)
-  lor (b7 lsl 56)
-
-(* Backstop for the totality contract: see Edge_list_io.structured. *)
-let structured ~file f =
-  try f () with
-  | Io_error.Parse_error _ as e -> raise e
-  | Sys_error _ as e -> raise e
-  | (Out_of_memory | Stack_overflow) as e -> raise e
-  | e -> Io_error.fail ~file ~line:0 ("unexpected parser failure: " ^ Printexc.to_string e)
-
-let load path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      structured ~file:path (fun () ->
-          let m8 = read_exact path ic 8 "magic" in
-          if not (String.equal (Bytes.to_string m8) magic) then
-            failf path "not a snapshot: bad magic %S (expected %S)"
-              (Bytes.to_string m8) magic;
-          let header = read_exact path ic 16 "header" in
-          check_crc path ic header "header";
-          let n = decode_int path header 0 "node count" in
-          let m = decode_int path header 8 "edge count" in
-          (* size sanity before the CRC-trusted counts drive allocations *)
-          if n > max_node_count then
-            failf path "snapshot node count %d exceeds the %d limit" n max_node_count;
-          if m > n * (n - 1) / 2 then
-            failf path "snapshot claims %d edges for %d nodes" m n;
-          let ob = read_exact path ic (8 * (n + 1)) "offsets" in
-          check_crc path ic ob "offsets";
-          let ab = read_exact path ic (8 * 2 * m) "adjacency" in
-          check_crc path ic ab "adjacency";
-          (* refuse trailing bytes: a concatenation or an in-place append
-             is not a snapshot this module wrote *)
-          (match input_char ic with
-          | _ -> fail path "snapshot has trailing bytes"
-          | exception End_of_file -> ());
-          let offsets = Array.init (n + 1) (fun i -> decode_int path ob (8 * i) "offset") in
-          let adjacency =
-            Array.init (2 * m) (fun i -> decode_int path ab (8 * i) "neighbor")
-          in
-          (* full structural re-validation, same as the text loaders *)
-          match Graph.of_csr (Csr.of_arrays ~offsets ~adjacency) with
-          | g -> g
-          | exception Invalid_argument msg ->
-              fail path ("snapshot fails validation: " ^ msg)))
+let load path = of_string ~file:path (Codec.read_file path)

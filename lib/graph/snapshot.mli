@@ -3,11 +3,11 @@
     A snapshot is the CSR representation of a {!Graph.t} written verbatim
     — magic, header, offsets record, adjacency record — so loading is a
     bulk read straight into the two backing arrays instead of a text
-    parse. Each record carries a CRC-32 of its payload ({!Scoll.Crc32}),
-    and {!save} commits through a temp file and atomic rename, the same
-    discipline as the checkpoint writer: a reader sees either the whole
-    previous snapshot or the whole new one, and a torn or bit-rotted file
-    is refused on load rather than parsed as garbage.
+    parse. Each record is a {!Codec} record (payload, then its CRC-32),
+    and {!save} commits through {!Codec.durable_replace}: a reader sees
+    either the whole previous snapshot or the whole new one, also after a
+    power loss, and a torn or bit-rotted file is refused on load rather
+    than parsed as garbage.
 
     Byte layout (all integers little-endian):
     {v
@@ -23,9 +23,18 @@
     v}
     Trailing bytes after the adjacency CRC are an error. *)
 
-val save : Graph.t -> string -> unit
-(** [save g path] writes the snapshot of [g] to [path] atomically
-    (write to [path ^ ".tmp"], fsync-free rename over [path]). *)
+val save : ?fault:Scoll.Fault.t -> Graph.t -> string -> unit
+(** [save g path] replaces [path] with the snapshot of [g] through
+    {!Codec.durable_replace}: the bytes are fsynced before the rename
+    and the directory after it, so [path] holds the whole old snapshot
+    or the whole new one even across a power loss. [fault] arms the
+    [snapshot.write] / [snapshot.fsync] / [snapshot.rename] /
+    [snapshot.dirsync] sites.
+    @raise Sys_error on I/O failure. *)
+
+val of_string : file:string -> string -> Graph.t
+(** Decode a snapshot image held in memory; [file] only labels errors.
+    @raise Io_error.Parse_error exactly as {!load}. *)
 
 val load : string -> Graph.t
 (** [load path] reads a snapshot back. The structural invariants are

@@ -1249,6 +1249,84 @@ let mutate_fault_drill site =
 let test_mutate_journal_fault () = mutate_fault_drill "daemon.mutate.journal"
 let test_mutate_flush_fault () = mutate_fault_drill "daemon.mutate.flush"
 
+(* Power-loss drill for the generation flip: a fault at every durable
+   site inside persist_rebase — the new base snapshot's, then the
+   manifest's — during a forced rebase. Whatever the fault left, with
+   any never-fsynced temp file torn as a power loss may tear it, a
+   restart lands on the pre- or post-rebase generation and serves
+   exactly the acked graph; a mutation acked after the fault is
+   journaled into whichever generation is live. *)
+let churn_third = er 9 ~n:30 ~m:60
+let third_script = script_of churn_after (Diff.between churn_after churn_third)
+
+let manifest_gen dir =
+  let ic = open_in_bin (Filename.concat dir "churn.manifest") in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> Scanf.sscanf (input_line ic) "SGRMANI1 %d %d" (fun gen _ -> gen))
+
+let tear_temp_files dir =
+  Array.iter
+    (fun f ->
+      if Filename.check_suffix f ".tmp" then begin
+        let path = Filename.concat dir f in
+        let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () -> Unix.ftruncate fd ((Unix.stat path).Unix.st_size / 2))
+      end)
+    (Sys.readdir dir)
+
+let test_rebase_fault_sites () =
+  let epoch =
+    List.length churn_edits + List.length (Diff.between churn_after churn_third)
+  in
+  List.iter
+    (fun (site, post) ->
+      with_state_dir (fun dir ->
+          let fault = Fault.create () in
+          with_server ~state_dir:dir ~fault [ ("churn", churn_before) ]
+            (fun addr _srv ->
+              with_client addr (fun c ->
+                  ignore
+                    (applied_ack
+                       (Client.mutate c ~id:1 ~graph:"churn" ~script:churn_script)
+                      : int * int * int * int);
+                  (* armed after start-up, so the site's first hit is the
+                     rebase's; with no source, Reload is a forced rebase *)
+                  Fault.arm_nth fault ~site ~n:1;
+                  (match Client.reload c ~id:2 ~graph:"churn" with
+                  | Client.Swapped _ | Client.Reload_failed _ -> ()
+                  | Client.Reload_disconnected -> Alcotest.failf "%s: daemon hung up" site);
+                  Alcotest.(check int) (site ^ ": fault fired") 1 (Fault.hits fault site);
+                  ignore
+                    (applied_ack (Client.mutate c ~id:3 ~graph:"churn" ~script:third_script)
+                      : int * int * int * int)));
+          tear_temp_files dir;
+          Alcotest.(check int)
+            (site ^ ": generation the manifest names")
+            (if post then 1 else 0)
+            (manifest_gen dir);
+          with_server ~state_dir:dir [ ("churn", churn_before) ] (fun addr srv ->
+              Alcotest.(check (option int)) (site ^ ": acked epoch") (Some epoch)
+                (Server.graph_epoch srv ~graph:"churn");
+              with_client addr (fun c ->
+                  let outcome, got = collect_query c (query ~graph:"churn" ~s:2 ()) in
+                  ignore (finished_done outcome : P.done_info);
+                  Alcotest.(check (list string)) (site ^ ": served graph")
+                    (local_stream E.Cs2_pf churn_third ~s:2)
+                    got))))
+    [
+      ("snapshot.write", false);
+      ("snapshot.fsync", false);
+      ("snapshot.rename", false);
+      ("snapshot.dirsync", false);
+      ("manifest.write", false);
+      ("manifest.fsync", false);
+      ("manifest.rename", false);
+      ("manifest.dirsync", true);
+    ]
+
 let test_reload () =
   let fault = Fault.create () in
   let sources = [ ("churn", fun () -> churn_after) ] in
@@ -1432,6 +1510,8 @@ let suites =
           test_mutate_journal_fault;
         Alcotest.test_case "journal-flush fault leaves acked epoch" `Quick
           test_mutate_flush_fault;
+        Alcotest.test_case "rebase faults restart on the old or new generation" `Quick
+          test_rebase_fault_sites;
         Alcotest.test_case "hot reload swaps epochs without dropping sessions" `Quick
           test_reload;
         Alcotest.test_case "dead budget drains for free" `Quick test_dead_budget_drains_free;

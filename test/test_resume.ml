@@ -238,8 +238,63 @@ let test_checkpoint_refuses_torn () =
   (try
      ignore (Ckpt.load path : Ckpt.t);
      Alcotest.fail "torn checkpoint accepted"
-   with Failure _ -> ());
+   with Sgraph.Io_error.Parse_error { file; _ } ->
+     Alcotest.(check string) "refusal names the file" path file);
   Sys.remove path
+
+(* ---------- typed refusals of CRC-valid but malformed content ---------- *)
+
+(* A record the CRC vouches for can still hold bytes no writer of this
+   module produces. Each must be refused as a Parse_error naming the
+   file, never accepted or escaping as an untyped exception. *)
+let expect_refusal what path f =
+  match f () with
+  | _ -> Alcotest.failf "%s accepted" what
+  | exception Sgraph.Io_error.Parse_error { file; _ } ->
+      Alcotest.(check string) (what ^ ": refusal names the file") path file
+
+let stream_of_records records =
+  let path = temp ".stream" in
+  let w = Stream.open_writer path in
+  List.iter (Stream.write_record w) records;
+  Stream.close w;
+  path
+
+let test_stream_negative_id_refused () =
+  let path = stream_of_records [ "0 1"; "-5 3" ] in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      expect_refusal "negative id in read_results" path (fun () -> Stream.read_results path);
+      (* build decodes the ids too, and must refuse before it indexes by them *)
+      expect_refusal "negative id in Index.build" path (fun () ->
+          Scliques_core.Result_io.Index.build ~s:2 ~n:8 ~fingerprint:(fun _ -> 0) path))
+
+let test_stream_non_integer_refused () =
+  let path = stream_of_records [ "1 x" ] in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      expect_refusal "non-integer id" path (fun () -> Stream.read_results path))
+
+let test_checkpoint_junk_refused () =
+  let path = temp ".ck" in
+  let oc = open_out_bin path in
+  output_string oc "junk\n";
+  close_out oc;
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () -> expect_refusal "junk checkpoint" path (fun () -> Ckpt.load path))
+
+let test_checkpoint_bad_integer_refused () =
+  let path = stream_of_records [ "H PD roots 2 x 9 0 0"; "E" ] in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () -> expect_refusal "bad header integer" path (fun () -> Ckpt.load path));
+  let path = stream_of_records [ "H PD roots 2 10 9 0 0"; "R 1 two"; "E" ] in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () -> expect_refusal "bad root id" path (fun () -> Ckpt.load path))
 
 (* ---------- resume equivalence (sequential) ---------- *)
 
@@ -480,6 +535,14 @@ let suites =
         Alcotest.test_case "checkpoint atomic save" `Quick test_checkpoint_atomic_save;
         Alcotest.test_case "checkpoint refuses torn file" `Quick
           test_checkpoint_refuses_torn;
+        Alcotest.test_case "stream negative id refused typed" `Quick
+          test_stream_negative_id_refused;
+        Alcotest.test_case "stream non-integer id refused typed" `Quick
+          test_stream_non_integer_refused;
+        Alcotest.test_case "checkpoint junk refused typed" `Quick
+          test_checkpoint_junk_refused;
+        Alcotest.test_case "checkpoint bad integer refused typed" `Quick
+          test_checkpoint_bad_integer_refused;
         prop_resume_equivalence;
         prop_chained_resume;
         Alcotest.test_case "parallel resume equivalence" `Quick test_parallel_resume;

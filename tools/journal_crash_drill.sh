@@ -6,6 +6,11 @@
 # but killed before the ack left), always even (2 edits per script) —
 # and that the daemon serves exactly the graph that epoch names.
 #
+# The daemon folds its journal into a new generation every 4 edits
+# (--compact-threshold 4), so a round of client mutations crosses many
+# generation flips and the kill lands inside a rebase as often as
+# inside a journal append; the same epoch and graph checks cover both.
+#
 # Usage: tools/journal_crash_drill.sh [ROUNDS]
 # Env:   BIN=dir holding the scliques / scliques-daemon executables
 #        (default: _build/install/default/bin)
@@ -35,7 +40,7 @@ echo '0 1' >> edited.edges
 for round in $(seq 1 "$ROUNDS"); do
   rm -rf state sock
   "$DAEMON" --socket ./sock --graph base=base.edges --state-dir ./state \
-    > daemon.log 2>&1 &
+    --compact-threshold 4 > daemon.log 2>&1 &
   DPID=$!
   for i in $(seq 1 150); do [ -S sock ] && break; sleep 0.1; done
 
@@ -59,7 +64,7 @@ for round in $(seq 1 "$ROUNDS"); do
 
   rm -f sock
   "$DAEMON" --socket ./sock --graph base=base.edges --state-dir ./state \
-    >> daemon.log 2>&1 &
+    --compact-threshold 4 >> daemon.log 2>&1 &
   DPID=$!
   for i in $(seq 1 150); do [ -S sock ] && break; sleep 0.1; done
 
