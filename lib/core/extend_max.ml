@@ -1,58 +1,152 @@
 module Node_set = Sgraph.Node_set
 module Graph = Sgraph.Graph
 
-let in_graph nh c =
-  let g = Neighborhood.graph nh in
-  if Graph.n g = 0 then Node_set.empty
-  else begin
-    let c = if Node_set.is_empty c then Node_set.singleton 0 else c in
-    (* candidates = N^{∀,s}(C); frontier = N^{∃,1}(C); both shrink/grow
-       incrementally as nodes join *)
-    let candidates = ref (Neighborhood.ball_forall nh c) in
-    let frontier = ref (Neighborhood.adjacent_any nh c) in
-    let result = ref c in
-    let continue_ = ref true in
-    while !continue_ do
-      let eligible = Node_set.inter !candidates !frontier in
-      if Node_set.is_empty eligible then continue_ := false
-      else begin
-        let v = Node_set.min_elt eligible in
-        result := Node_set.add v !result;
-        candidates :=
-          Node_set.remove v (Node_set.inter_bitset !candidates (Neighborhood.ball_mask nh v));
-        frontier :=
-          Node_set.diff (Node_set.union !frontier (Graph.neighbor_set g v)) !result
+(* Both call sites run one greedy loop over the oracle's scratch
+   ([Neighborhood.scratch]); apart from the buffers' amortized growth,
+   building the result is the only allocation.
+
+   - [cand.(0 .. len-1)] holds the candidates N^{∀,s}(result), restricted
+     to the universe for the line-10 carve, in ascending order. They
+     start as a pool minus the seed, and every ball of a member filters
+     them in place. A ball excludes its center, so no member of the
+     result is ever a candidate.
+   - [frontier] is the union of the members' CSR rows. As candidates
+     exclude the result, the eligible nodes N^{∀,s} ∩ N^{∃,1} are exactly
+     the candidates with their frontier bit set, and the first one in
+     [cand] is the smallest. The frontier is all-zero between calls: a
+     call zeroes the words of the rows it scattered, never the whole
+     bitset.
+
+   [Neighborhood.ball] is asked for the seed members in ascending order
+   and then once per new member, as the set-algebra formulation does
+   (ball_forall, then one ball per step), so the cache sees the same
+   lookups in the same order. *)
+
+(* A filter either binary-searches each candidate in the ball,
+   O(len log |ball|), or loads the ball into the mask, O(|ball|) plus
+   clearing the previous load; it searches when the candidates are this
+   many times fewer than the ball's members. Measured on PD's first 1,000
+   results on ER n=10K, degree 10, s=2 (2-core Xeon): 60% of filters
+   search at this cut, PD ran 1.3x slower with the mask alone and 1.5x
+   slower with the search alone, and cuts of 4 and 64 were no faster. *)
+let search_ratio = 16
+
+let reserve (buf : int array) k =
+  if Array.length buf >= k then buf else Array.make (max k (2 * Array.length buf)) 0
+
+(* keep the candidates that lie in [ball], in place; the new length *)
+let keep_within nh (cand : int array) len ball =
+  let k = ref 0 in
+  if len * search_ratio <= Node_set.cardinal ball then
+    for i = 0 to len - 1 do
+      let x = cand.(i) in
+      if Node_set.mem x ball then begin
+        cand.(!k) <- x;
+        incr k
       end
+    done
+  else if len > 0 then begin
+    (* SAFETY: read-only; every index below goes through a checked
+       [.()] on the mask's word array *)
+    let words =
+      (Scoll.Bitset.unsafe_words (Neighborhood.load_mask nh ball)
+      [@lint.allow "unsafe-allowlist"])
+    in
+    for i = 0 to len - 1 do
+      let x = cand.(i) in
+      if words.(x lsr 5) land (1 lsl (x land 31)) <> 0 then begin
+        cand.(!k) <- x;
+        incr k
+      end
+    done
+  end;
+  !k
+
+(* the first candidate whose frontier bit is set, or -1 *)
+let rec first_eligible (words : int array) (cand : int array) len i =
+  if i >= len then -1
+  else
+    let x = cand.(i) in
+    if words.(x lsr 5) land (1 lsl (x land 31)) <> 0 then x
+    else first_eligible words cand len (i + 1)
+
+let zero_row (words : int array) (off : int array) (adj : int array) v =
+  for j = off.(v) to off.(v + 1) - 1 do
+    words.(adj.(j) lsr 5) <- 0
+  done
+
+(* Grow [seed] to a maximal set. The candidates start as [pool] minus
+   the seed, filtered by the balls of the seed members from index
+   [from] on (the caller already used the earlier ones as the pool). *)
+let grow nh ~pool ~from seed =
+  let sc = Neighborhood.scratch nh in
+  let k0 = Node_set.cardinal seed and np = Node_set.cardinal pool in
+  sc.cand <- reserve sc.cand np;
+  let cand = sc.cand in
+  (* pool minus seed, one merge pass over the two sorted sets *)
+  let len = ref 0 and j = ref 0 in
+  for i = 0 to np - 1 do
+    let x = Node_set.nth pool i in
+    while !j < k0 && Node_set.nth seed !j < x do
+      incr j
     done;
-    !result
-  end
+    if !j >= k0 || Node_set.nth seed !j <> x then begin
+      cand.(!len) <- x;
+      incr len
+    end
+  done;
+  for i = from to k0 - 1 do
+    len := keep_within nh cand !len (Neighborhood.ball nh (Node_set.nth seed i))
+  done;
+  sc.members <- reserve sc.members (k0 + !len);
+  let members = sc.members in
+  let csr = Graph.csr (Neighborhood.graph nh) in
+  let off = Sgraph.Csr.offsets csr and adj = Sgraph.Csr.adjacency csr in
+  (* SAFETY: the frontier's words are only read and written through
+     checked [.()]; [zero_row] below restores the all-zero invariant *)
+  let words =
+    (Scoll.Bitset.unsafe_words sc.frontier [@lint.allow "unsafe-allowlist"])
+  in
+  (* SAFETY (both scatters): the frontier is sized to Graph.n and every
+     neighbor id is a valid node id, so all bit indices are below
+     capacity; the [off..off+len) slice is a CSR row, in bounds by
+     construction *)
+  for i = 0 to k0 - 1 do
+    let v = Node_set.nth seed i in
+    members.(i) <- v;
+    (Scoll.Bitset.unsafe_add_sub sc.frontier adj ~off:off.(v)
+       ~len:(off.(v + 1) - off.(v)) [@lint.allow "unsafe-allowlist"])
+  done;
+  let k = ref k0 in
+  let v = ref (first_eligible words cand !len 0) in
+  while !v >= 0 do
+    let u = !v in
+    members.(!k) <- u;
+    incr k;
+    (Scoll.Bitset.unsafe_add_sub sc.frontier adj ~off:off.(u)
+       ~len:(off.(u + 1) - off.(u)) [@lint.allow "unsafe-allowlist"]);
+    len := keep_within nh cand !len (Neighborhood.ball nh u);
+    v := first_eligible words cand !len 0
+  done;
+  for i = 0 to !k - 1 do
+    zero_row words off adj members.(i)
+  done;
+  if !k = k0 then seed else Node_set.of_array (Array.sub members 0 !k)
+
+let in_graph nh c =
+  if Graph.n (Neighborhood.graph nh) = 0 then Node_set.empty
+  else
+    let c = if Node_set.is_empty c then Node_set.singleton 0 else c in
+    grow nh ~pool:(Neighborhood.ball nh (Node_set.min_elt c)) ~from:1 c
 
 let in_induced nh ~universe ~seed =
   if Node_set.is_empty seed then invalid_arg "Extend_max.in_induced: empty seed";
   if not (Node_set.subset seed universe) then
     invalid_arg "Extend_max.in_induced: seed outside universe";
-  let g = Neighborhood.graph nh in
-  (* Same greedy loop as [in_graph], with membership and growth adjacency
-     restricted to [universe]. Distances stay those of the WHOLE graph:
-     s-cliques are defined by ambient distances (§3), and the carve of
-     Fig. 4 line 10 must keep every member of C ∪ {v} within ambient
-     distance s of v — measuring inside G[C ∪ {v}] loses witness paths
-     that leave the universe and breaks Theorem 4.2's completeness. *)
-  let restrict set = Node_set.inter set universe in
-  let candidates = ref (restrict (Neighborhood.ball_forall nh seed)) in
-  let frontier = ref (restrict (Neighborhood.adjacent_any nh seed)) in
-  let result = ref seed in
-  let continue_ = ref true in
-  while !continue_ do
-    let eligible = Node_set.inter !candidates !frontier in
-    if Node_set.is_empty eligible then continue_ := false
-    else begin
-      let v = Node_set.min_elt eligible in
-      result := Node_set.add v !result;
-      candidates :=
-        Node_set.remove v (Node_set.inter_bitset !candidates (Neighborhood.ball_mask nh v));
-      frontier :=
-        restrict (Node_set.diff (Node_set.union !frontier (Graph.neighbor_set g v)) !result)
-    end
-  done;
-  !result
+  (* Membership and growth adjacency are restricted to [universe];
+     distances stay those of the WHOLE graph: s-cliques are defined by
+     ambient distances (§3), and the carve of Fig. 4 line 10 must keep
+     every member of C ∪ {v} within ambient distance s of v — measuring
+     inside G[C ∪ {v}] loses witness paths that leave the universe and
+     breaks Theorem 4.2's completeness. *)
+  grow nh ~pool:universe ~from:0 seed

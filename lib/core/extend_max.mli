@@ -19,7 +19,14 @@
       results, violating Theorem 4.2.
 
     Node choice is deterministic: the smallest eligible id is added first,
-    so results are reproducible across runs. *)
+    so results are reproducible across runs.
+
+    Both run one greedy loop on the oracle's scratch
+    ({!Neighborhood.scratch}): apart from the scratch buffers' amortized
+    growth, building the result is a call's only allocation, no call
+    does O(n) work, and the oracle's ball cache sees the same lookups, in
+    the same order, as the set-algebra formulation ([N^{∀,s}(C)] first,
+    then one ball per added node). *)
 
 val in_graph : Neighborhood.t -> Sgraph.Node_set.t -> Sgraph.Node_set.t
 (** [in_graph nh c] grows the connected s-clique [c] to a maximal one in

@@ -114,6 +114,12 @@ type backend =
   | Private of Node_set.t Scoll.Lri_cache.t
   | Shared_store of Shared.store * int (* the store, and its epoch at attach *)
 
+type scratch = {
+  mutable cand : int array;
+  mutable members : int array;
+  frontier : Scoll.Bitset.t;
+}
+
 type t = {
   mutable graph : Graph.t; (* swapped by [invalidate] after edge churn *)
   mutable epoch : int;
@@ -128,6 +134,7 @@ type t = {
          word-indexed tests; invalidated by the next load *)
   mutable mask_loaded : Node_set.t; (* current mask contents, for O(|prev|) clears *)
   acc : Scoll.Bitset.t; (* scratch accumulator for unions (adjacent_any) *)
+  scratch : scratch; (* ExtendMax's working state, see the mli *)
 }
 
 let make ~backend ~obs ~s graph epoch =
@@ -141,6 +148,8 @@ let make ~backend ~obs ~s graph epoch =
     mask = Scoll.Bitset.create (Graph.n graph);
     mask_loaded = Node_set.empty;
     acc = Scoll.Bitset.create (Graph.n graph);
+    scratch =
+      { cand = [||]; members = [||]; frontier = Scoll.Bitset.create (Graph.n graph) };
   }
 
 let create ?(cache_capacity = 65536) ?obs ~s graph =
@@ -263,6 +272,8 @@ let adjacent_any t c =
   (Node_set.iter (Scoll.Bitset.unsafe_remove t.acc) c
   [@lint.allow "unsafe-allowlist"]);
   Node_set.of_bitset t.acc
+
+let scratch t = t.scratch
 
 let within_distance t u v = u = v || Node_set.mem v (ball t u)
 

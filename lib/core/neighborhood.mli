@@ -154,6 +154,25 @@ val ball_mask : t -> int -> Scoll.Bitset.t
 (** [ball_mask t v] is [load_mask t (ball t v)] — the ball of [v] as a
     scratch bitset, with the same single-load validity rule. *)
 
+(** ExtendMax's working state ({!Extend_max}), owned by the oracle so
+    that every oracle — each Parallel worker's, each daemon query's —
+    has its own and none is ever shared:
+    - [cand]: a candidate buffer, grown by its user; its contents are
+      meaningless between calls;
+    - [members]: a buffer for the members of the set being grown, with
+      the same rule;
+    - [frontier]: a bitset over the node ids that is {b all-zero}
+      between calls. A user that sets bits must zero them again before
+      returning — by clearing only the words it touched, never with an
+      O(n) {!Scoll.Bitset.clear}. *)
+type scratch = {
+  mutable cand : int array;
+  mutable members : int array;
+  frontier : Scoll.Bitset.t;
+}
+
+val scratch : t -> scratch
+
 val within_distance : t -> int -> int -> bool
 (** [within_distance t u v] decides [dist(u,v) <= s] using the cache
     ([u = v] counts as within distance). *)

@@ -53,33 +53,84 @@ let distance g src dst =
       -1
     with Reached d -> d
 
-(* Bounded BFS without an O(n) distance array: depth-synchronous frontier
-   expansion with a hash table of visited nodes, so a radius-s ball over a
-   huge graph costs only the size of the ball. *)
+(* Visited marks for the bounded traversals, in O(ball) memory rather
+   than an O(n) distance array: an open-addressing set of node ids
+   (linear probing, -1 = empty, at most half full) beside one flat
+   buffer holding every admitted id in discovery order. A
+   depth-synchronous BFS reads each depth's frontier as the buffer range
+   the previous depth appended, so a traversal is two int arrays -- no
+   per-entry boxes, no polymorphic hashing, no lists. *)
+type marks = {
+  mutable slots : int array; (* length a power of two *)
+  mutable found : int array; (* admitted ids, discovery order *)
+  mutable len : int;
+}
+
+let marks_create () = { slots = Array.make 64 (-1); found = Array.make 32 0; len = 0 }
+
+(* multiplicative hash: the middle bits of the product mix every id bit *)
+let hash v mask = ((v * 0x9E3779B1) lsr 16) land mask
+
+(* the slot holding [v], or the empty slot where it belongs *)
+let rec probe (slots : int array) mask (v : int) i =
+  let x = slots.(i) in
+  if x = v || x < 0 then i else probe slots mask v ((i + 1) land mask)
+
+let rehash m =
+  let slots = Array.make (2 * Array.length m.slots) (-1) in
+  let mask = Array.length slots - 1 in
+  for k = 0 to m.len - 1 do
+    let v = m.found.(k) in
+    slots.(probe slots mask v (hash v mask)) <- v
+  done;
+  m.slots <- slots
+
+(* admit [v] unless already marked *)
+let visit m (v : int) =
+  let mask = Array.length m.slots - 1 in
+  let i = probe m.slots mask v (hash v mask) in
+  if m.slots.(i) < 0 then begin
+    m.slots.(i) <- v;
+    if m.len = Array.length m.found then begin
+      let found = Array.make (2 * m.len) 0 in
+      Array.blit m.found 0 found 0 m.len;
+      m.found <- found
+    end;
+    m.found.(m.len) <- v;
+    m.len <- m.len + 1;
+    if 2 * m.len > Array.length m.slots then rehash m
+  end
+
+(* Depth-synchronous BFS from [srcs], [radius] hops deep: [expand m x]
+   visits the nodes one hop from [x] that the traversal may enter. *)
+let traverse ~expand ~srcs ~radius =
+  let m = marks_create () in
+  List.iter (visit m) srcs;
+  let lo = ref 0 and depth = ref 0 in
+  while !depth < radius && !lo < m.len do
+    incr depth;
+    let hi = m.len in
+    for k = !lo to hi - 1 do
+      expand m m.found.(k)
+    done;
+    lo := hi
+  done;
+  m
+
 let ball g v ~radius =
   if radius < 0 then invalid_arg "Bfs.ball: negative radius";
-  let visited = Hashtbl.create 64 in
-  Hashtbl.replace visited v ();
-  let frontier = ref [ v ] in
-  let members = ref [] in
-  let depth = ref 0 in
-  while !depth < radius && not (List.is_empty !frontier) do
-    incr depth;
-    let next = ref [] in
-    List.iter
-      (fun x ->
-        Graph.iter_neighbors
-          (fun u ->
-            if not (Hashtbl.mem visited u) then begin
-              Hashtbl.replace visited u ();
-              members := u :: !members;
-              next := u :: !next
-            end)
-          g x)
-      !frontier;
-    frontier := !next
-  done;
-  Node_set.of_list !members
+  if radius > 0 then check_node g "ball" v;
+  let csr = Graph.csr g in
+  let off = Csr.offsets csr and adj = Csr.adjacency csr in
+  (* the N^s cache's miss path: rows straight off the CSR arrays, with
+     no closure call per neighbor *)
+  let expand m x =
+    for j = off.(x) to off.(x + 1) - 1 do
+      visit m adj.(j)
+    done
+  in
+  let m = traverse ~expand ~srcs:[ v ] ~radius in
+  Node_set.of_array (Array.sub m.found 1 (m.len - 1))
 
 (* The closed multi-source ball over any adjacency representation: the
    churn path walks balls in a batch's *intermediate* graphs, which live
@@ -93,35 +144,8 @@ let ball_multi_rows ~iter_row ~n ~srcs ~radius =
         invalid_arg
           (Printf.sprintf "Bfs.ball_multi: node %d out of range (n=%d)" v n))
     srcs;
-  let visited = Hashtbl.create 64 in
-  let frontier = ref [] in
-  let members = ref [] in
-  List.iter
-    (fun v ->
-      if not (Hashtbl.mem visited v) then begin
-        Hashtbl.replace visited v ();
-        members := v :: !members;
-        frontier := v :: !frontier
-      end)
-    srcs;
-  let depth = ref 0 in
-  while !depth < radius && not (List.is_empty !frontier) do
-    incr depth;
-    let next = ref [] in
-    List.iter
-      (fun x ->
-        iter_row
-          (fun u ->
-            if not (Hashtbl.mem visited u) then begin
-              Hashtbl.replace visited u ();
-              members := u :: !members;
-              next := u :: !next
-            end)
-          x)
-      !frontier;
-    frontier := !next
-  done;
-  Node_set.of_list !members
+  let m = traverse ~expand:(fun m x -> iter_row (visit m) x) ~srcs ~radius in
+  Node_set.of_array (Array.sub m.found 0 m.len)
 
 let ball_multi g ~srcs ~radius =
   ball_multi_rows
@@ -132,28 +156,11 @@ let ball_within g ~universe v ~radius =
   if radius < 0 then invalid_arg "Bfs.ball_within: negative radius";
   if not (Node_set.mem v universe) then
     invalid_arg "Bfs.ball_within: source outside universe";
-  let visited = Hashtbl.create 64 in
-  Hashtbl.replace visited v ();
-  let frontier = ref [ v ] in
-  let members = ref [] in
-  let depth = ref 0 in
-  while !depth < radius && not (List.is_empty !frontier) do
-    incr depth;
-    let next = ref [] in
-    List.iter
-      (fun x ->
-        Graph.iter_neighbors
-          (fun u ->
-            if Node_set.mem u universe && not (Hashtbl.mem visited u) then begin
-              Hashtbl.replace visited u ();
-              members := u :: !members;
-              next := u :: !next
-            end)
-          g x)
-      !frontier;
-    frontier := !next
-  done;
-  Node_set.of_list !members
+  let expand m x =
+    Graph.iter_neighbors (fun u -> if Node_set.mem u universe then visit m u) g x
+  in
+  let m = traverse ~expand ~srcs:[ v ] ~radius in
+  Node_set.of_array (Array.sub m.found 1 (m.len - 1))
 
 let reachable_within g ~universe v =
   if not (Node_set.mem v universe) then

@@ -3,8 +3,10 @@
     Everything the s-clique algorithms need from BFS: full single-source
     distances, radius-bounded balls [N^r(v)] (the paper's distance-s
     neighborhoods, computed in the whole graph), and the same restricted to
-    an induced subgraph (needed by ExtendMax's line-10 call, where
-    distances are measured inside [G\[C ∪ {v}\]]). *)
+    an induced subgraph (connectivity of a node set). ExtendMax's line-10
+    call does {e not} restrict distances to [G\[C ∪ {v}\]]: s-cliques are
+    defined by ambient distances, so it reads whole-graph balls (see
+    [Extend_max]). *)
 
 val distances : Graph.t -> int -> int array
 (** [distances g src] maps each node to its hop distance from [src]

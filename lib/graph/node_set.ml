@@ -24,9 +24,51 @@ let dedup_sorted (arr : t) =
     if !w = n then arr else Array.sub arr 0 !w
   end
 
+(* Int-specialized sort: insertion sort on short runs, top-down merges
+   above them through one scratch array. [Array.sort Int.compare] is a
+   heap sort that calls the comparison closure on every step; every
+   BFS ball passes through here on a cache miss. *)
+let insertion_sort (a : t) lo hi =
+  for i = lo + 1 to hi - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
+let rec merge_sort (a : t) (tmp : t) lo hi =
+  if hi - lo <= 16 then insertion_sort a lo hi
+  else begin
+    let mid = (lo + hi) / 2 in
+    merge_sort a tmp lo mid;
+    merge_sort a tmp mid hi;
+    if a.(mid - 1) > a.(mid) then begin
+      (* merge tmp.(lo..mid) with a.(mid..hi) back into a.(lo..) *)
+      Array.blit a lo tmp lo (mid - lo);
+      let i = ref lo and j = ref mid and k = ref lo in
+      while !i < mid && !j < hi do
+        let x = tmp.(!i) and y = a.(!j) in
+        if x <= y then begin
+          a.(!k) <- x;
+          incr i
+        end
+        else begin
+          a.(!k) <- y;
+          incr j
+        end;
+        incr k
+      done;
+      Array.blit tmp !i a !k (mid - !i)
+    end
+  end
+
 let of_array arr =
   let copy = Array.copy arr in
-  Array.sort Int.compare copy;
+  let n = Array.length copy in
+  if n <= 16 then insertion_sort copy 0 n else merge_sort copy (Array.make n 0) 0 n;
   dedup_sorted copy
 
 let of_list l = of_array (Array.of_list l)
@@ -41,27 +83,31 @@ let cardinal = Array.length
 
 let is_empty s = Array.length s = 0
 
-(* index of v in s, or -1 *)
-let index_of (v : int) (s : t) =
-  let rec go lo hi =
-    if lo >= hi then -1
-    else
-      let mid = (lo + hi) / 2 in
-      if s.(mid) = v then mid else if s.(mid) < v then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length s)
+(* The searches and scans below recurse at top level with every operand
+   passed explicitly. A local [let rec go] over free variables would be
+   a closure, and without flambda ocamlopt heap-allocates it on every
+   call -- these run under every B-tree probe and galloping merge. *)
+
+(* index of v in s.(lo..hi-1), or -1 *)
+let rec search (v : int) (s : t) lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) / 2 in
+    let x = s.(mid) in
+    if x = v then mid else if x < v then search v s (mid + 1) hi else search v s lo mid
+
+let index_of v s = search v s 0 (Array.length s)
 
 let mem v s = index_of v s >= 0
 
-(* number of elements of s strictly below v *)
-let rank (v : int) (s : t) =
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if s.(mid) < v then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length s)
+(* number of elements of s.(lo..hi-1) strictly below v, plus lo *)
+let rec rank_in (v : int) (s : t) lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if s.(mid) < v then rank_in v s (mid + 1) hi else rank_in v s lo mid
+
+let rank v s = rank_in v s 0 (Array.length s)
 
 let add v s =
   let i = rank v s in
@@ -201,56 +247,65 @@ let diff (a : t) (b : t) =
     if !k = na then out else Array.sub out 0 !k
   end
 
+(* number of a.(i..) members found in b by binary search *)
+let rec count_mem (a : t) (b : t) i acc =
+  if i >= Array.length a then acc
+  else count_mem a b (i + 1) (if mem a.(i) b then acc + 1 else acc)
+
+(* every a.(i..) member is in b, by binary search *)
+let rec all_mem (a : t) (b : t) i =
+  i >= Array.length a || (mem a.(i) b && all_mem a b (i + 1))
+
+(* some a.(i..) member is in b, by binary search *)
+let rec any_mem (a : t) (b : t) i =
+  i < Array.length a && (mem a.(i) b || any_mem a b (i + 1))
+
+let rec subset_merge (a : t) (b : t) i j =
+  if i >= Array.length a then true
+  else if j >= Array.length b then false
+  else
+    let x = a.(i) and y = b.(j) in
+    if x = y then subset_merge a b (i + 1) (j + 1)
+    else if x > y then subset_merge a b i (j + 1)
+    else false
+
 let subset (a : t) (b : t) =
   let na = Array.length a and nb = Array.length b in
   if na > nb then false
-  else if na * gallop_ratio <= nb then Array.for_all (fun v -> mem v b) a
-  else begin
-    let rec go i j =
-      if i >= na then true
-      else if j >= nb then false
-      else if a.(i) = b.(j) then go (i + 1) (j + 1)
-      else if a.(i) > b.(j) then go i (j + 1)
-      else false
-    in
-    go 0 0
-  end
+  else if na * gallop_ratio <= nb then all_mem a b 0
+  else subset_merge a b 0 0
+
+let rec disjoint_merge (a : t) (b : t) i j =
+  if i >= Array.length a || j >= Array.length b then true
+  else
+    let x = a.(i) and y = b.(j) in
+    if x = y then false
+    else if x < y then disjoint_merge a b (i + 1) j
+    else disjoint_merge a b i (j + 1)
 
 let disjoint (a : t) (b : t) =
   let na = Array.length a and nb = Array.length b in
   if na = 0 || nb = 0 then true
-  else if na * gallop_ratio <= nb then not (Array.exists (fun v -> mem v b) a)
-  else if nb * gallop_ratio <= na then not (Array.exists (fun v -> mem v a) b)
-  else begin
-    let rec go i j =
-      if i >= na || j >= nb then true
-      else if a.(i) = b.(j) then false
-      else if a.(i) < b.(j) then go (i + 1) j
-      else go i (j + 1)
-    in
-    go 0 0
-  end
+  else if na * gallop_ratio <= nb then not (any_mem a b 0)
+  else if nb * gallop_ratio <= na then not (any_mem b a 0)
+  else disjoint_merge a b 0 0
 
 (* explicit int loop, not structural (=) on the arrays: the polymorphic
    runtime compare walks both arrays through caml_compare *)
-let equal (a : t) (b : t) =
-  let na = Array.length a in
-  na = Array.length b
-  &&
-  let rec go i = i >= na || (a.(i) = b.(i) && go (i + 1)) in
-  go 0
+let rec equal_from (a : t) (b : t) i =
+  i >= Array.length a || (a.(i) = b.(i) && equal_from a b (i + 1))
 
-let compare (a : t) b =
+let equal (a : t) (b : t) = Array.length a = Array.length b && equal_from a b 0
+
+let rec compare_from (a : t) (b : t) i =
   let na = Array.length a and nb = Array.length b in
-  let rec go i =
-    if i >= na && i >= nb then 0
-    else if i >= na then -1
-    else if i >= nb then 1
-    else
-      let c = Stdlib.compare a.(i) b.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+  if i >= na then if i >= nb then 0 else -1
+  else if i >= nb then 1
+  else
+    let x = a.(i) and y = b.(i) in
+    if x < y then -1 else if x > y then 1 else compare_from a b (i + 1)
+
+let compare a b = compare_from a b 0
 
 let min_elt s = if Array.length s = 0 then raise Not_found else s.(0)
 
@@ -284,22 +339,20 @@ let filter f s =
   done;
   if !k = n then s else Array.sub out 0 !k
 
+let rec inter_cardinal_merge (a : t) (b : t) i j acc =
+  if i >= Array.length a || j >= Array.length b then acc
+  else
+    let x = a.(i) and y = b.(j) in
+    if x = y then inter_cardinal_merge a b (i + 1) (j + 1) (acc + 1)
+    else if x < y then inter_cardinal_merge a b (i + 1) j acc
+    else inter_cardinal_merge a b i (j + 1) acc
+
 let inter_cardinal (a : t) (b : t) =
   let na = Array.length a and nb = Array.length b in
   if na = 0 || nb = 0 then 0
-  else if na * gallop_ratio <= nb then
-    Array.fold_left (fun acc v -> if mem v b then acc + 1 else acc) 0 a
-  else if nb * gallop_ratio <= na then
-    Array.fold_left (fun acc v -> if mem v a then acc + 1 else acc) 0 b
-  else begin
-    let rec go i j acc =
-      if i >= na || j >= nb then acc
-      else if a.(i) = b.(j) then go (i + 1) (j + 1) (acc + 1)
-      else if a.(i) < b.(j) then go (i + 1) j acc
-      else go i (j + 1) acc
-    in
-    go 0 0 0
-  end
+  else if na * gallop_ratio <= nb then count_mem a b 0 0
+  else if nb * gallop_ratio <= na then count_mem b a 0 0
+  else inter_cardinal_merge a b 0 0 0
 
 let diff_cardinal a b = Array.length a - inter_cardinal a b
 

@@ -1,0 +1,181 @@
+(* ExtendMax differential: the scratch-state loop of [Extend_max] against
+   the plain set-algebra formulation it replaced, kept here as the
+   reference. The reference reads only the public oracle operators
+   (ball_forall, adjacent_any, ball_mask) and allocates a fresh set per
+   step, so it has no scratch to get wrong. *)
+
+module NS = Sgraph.Node_set
+module G = Sgraph.Graph
+module Nh = Scliques_core.Neighborhood
+module Em = Scliques_core.Extend_max
+
+module Reference = struct
+  let in_graph nh c =
+    let g = Nh.graph nh in
+    if G.n g = 0 then NS.empty
+    else begin
+      let c = if NS.is_empty c then NS.singleton 0 else c in
+      let candidates = ref (Nh.ball_forall nh c) in
+      let frontier = ref (Nh.adjacent_any nh c) in
+      let result = ref c in
+      let continue_ = ref true in
+      while !continue_ do
+        let eligible = NS.inter !candidates !frontier in
+        if NS.is_empty eligible then continue_ := false
+        else begin
+          let v = NS.min_elt eligible in
+          result := NS.add v !result;
+          candidates := NS.remove v (NS.inter_bitset !candidates (Nh.ball_mask nh v));
+          frontier := NS.diff (NS.union !frontier (G.neighbor_set g v)) !result
+        end
+      done;
+      !result
+    end
+
+  let in_induced nh ~universe ~seed =
+    if NS.is_empty seed then invalid_arg "Extend_max.in_induced: empty seed";
+    if not (NS.subset seed universe) then
+      invalid_arg "Extend_max.in_induced: seed outside universe";
+    let g = Nh.graph nh in
+    let restrict set = NS.inter set universe in
+    let candidates = ref (restrict (Nh.ball_forall nh seed)) in
+    let frontier = ref (restrict (Nh.adjacent_any nh seed)) in
+    let result = ref seed in
+    let continue_ = ref true in
+    while !continue_ do
+      let eligible = NS.inter !candidates !frontier in
+      if NS.is_empty eligible then continue_ := false
+      else begin
+        let v = NS.min_elt eligible in
+        result := NS.add v !result;
+        candidates := NS.remove v (NS.inter_bitset !candidates (Nh.ball_mask nh v));
+        frontier := restrict (NS.diff (NS.union !frontier (G.neighbor_set g v)) !result)
+      end
+    done;
+    !result
+end
+
+let agree what expected got =
+  if not (NS.equal expected got) then
+    QCheck2.Test.fail_reportf "%s: reference %a, rewrite %a" what NS.pp expected NS.pp got
+
+(* One PolyDelayEnum-shaped round from root [v] on the oracle under test
+   [nh], each call checked against the reference on its own oracle
+   [ref_nh]: maximize {v}; then, through (up to six) neighbors u of the
+   result, carve inside C ∪ {u} (line 10) and re-maximize (line 11); and
+   carve once more with the whole carved set as a multi-member seed. *)
+let round ~ref_nh nh v =
+  let seed = NS.singleton v in
+  let c = Em.in_graph nh seed in
+  agree "in_graph {v}" (Reference.in_graph ref_nh seed) c;
+  let through = Nh.adjacent_any nh c in
+  for i = 0 to min 6 (NS.cardinal through) - 1 do
+    let u = NS.nth through i in
+    let universe = NS.add u c and seed = NS.singleton u in
+    let carved = Em.in_induced nh ~universe ~seed in
+    agree "in_induced {u}" (Reference.in_induced ref_nh ~universe ~seed) carved;
+    agree "in_graph carved" (Reference.in_graph ref_nh carved) (Em.in_graph nh carved);
+    let universe = NS.union universe (Nh.ball nh u) in
+    agree "in_induced carved"
+      (Reference.in_induced ref_nh ~universe ~seed:carved)
+      (Em.in_induced nh ~universe ~seed:carved)
+  done
+
+(* up to 24 roots in a seed-shuffled order, so consecutive calls reuse
+   the scratch on unrelated regions of the graph *)
+let shuffled_nodes rng g =
+  let order = Array.init (G.n g) Fun.id in
+  for i = Array.length order - 1 downto 1 do
+    let j = Scoll.Rng.int rng (i + 1) in
+    let x = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- x
+  done;
+  Array.sub order 0 (min 24 (G.n g))
+
+let run_case ~ref_nh nh rng g =
+  agree "in_graph {}" (Reference.in_graph ref_nh NS.empty) (Em.in_graph nh NS.empty);
+  Array.iter (round ~ref_nh nh) (shuffled_nodes rng g)
+
+(* [g] with the edge {a, b} toggled *)
+let toggle_edge g a b =
+  let edges =
+    List.filter (fun (u, v) -> not ((u = a && v = b) || (u = b && v = a))) (G.edges g)
+  in
+  G.of_edges ~n:(G.n g) (if G.mem_edge g a b then edges else (a, b) :: edges)
+
+(* Graphs of up to 160 nodes, not the oracle-sized ones of the
+   differential suite: the frontier bitset packs 32 ids per word, and a
+   graph that fits in one or two words would hide a row left dirty (any
+   other row's reset zeroes the same word). *)
+let arb_case =
+  let open QCheck2.Gen in
+  oneofl [ `Er; `Sf ] >>= fun family ->
+  int_range 1 3 >>= fun s ->
+  int_range 2 160 >>= fun n ->
+  int_range 0 (3 * n) >>= fun m ->
+  int_range 0 1_000_000 >>= fun seed -> return (family, n, m, s, seed)
+
+let property name ~count body =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count ~name ~print:Test_differential.print_case arb_case
+       (fun (family, n, m, s, seed) ->
+         let g = Test_differential.graph_of_case (family, n, m, seed) in
+         body (Scoll.Rng.create seed) g s;
+         true))
+
+let prop_interleaved =
+  property "rewrite = reference, many calls on one oracle" ~count:150 (fun rng g s ->
+      let nh = Nh.create ~s g in
+      run_case ~ref_nh:(Nh.create ~s g) nh rng g;
+      (* a second pass over the warm oracle *)
+      run_case ~ref_nh:(Nh.create ~s g) nh rng g)
+
+let prop_across_invalidate =
+  property "rewrite = reference across Neighborhood.invalidate" ~count:80 (fun rng g s ->
+      let nh = Nh.create ~s g in
+      let g = ref g in
+      for _ = 1 to 3 do
+        run_case ~ref_nh:(Nh.create ~s !g) nh rng !g;
+        let a = Scoll.Rng.int rng (G.n !g) and b = Scoll.Rng.int rng (G.n !g) in
+        if a <> b then begin
+          let after = toggle_edge !g a b in
+          Nh.invalidate nh ~after ~touched:[ a; b ];
+          g := after
+        end
+      done;
+      run_case ~ref_nh:(Nh.create ~s !g) nh rng !g)
+
+let prop_after_refusal =
+  property "rewrite = reference after refused seeds" ~count:80 (fun rng g s ->
+      let nh = Nh.create ~s g and ref_nh = Nh.create ~s g in
+      let refused f =
+        match f () with
+        | (_ : NS.t) -> QCheck2.Test.fail_report "in_induced accepted an invalid seed"
+        | exception Invalid_argument _ -> ()
+      in
+      Array.iter
+        (fun v ->
+          let far = (v + 1) mod G.n g in
+          refused (fun () -> Em.in_induced nh ~universe:(NS.singleton v) ~seed:NS.empty);
+          if far <> v then
+            refused (fun () ->
+                Em.in_induced nh ~universe:(NS.singleton v) ~seed:(NS.of_list [ v; far ]));
+          round ~ref_nh nh v)
+        (shuffled_nodes rng g))
+
+let prop_shared =
+  property "rewrite = reference on of_shared oracles" ~count:80 (fun rng g s ->
+      let store = Nh.Shared.create ~s g in
+      let a = Nh.of_shared store and b = Nh.of_shared store in
+      let ref_nh = Nh.create ~s g in
+      (* two oracles warming one store, taking turns *)
+      Array.iteri
+        (fun i v -> round ~ref_nh (if i land 1 = 0 then a else b) v)
+        (shuffled_nodes rng g))
+
+let suites =
+  [
+    ( "extend_max_diff",
+      [ prop_interleaved; prop_across_invalidate; prop_after_refusal; prop_shared ] );
+  ]

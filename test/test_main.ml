@@ -8,4 +8,5 @@ let () =
    @ Test_parallel_dot.suites @ Test_hereditary.suites @ Test_orderings.suites
    @ Test_families.suites @ Test_fuzz.suites @ Test_properties.suites
    @ Test_obs.suites @ Test_differential.suites @ Test_resume.suites
-   @ Test_snapshot.suites @ Test_churn.suites @ Test_daemon.suites @ Test_codec.suites)
+   @ Test_snapshot.suites @ Test_churn.suites @ Test_daemon.suites @ Test_codec.suites
+   @ Test_extend_max.suites)

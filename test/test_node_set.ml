@@ -120,6 +120,41 @@ let unit_tests =
         check bool "diff disjoint from b" true (NS.disjoint (NS.diff a b) b);
         check bool "inter subset of both" true
           (NS.subset (NS.inter a b) a && NS.subset (NS.inter a b) b));
+    Alcotest.test_case "queries allocate nothing" `Quick (fun () ->
+        (* 1,000 calls of each query, on operands that take both the
+           merge and the galloping branches: the only words allowed are
+           the measurement's own float boxes *)
+        let small = of_l [ 3; 40; 77; 150 ] in
+        let big = NS.range 0 200 and shifted = NS.range 100 300 in
+        let big' = NS.of_array (NS.to_array big) in
+        let words f =
+          let before = Gc.minor_words () in
+          for _ = 1 to 1000 do
+            f ()
+          done;
+          Gc.minor_words () -. before
+        in
+        List.iter
+          (fun (name, f) ->
+            let w = words f in
+            if w > 16. then Alcotest.failf "%s: %.0f minor words for 1,000 calls" name w)
+          [
+            ("mem", fun () -> ignore (Sys.opaque_identity (NS.mem 77 big)));
+            ("add of a member", fun () -> ignore (Sys.opaque_identity (NS.add 77 big)));
+            ("equal", fun () -> ignore (Sys.opaque_identity (NS.equal big big')));
+            ("compare", fun () -> ignore (Sys.opaque_identity (NS.compare big big')));
+            ("subset (merge)", fun () -> ignore (Sys.opaque_identity (NS.subset big big')));
+            ( "subset (gallop)",
+              fun () -> ignore (Sys.opaque_identity (NS.subset small big)) );
+            ( "disjoint (merge)",
+              fun () -> ignore (Sys.opaque_identity (NS.disjoint big shifted)) );
+            ( "disjoint (gallop)",
+              fun () -> ignore (Sys.opaque_identity (NS.disjoint small shifted)) );
+            ( "inter_cardinal (merge)",
+              fun () -> ignore (Sys.opaque_identity (NS.inter_cardinal big shifted)) );
+            ( "inter_cardinal (gallop)",
+              fun () -> ignore (Sys.opaque_identity (NS.inter_cardinal small big)) );
+          ]);
   ]
 
 (* model-based properties against Set.Make(Int) *)
@@ -154,6 +189,15 @@ let prop_tests =
         let sa = of_l a and sb = of_l b in
         (NS.compare sa sb = 0) = NS.equal sa sb
         && NS.compare sa sb = -NS.compare sb sa);
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:200 ~name:"of_list agrees with Set on long lists"
+         QCheck2.Gen.(list_size (int_range 0 400) (int_range 0 500))
+         (fun l -> NS.to_list (of_l l) = IS.elements (to_model l)));
+    model_property "compare is lexicographic on the elements" (fun (a, b) ->
+        let sign x = Int.compare x 0 in
+        sign (NS.compare (of_l a) (of_l b))
+        = sign
+            (List.compare Int.compare (IS.elements (to_model a)) (IS.elements (to_model b))));
     model_property "add/remove roundtrip" (fun (a, b) ->
         let s = of_l a in
         match b with
