@@ -3,6 +3,7 @@
    of the corresponding figure; EXPERIMENTS.md records paper-vs-measured. *)
 
 module E = Scliques_core.Enumerate
+module Budget = Scliques_core.Budget
 module G = Sgraph.Graph
 module NS = Sgraph.Node_set
 
@@ -13,10 +14,21 @@ let abbrev n =
   else if n >= 1000 then Printf.sprintf "%dK" (n / 1000)
   else string_of_int n
 
-(* time to the first [quota] results of [alg] on [g] *)
-let first_n ?(min_size = 0) ?(optimized = true) ?(quota = quota) alg g ~s =
-  Harness.time_first_n ~quota (fun ~should_continue yield ->
-      E.iter ~min_size ~optimized ~should_continue alg g ~s yield)
+(* time to the first [quota] results of [alg] on [g], as the search finds
+   them. Without [optimized], Fig. 10's baseline: the full enumeration
+   runs and small results are merely filtered out of the output. That
+   run has no budget, so it streams too; every result passes the
+   filter, which checks the deadline at each one. *)
+let first_n ?(min_size = 0) ?(optimized = true) ?(quota = quota) ?obs alg g ~s =
+  Harness.time_first_n ~quota (fun budget yield ->
+      if optimized then List.iter yield (E.first_n ~min_size ?obs ~budget alg g ~s quota)
+      else
+        let (_ : E.run_report) =
+          E.run ?obs alg g ~s (fun c ->
+              if not (Budget.poll budget) then raise Harness.Out_of_budget;
+              if NS.cardinal c >= min_size then yield c)
+        in
+        ())
 
 let sweep ~title ~columns ~algorithms ~cell =
   let rows = List.map (fun alg -> (E.name alg, List.map (cell alg) columns)) algorithms in
@@ -116,9 +128,9 @@ let fig9f () =
   (* count the output within budget using the fastest variant *)
   let total = ref 0 in
   let counted =
-    Harness.timed (fun ~should_continue ->
-        E.iter ~should_continue E.Cs2_p g ~s:2 (fun _ -> incr total);
-        should_continue ())
+    Harness.timed (fun budget ->
+        let (_ : E.run_report) = E.run ~budget E.Cs2_p g ~s:2 (fun _ -> incr total) in
+        Budget.poll budget)
   in
   match counted with
   | Harness.Timeout ->
@@ -135,17 +147,22 @@ let fig9f () =
         let last = ref t0 in
         let seen = ref 0 in
         let bucket = ref 0 in
+        (* unbudgeted, so results stream as found; every one passes
+           this sink, which checks the deadline *)
         ignore
-          (Harness.timed (fun ~should_continue ->
-               E.iter ~should_continue alg g ~s:2 (fun _ ->
+          (Harness.timed (fun budget ->
+               let (_ : E.run_report) =
+                 E.run alg g ~s:2 (fun _ ->
+                   if not (Budget.poll budget) then raise Harness.Out_of_budget;
                    incr seen;
                    if !bucket < 10 && !seen = List.nth checkpoints !bucket then begin
                      let t = Unix.gettimeofday () in
                      deltas.(!bucket) <- Harness.Seconds (t -. !last);
                      last := t;
                      incr bucket
-                   end);
-               should_continue ()));
+                   end)
+               in
+               Budget.poll budget));
         (E.name alg, Array.to_list deltas)
       in
       Harness.print_table
@@ -210,10 +227,9 @@ let fig11 () =
   let sample g ~s =
     let results = ref [] in
     let outcome =
-      Harness.time_first_n ~quota:100 (fun ~should_continue yield ->
-          E.iter ~should_continue E.Cs2_p g ~s (fun c ->
-              results := c :: !results;
-              yield c))
+      Harness.time_first_n ~quota:100 (fun budget yield ->
+          results := E.first_n ~budget E.Cs2_p g ~s 100;
+          List.iter yield !results)
     in
     let stats = Scliques_core.Stats.of_results !results in
     match outcome with
@@ -249,10 +265,11 @@ let abl_cache () =
     in
     let nh = ref None in
     let outcome =
-      Harness.time_first_n ~quota:1000 (fun ~should_continue yield ->
+      Harness.time_first_n ~quota:1000 (fun budget yield ->
           let n = Scliques_core.Neighborhood.create ~cache_capacity:capacity ~s:2 g in
           nh := Some n;
-          Scliques_core.Cs_cliques2.iter ~pivot:true ~should_continue n yield)
+          Scliques_core.Cs_cliques2.iter ~pivot:true
+            ~should_continue:(Budget.checker budget) n yield)
     in
     let hit_rate =
       match !nh with
@@ -282,12 +299,12 @@ let abl_index () =
   let row (label, index_mode) =
     let stats = ref None in
     let outcome =
-      Harness.timed (fun ~should_continue ->
+      Harness.timed (fun budget ->
           stats :=
             Some
-              (Scliques_core.Poly_delay.iter_with_stats ~index_mode ~should_continue
-                 (nh ()) (fun _ -> ()));
-          should_continue ())
+              (Scliques_core.Poly_delay.iter_with_stats ~index_mode
+                 ~should_continue:(Budget.checker budget) (nh ()) (fun _ -> ()));
+          Budget.poll budget)
     in
     let extras =
       match !stats with
@@ -313,11 +330,12 @@ let abl_pivot () =
      saves, which first-100 runs barely exercise *)
   let n = if Harness.fast then 300 else 1000 in
   let cell rule g =
-    Harness.timed (fun ~should_continue ->
-        Scliques_core.Cs_cliques2.iter ~pivot:true ~pivot_rule:rule ~should_continue
+    Harness.timed (fun budget ->
+        Scliques_core.Cs_cliques2.iter ~pivot:true ~pivot_rule:rule
+          ~should_continue:(Budget.checker budget)
           (Scliques_core.Neighborhood.create ~s:2 g)
           (fun _ -> ());
-        should_continue ())
+        Budget.poll budget)
   in
   Harness.print_table
     ~title:(Printf.sprintf "Ablation: pivot selection rule (ALL results, n=%d, s=2)" n)
@@ -335,8 +353,9 @@ let abl_queue () =
   let g = Workloads.sf ~n:Workloads.n_sf ~avg_degree:10. in
   let ks = [ 10; 20; 30 ] in
   let cell queue_mode k =
-    Harness.time_first_n ~quota (fun ~should_continue yield ->
-        Scliques_core.Poly_delay.iter ~queue_mode ~min_size:k ~should_continue
+    Harness.time_first_n ~quota (fun budget yield ->
+        Scliques_core.Poly_delay.iter ~queue_mode ~min_size:k
+          ~should_continue:(Budget.checker budget)
           (Scliques_core.Neighborhood.create ~s:2 g)
           yield)
   in
@@ -358,11 +377,12 @@ let abl_degeneracy () =
      its cost is building G^s first) *)
   let n = if Harness.fast then 300 else 1000 in
   let cell root_order g =
-    Harness.timed (fun ~should_continue ->
-        Scliques_core.Cs_cliques2.iter ~pivot:true ~root_order ~should_continue
+    Harness.timed (fun budget ->
+        Scliques_core.Cs_cliques2.iter ~pivot:true ~root_order
+          ~should_continue:(Budget.checker budget)
           (Scliques_core.Neighborhood.create ~s:2 g)
           (fun _ -> ());
-        should_continue ())
+        Budget.poll budget)
   in
   Harness.print_table
     ~title:
@@ -390,10 +410,7 @@ let delays () =
   let snapshots = ref [] in
   let row alg =
     let obs = Scliques_obs.Obs.create () in
-    let outcome =
-      Harness.time_first_n ~quota (fun ~should_continue yield ->
-          E.iter ~should_continue ~obs alg g ~s:2 yield)
-    in
+    let outcome = first_n ~quota ~obs alg g ~s:2 in
     let s = Scliques_obs.Recorder.summary (Scliques_obs.Obs.delay obs) in
     snapshots := (E.name alg, Scliques_obs.Obs.snapshot_json obs) :: !snapshots;
     ( E.name alg,
@@ -434,9 +451,9 @@ let abl_generic () =
   let row (label, run) =
     let count = ref 0 in
     let outcome =
-      Harness.timed (fun ~should_continue ->
-          run ~should_continue (fun _ -> incr count);
-          should_continue ())
+      Harness.timed (fun budget ->
+          run ~should_continue:(Budget.checker budget) (fun _ -> incr count);
+          Budget.poll budget)
     in
     (label, [ outcome; Harness.Note (string_of_int !count) ])
   in
@@ -469,6 +486,23 @@ let abl_generic () =
                 yield );
       ]
 
+(* One observed work-stealing run over every root: the canonical
+   results, a reader for the scheduler's [par.*] counters, and the tasks
+   each worker executed. *)
+let par_run ?split_min_subtree ~workers g =
+  let obs = Scliques_obs.Obs.create () in
+  let results =
+    Scliques_core.Parallel.enumerate ?split_min_subtree ~workers ~obs g ~s:2
+  in
+  let counter name =
+    Option.value (Scliques_obs.Counters.find (Scliques_obs.Obs.counters obs) name)
+      ~default:0
+  in
+  let tasks =
+    Array.init workers (fun i -> counter (Printf.sprintf "par.worker%d.tasks" i))
+  in
+  (results, counter, tasks)
+
 let parallel_balance () =
   (* the paper's §8 future work: distribute the enumeration. The task
      decomposition is exact; the open question is balance, so we report
@@ -477,10 +511,7 @@ let parallel_balance () =
      One-core container: wall-clock speedup is not the point here. *)
   let n = if Harness.fast then 300 else 1000 in
   let row (label, g) =
-    let results, stats =
-      Scliques_core.Parallel.enumerate_with_stats ~workers:4 g ~s:2
-    in
-    let loads = stats.Scliques_core.Parallel.tasks_per_worker in
+    let results, counter, loads = par_run ~workers:4 g in
     let max_load = Array.fold_left Int.max 0 loads in
     let avg_load =
       float_of_int (Array.fold_left ( + ) 0 loads) /. float_of_int (Array.length loads)
@@ -491,8 +522,8 @@ let parallel_balance () =
           (String.concat "/" (Array.to_list (Array.map string_of_int loads)));
         Harness.Note
           (Printf.sprintf "%.2f" (float_of_int max_load /. Float.max 1. avg_load));
-        Harness.Note (string_of_int stats.Scliques_core.Parallel.steals);
-        Harness.Note (string_of_int stats.Scliques_core.Parallel.splits) ] )
+        Harness.Note (string_of_int (counter "par.steals"));
+        Harness.Note (string_of_int (counter "par.splits")) ] )
   in
   Harness.print_table
     ~title:
@@ -527,32 +558,28 @@ let scaling () =
   let rows =
     List.concat_map
       (fun (family, g) ->
-        (* sequential baseline: the same engine the workers run, no scheduler *)
+        (* sequential baseline: the same engine the workers run, observed
+           like them, no scheduler *)
         let t0 = Harness.now () in
         let baseline = ref 0 in
-        Scliques_core.Cs_cliques2.iter ~pivot:true
-          (Scliques_core.Neighborhood.create ~s:2 g)
+        let obs = Scliques_obs.Obs.create () in
+        Scliques_core.Cs_cliques2.iter ~pivot:true ~obs
+          (Scliques_core.Neighborhood.create ~obs ~s:2 g)
           (fun _ -> incr baseline);
         let t_seq = Harness.now () -. t0 in
         (* over-splitting check: the minimum-subtree threshold must cut
            the split count without changing the canonical output *)
         let workers = List.fold_left Int.max 1 worker_counts in
-        let res_def, st_def =
-          Scliques_core.Parallel.enumerate_with_stats ~workers g ~s:2
-        in
-        let res_all, st_all =
-          Scliques_core.Parallel.enumerate_with_stats ~workers
-            ~split_min_subtree:0 g ~s:2
-        in
+        let res_def, st_def, _ = par_run ~workers g in
+        let res_all, st_all, _ = par_run ~workers ~split_min_subtree:0 g in
+        let splits_def = st_def "par.splits" and splits_all = st_all "par.splits" in
         if not (List.equal NS.equal res_def res_all) then
           failwith
             (family ^ ": split threshold changed the canonical output");
-        if st_def.Scliques_core.Parallel.splits > st_all.Scliques_core.Parallel.splits
-        then
+        if splits_def > splits_all then
           Printf.printf
             "[warn] %s: threshold did not reduce splits (%d > %d)\n%!" family
-            st_def.Scliques_core.Parallel.splits
-            st_all.Scliques_core.Parallel.splits;
+            splits_def splits_all;
         Harness.append_json ~path:"BENCH_parallel.json"
           (Scliques_obs.Sink.Obj
              [
@@ -563,25 +590,18 @@ let scaling () =
                ("seed", Scliques_obs.Sink.Int Harness.seed);
                ("workers", Scliques_obs.Sink.Int workers);
                ("results", Scliques_obs.Sink.Int (List.length res_def));
-               ( "splits_default",
-                 Scliques_obs.Sink.Int st_def.Scliques_core.Parallel.splits );
-               ( "splits_unthresholded",
-                 Scliques_obs.Sink.Int st_all.Scliques_core.Parallel.splits );
+               ("splits_default", Scliques_obs.Sink.Int splits_def);
+               ("splits_unthresholded", Scliques_obs.Sink.Int splits_all);
                ( "split_ratio",
                  Scliques_obs.Sink.Float
-                   (float_of_int st_def.Scliques_core.Parallel.splits
-                   /. Float.max 1.
-                        (float_of_int st_all.Scliques_core.Parallel.splits)) );
+                   (float_of_int splits_def /. Float.max 1. (float_of_int splits_all)) );
              ]);
         List.map
           (fun workers ->
             let t0 = Harness.now () in
-            let results, stats =
-              Scliques_core.Parallel.enumerate_with_stats ~workers g ~s:2
-            in
+            let results, counter, tasks = par_run ~workers g in
             let wall = Harness.now () -. t0 in
             let speedup = t_seq /. Float.max 1e-9 wall in
-            let tasks = stats.Scliques_core.Parallel.tasks_per_worker in
             let max_tasks = Array.fold_left Int.max 0 tasks in
             let avg_tasks =
               float_of_int (Array.fold_left ( + ) 0 tasks)
@@ -603,16 +623,16 @@ let scaling () =
                    ("wall_seconds", Scliques_obs.Sink.Float wall);
                    ("speedup", Scliques_obs.Sink.Float speedup);
                    ("task_skew", Scliques_obs.Sink.Float skew);
-                   ("steals", Scliques_obs.Sink.Int stats.Scliques_core.Parallel.steals);
-                   ("splits", Scliques_obs.Sink.Int stats.Scliques_core.Parallel.splits);
+                   ("steals", Scliques_obs.Sink.Int (counter "par.steals"));
+                   ("splits", Scliques_obs.Sink.Int (counter "par.splits"));
                  ]);
             ( Printf.sprintf "%s w=%d" family workers,
               [
                 Harness.Seconds wall;
                 Harness.Note (Printf.sprintf "%.2fx" speedup);
                 Harness.Note (Printf.sprintf "%.2f" skew);
-                Harness.Note (string_of_int stats.Scliques_core.Parallel.steals);
-                Harness.Note (string_of_int stats.Scliques_core.Parallel.splits);
+                Harness.Note (string_of_int (counter "par.steals"));
+                Harness.Note (string_of_int (counter "par.splits"));
               ] ))
           worker_counts)
       families

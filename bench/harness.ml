@@ -45,29 +45,37 @@ let cell_to_string = function
   | Timeout -> Printf.sprintf ">%g" budget
   | Note s -> s
 
-(* Run [f], handing it a [should_continue] tied to the budget. [f] must
-   return [true] when it finished its measurement and [false] when it was
-   cut short (it sees the same information through should_continue). *)
-let timed (f : should_continue:(unit -> bool) -> bool) : outcome =
+(* A run that checks the budget itself, outside any engine, raises this
+   once it has tripped. *)
+exception Out_of_budget
+
+(* Run [f] under a fresh per-cell deadline budget, polled in full at
+   every check. [f] must return [true] when it finished its measurement
+   and [false] (or raise [Out_of_budget]) when it was cut short. Engines
+   outside [Enumerate] take [Budget.checker] as their
+   [should_continue]. *)
+let timed (f : Scliques_core.Budget.t -> bool) : outcome =
   let t0 = now () in
-  let deadline = t0 +. budget in
-  let completed = f ~should_continue:(fun () -> now () < deadline) in
+  let b = Scliques_core.Budget.create ~deadline_s:budget ~poll_every:1 () in
+  let completed = try f b with Out_of_budget -> false in
   let dt = now () -. t0 in
   if completed then Seconds dt else Timeout
 
 (* Time to produce [quota] results of an enumeration, budget-bounded.
    Completing the whole enumeration with fewer than [quota] results counts
-   as success (everything available was produced). *)
-let time_first_n ~quota iter_fn : outcome =
-  timed (fun ~should_continue ->
+   as success (everything available was produced). [run]'s own result (a
+   run report, or nothing) is not looked at. *)
+let time_first_n ~quota run : outcome =
+  timed (fun b ->
       let got = ref 0 in
       let exception Enough in
       (try
-         iter_fn ~should_continue (fun _ ->
-             incr got;
-             if !got >= quota then raise Enough)
+         ignore
+           (run b (fun _ ->
+                incr got;
+                if !got >= quota then raise Enough))
        with Enough -> ());
-      !got >= quota || should_continue ())
+      !got >= quota || Scliques_core.Budget.poll b)
 
 let print_table ~title ~columns ~rows =
   let width = 12 in

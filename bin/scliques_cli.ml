@@ -58,6 +58,46 @@ let output_arg =
   let doc = "Output file (defaults to stdout)." in
   Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
 
+(* [-a ALG|par]: the algorithm, and whether it runs on the work-stealing
+   engine ([par] is CSCliques2P across domains). [~rooted] refuses the
+   algorithms without a root decomposition. *)
+let algorithm_arg ?(rooted = false) ~doc () =
+  let parse s =
+    match String.lowercase_ascii s with
+    | "par" | "parallel" -> Ok (E.Cs2_p, true)
+    | _ -> (
+        match E.of_name s with
+        | Some alg when rooted && not (String.equal (E.checkpoint_family alg) "roots") ->
+            Error
+              (`Msg
+                (Printf.sprintf "%s has no rooted decomposition; refresh \
+                                 needs cs1/cs2/cs2f/cs2p/cs2pf or par"
+                   (E.name alg)))
+        | Some alg -> Ok (alg, false)
+        | None -> Error (`Msg (Printf.sprintf "unknown algorithm %S" s)))
+  in
+  let print fmt (alg, par) =
+    Format.pp_print_string fmt (if par then "par" else E.name alg)
+  in
+  Arg.(
+    value
+    & opt (conv (parse, print)) (E.Cs2_pf, false)
+    & info [ "a"; "algorithm" ] ~docv:"ALG" ~doc)
+
+let workers_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "workers" ] ~docv:"W"
+        ~doc:"Worker domains for $(b,-a par) (default: all cores).")
+
+(* the algorithm and, for [par] only, its worker count *)
+let engine (alg, par) workers =
+  if par then (alg, Some (Option.value workers ~default:(E.default_workers ())))
+  else (alg, None)
+
+let engine_label (alg, par) = if par then "Parallel" else E.name alg
+
 let write_graph g = function
   | Some path ->
       Sgraph.Edge_list_io.save g path;
@@ -141,12 +181,9 @@ let print_set c =
    truncation cuts off. *)
 let budgeted_run g ~s ~algorithm ~workers ~min_size ~deadline ~max_results
     ~ckpt_path ~resume_path ~sigint_after =
-  let alg_label =
-    match algorithm with `Alg a -> E.name a | `Par -> "Parallel"
-  in
-  let family =
-    match algorithm with `Alg a -> E.checkpoint_family a | `Par -> "roots"
-  in
+  let alg_label = engine_label algorithm in
+  let alg, workers = engine algorithm workers in
+  let family = E.checkpoint_family alg in
   let n = Sgraph.Graph.n g and m = Sgraph.Graph.m g in
   (* checkpoints land in --checkpoint, defaulting to the file resumed from *)
   let ckpt_out = if ckpt_path <> None then ckpt_path else resume_path in
@@ -243,63 +280,23 @@ let budgeted_run g ~s ~algorithm ~workers ~min_size ~deadline ~max_results
               (Budget.reason_to_string reason);
             3)
   in
-  match algorithm with
-  | `Alg alg ->
-      let resume = Option.map (fun c -> c.Ckpt.state) prior in
-      let report = E.run ~min_size ~budget ?resume alg g ~s emit in
-      finish report.E.outcome (fun () -> Option.get report.E.resumable)
-  | `Par ->
-      let skip_roots =
-        match prior with
-        | Some { Ckpt.state = Ckpt.Roots { retired }; _ } -> retired
-        | _ -> []
-      in
-      let on_root_retired _root results =
-        List.iter emit results;
-        match stream with Some w -> Stream.flush w | None -> ()
-      in
-      let (_ : NS.t list), outcome, retired =
-        Scliques_core.Parallel.enumerate_budgeted ?workers ~min_size ~budget
-          ~skip_roots ~on_root_retired g ~s
-      in
-      finish outcome (fun () ->
-          Ckpt.Roots { retired = List.sort Int.compare (skip_roots @ retired) })
+  let resume = Option.map (fun c -> c.Ckpt.state) prior in
+  let report = E.run ~min_size ~budget ?resume ?workers alg g ~s emit in
+  finish report.E.outcome (fun () -> Option.get report.E.resumable)
 
 (* ---------- enum ---------- *)
 
 let enum_cmd =
   let algorithm_arg =
-    let parse s =
-      match String.lowercase_ascii s with
-      | "par" | "parallel" -> Ok `Par
-      | _ -> (
-          match E.of_name s with
-          | Some alg -> Ok (`Alg alg)
-          | None -> Error (`Msg (Printf.sprintf "unknown algorithm %S" s)))
-    in
-    let print fmt = function
-      | `Par -> Format.pp_print_string fmt "par"
-      | `Alg alg -> Format.pp_print_string fmt (E.name alg)
-    in
-    let doc =
-      "Algorithm: $(b,pd) (PolyDelayEnum), $(b,cs1), $(b,cs2), $(b,cs2f), \
-       $(b,cs2p), $(b,cs2pf) (Bron–Kerbosch adaptations; P = pivoting, F = \
-       feasibility check), $(b,brute) (oracle, tiny graphs only), or $(b,par) \
-       (work-stealing parallel CSCliques2P across domains; output is \
-       canonicalized ascending, and $(b,--limit) truncates it after the full \
-       run rather than stopping early)."
-    in
-    Arg.(
-      value
-      & opt (conv (parse, print)) (`Alg E.Cs2_pf)
-      & info [ "a"; "algorithm" ] ~docv:"ALG" ~doc)
-  in
-  let workers_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "workers" ] ~docv:"W"
-          ~doc:"Worker domains for $(b,-a par) (default: all cores).")
+    algorithm_arg
+      ~doc:
+        "Algorithm: $(b,pd) (PolyDelayEnum), $(b,cs1), $(b,cs2), $(b,cs2f), \
+         $(b,cs2p), $(b,cs2pf) (Bron–Kerbosch adaptations; P = pivoting, F = \
+         feasibility check), $(b,brute) (oracle, tiny graphs only), or $(b,par) \
+         (work-stealing parallel CSCliques2P across domains; output is \
+         canonicalized ascending, and $(b,--limit) truncates it after the full \
+         run rather than stopping early)."
+      ()
   in
   let limit_arg =
     Arg.(
@@ -415,23 +412,36 @@ let enum_cmd =
           Stdlib.exit 1
     end
     else begin
+      (match limit with
+      | Some n when n < 0 ->
+          prerr_endline "scliques: error: --limit must be >= 0";
+          Stdlib.exit 1
+      | _ -> ());
       let g = load_graph format file in
+      let alg, workers = engine algorithm workers in
       (* observe only when the observability output was asked for, so the
          default enumeration path stays uninstrumented *)
       let obs =
         match stats_fmt with Some `Json -> Some (Scliques_obs.Obs.create ()) | _ -> None
       in
+      (* the parallel engine and the brute oracle have no ascending
+         stream order: their whole output is sorted (then cut to
+         --limit), so it is the same for every run and worker count *)
+      let canonical =
+        match (workers, alg) with Some _, _ | None, E.Brute -> true | None, _ -> false
+      in
       let results =
-        match algorithm with
-        | `Alg alg -> (
-            match limit with
-            | Some n -> E.first_n ~min_size ?obs alg g ~s n
-            | None -> E.all_results ~min_size ?obs alg g ~s)
-        | `Par ->
-            let all = Scliques_core.Parallel.enumerate ?workers ~min_size ?obs g ~s in
-            (match limit with
-            | Some n -> List.filteri (fun i _ -> i < n) all
-            | None -> all)
+        match limit with
+        | Some n when not canonical -> E.first_n ~min_size ?obs alg g ~s n
+        | _ ->
+            let acc = ref [] in
+            let (_ : E.run_report) =
+              E.run ~min_size ?obs ?workers alg g ~s (fun c -> acc := c :: !acc)
+            in
+            let all = if canonical then List.sort NS.compare !acc else List.rev !acc in
+            List.filteri
+              (fun i _ -> match limit with Some n -> i < n | None -> true)
+              all
       in
       if count_only then Printf.printf "%d\n" (List.length results)
       else begin
@@ -451,11 +461,7 @@ let enum_cmd =
             let json =
               Sink.Obj
                 ([
-                   ( "algorithm",
-                     Sink.String
-                       (match algorithm with
-                       | `Alg alg -> E.name alg
-                       | `Par -> "Parallel") );
+                   ("algorithm", Sink.String (engine_label algorithm));
                    ("s", Sink.Int s);
                    ( "results",
                      Sink.Obj
@@ -551,7 +557,7 @@ let verify_cmd =
       | Error msg -> `Error (false, "certification failed: " ^ msg)
       | Ok () ->
           if complete then begin
-            let expected = E.count E.Cs2_pf g ~s in
+            let expected = (E.run E.Cs2_pf g ~s ignore).E.emitted in
             if expected <> List.length results then
               `Error
                 ( false,
@@ -765,41 +771,12 @@ let refresh_cmd =
       & info [ "results" ] ~docv:"FILE" ~doc)
   in
   let engine_arg =
-    let parse s =
-      match String.lowercase_ascii s with
-      | "par" | "parallel" -> Ok `Par
-      | _ -> (
-          match E.of_name s with
-          | Some alg when String.equal (E.checkpoint_family alg) "roots" ->
-              Ok (`Alg alg)
-          | Some alg ->
-              Error
-                (`Msg
-                  (Printf.sprintf "%s has no rooted decomposition; refresh \
-                                   needs cs1/cs2/cs2f/cs2p/cs2pf or par"
-                     (E.name alg)))
-          | None -> Error (`Msg (Printf.sprintf "unknown algorithm %S" s)))
-    in
-    let print fmt = function
-      | `Par -> Format.pp_print_string fmt "par"
-      | `Alg alg -> Format.pp_print_string fmt (E.name alg)
-    in
-    let doc =
-      "Re-enumeration engine for the affected roots: $(b,cs1), $(b,cs2), \
-       $(b,cs2f), $(b,cs2p), $(b,cs2pf), or $(b,par) (work-stealing \
-       domains)."
-    in
-    Arg.(
-      value
-      & opt (conv (parse, print)) (`Alg E.Cs2_pf)
-      & info [ "a"; "algorithm" ] ~docv:"ALG" ~doc)
-  in
-  let workers_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "workers" ] ~docv:"W"
-          ~doc:"Worker domains for $(b,-a par) (default: all cores).")
+    algorithm_arg ~rooted:true
+      ~doc:
+        "Re-enumeration engine for the affected roots: $(b,cs1), $(b,cs2), \
+         $(b,cs2f), $(b,cs2p), $(b,cs2pf), or $(b,par) (work-stealing \
+         domains)."
+      ()
   in
   let min_size_arg =
     Arg.(
@@ -876,9 +853,7 @@ let refresh_cmd =
           index
       in
       let engine =
-        match engine with
-        | `Par -> `Par workers
-        | `Alg alg -> `Seq alg
+        match engine with (alg, false) -> `Seq alg | (_, true) -> `Par workers
       in
       let delta =
         E.refresh ~min_size ~engine ~edits ?prior_fingerprint ~before ~after
@@ -1065,23 +1040,7 @@ let client_query_term =
           ~doc:"Name of a graph preloaded by the daemon.")
   in
   let algorithm_arg =
-    let parse s =
-      match String.lowercase_ascii s with
-      | "par" | "parallel" -> Ok Dproto.Par
-      | _ -> (
-          match E.of_name s with
-          | Some alg -> Ok (Dproto.Alg alg)
-          | None -> Error (`Msg (Printf.sprintf "unknown algorithm %S" s)))
-    in
-    let print fmt = function
-      | Dproto.Par -> Format.pp_print_string fmt "par"
-      | Dproto.Alg alg -> Format.pp_print_string fmt (E.name alg)
-    in
-    Arg.(
-      value
-      & opt (conv (parse, print)) (Dproto.Alg E.Cs2_pf)
-      & info [ "a"; "algorithm" ] ~docv:"ALG"
-          ~doc:"Engine the daemon runs: the $(b,enum) names, or $(b,par).")
+    algorithm_arg ~doc:"Engine the daemon runs: the $(b,enum) names, or $(b,par)." ()
   in
   let min_size_arg =
     Arg.(
@@ -1152,6 +1111,10 @@ let client_query_term =
   in
   let run socket tcp token graph algorithm s min_size deadline max_results
       ckpt resume id retry ping list corrupt busy_drill =
+    (* the wire names [par] itself: the daemon picks its worker count *)
+    let engine =
+      match algorithm with alg, false -> Dproto.Alg alg | _, true -> Dproto.Par
+    in
     let addr = client_addr socket tcp in
     let connect addr = client_connect ?token addr in
     if ping then begin
@@ -1212,7 +1175,7 @@ let client_query_term =
                    Dclient.run_query b
                      {
                        Dproto.q_id = id + 1;
-                       q_engine = algorithm;
+                       q_engine = engine;
                        q_graph = graph;
                        q_s = s;
                        q_min_size = min_size;
@@ -1229,7 +1192,7 @@ let client_query_term =
               end)
             {
               Dproto.q_id = id;
-              q_engine = algorithm;
+              q_engine = engine;
               q_graph = graph;
               q_s = s;
               q_min_size = min_size;
@@ -1268,7 +1231,7 @@ let client_query_term =
         let q =
           {
             Dproto.q_id = id;
-            q_engine = algorithm;
+            q_engine = engine;
             q_graph = graph;
             q_s = s;
             q_min_size = min_size;
@@ -1305,10 +1268,7 @@ let client_query_term =
                 | Some p, Some state ->
                     Ckpt.save
                       {
-                        Ckpt.algorithm =
-                          (match algorithm with
-                          | Dproto.Alg a -> E.name a
-                          | Dproto.Par -> "Parallel");
+                        Ckpt.algorithm = engine_label algorithm;
                         s;
                         n;
                         m;

@@ -16,7 +16,9 @@ module NS = Sgraph.Node_set
 
 let membership_counts g ~s =
   let counts = Array.make (G.n g) 0 in
-  E.iter E.Cs2_pf g ~s (fun c -> NS.iter (fun v -> counts.(v) <- counts.(v) + 1) c);
+  let (_ : E.run_report) =
+    E.run E.Cs2_pf g ~s (fun c -> NS.iter (fun v -> counts.(v) <- counts.(v) + 1) c)
+  in
   counts
 
 let top_k k scored =
@@ -63,13 +65,15 @@ let () =
   let side v = if v = broker then `Broker else if v < community_size then `Left else `Right in
   let spanning = Array.make (G.n big) 0 in
   let total_spanning = ref 0 in
-  E.iter E.Cs2_pf big ~s:2 (fun c ->
-      let left = NS.exists (fun v -> side v = `Left) c in
-      let right = NS.exists (fun v -> side v = `Right) c in
-      if left && right then begin
-        incr total_spanning;
-        NS.iter (fun v -> spanning.(v) <- spanning.(v) + 1) c
-      end);
+  let (_ : E.run_report) =
+    E.run E.Cs2_pf big ~s:2 (fun c ->
+        let left = NS.exists (fun v -> side v = `Left) c in
+        let right = NS.exists (fun v -> side v = `Right) c in
+        if left && right then begin
+          incr total_spanning;
+          NS.iter (fun v -> spanning.(v) <- spanning.(v) + 1) c
+        end)
+  in
   Printf.printf "%d maximal 2-cliques span both communities\n" !total_spanning;
   let in_all =
     List.filter (fun v -> spanning.(v) = !total_spanning) (List.init (G.n big) Fun.id)

@@ -39,7 +39,7 @@ let () =
   List.iter
     (fun s ->
       (* communities = the largest enumerated sets, one per planted block *)
-      let all = E.all_results E.Cs2_pf g ~s in
+      let all = E.sorted_results E.Cs2_pf g ~s in
       let by_size =
         List.sort (fun a b -> compare (NS.cardinal b) (NS.cardinal a)) all
       in

@@ -41,20 +41,22 @@ let () =
   let scores = Hashtbl.create 4096 in
   let key u v = if u < v then (u, v) else (v, u) in
   let n_results = ref 0 in
-  E.iter ~min_size E.Cs2_pf damaged ~s:2 (fun c ->
-      incr n_results;
-      let members = NS.to_array c in
-      let k = Array.length members in
-      for i = 0 to k - 1 do
-        for j = i + 1 to k - 1 do
-          let u = members.(i) and v = members.(j) in
-          if not (G.mem_edge damaged u v) then begin
-            let key = key u v in
-            Hashtbl.replace scores key
-              (1 + Option.value ~default:0 (Hashtbl.find_opt scores key))
-          end
-        done
-      done);
+  let (_ : E.run_report) =
+    E.run ~min_size E.Cs2_pf damaged ~s:2 (fun c ->
+        incr n_results;
+        let members = NS.to_array c in
+        let k = Array.length members in
+        for i = 0 to k - 1 do
+          for j = i + 1 to k - 1 do
+            let u = members.(i) and v = members.(j) in
+            if not (G.mem_edge damaged u v) then begin
+              let key = key u v in
+              Hashtbl.replace scores key
+                (1 + Option.value ~default:0 (Hashtbl.find_opt scores key))
+            end
+          done
+        done)
+  in
   Printf.printf "%d maximal connected 2-cliques of size >= %d; %d candidate pairs scored\n"
     !n_results min_size (Hashtbl.length scores);
 

@@ -56,7 +56,7 @@ let () =
      {v1,v2,v'3,w,w'} is one of them.\n"
     (Sgraph.Graph.n gadget);
   Printf.printf "computed: %d maximal connected 2-cliques\n"
-    (E.count E.Cs2_pf gadget ~s:2);
+    (E.run E.Cs2_pf gadget ~s:2 ignore).E.emitted;
   let sample = NS.of_list [ 0; 1; 3 + 2; 6; 7 ] in
   Printf.printf "computed: {v1,v2,v'3,w,w'} maximal: %b\n"
     (V.is_maximal_connected_s_clique gadget ~s:2 sample);

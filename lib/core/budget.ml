@@ -41,7 +41,8 @@ let create ?deadline_s ?max_results ?max_cache_bytes
     cache_bytes;
     poll_every;
     cancel = Atomic.make false;
-    tripped = Atomic.make None;
+    (* a zero cap is already reached: nothing may be emitted *)
+    tripped = Atomic.make (match max_results with Some 0 -> Some Max_results | _ -> None);
     results = Atomic.make 0;
   }
 

@@ -52,7 +52,8 @@ val create :
   t
 (** [deadline_s] is {e relative} seconds from now on the monotonic clock
     ([0.] trips on the very first poll — useful for deterministic
-    truncation tests). [cache_bytes] is the probe [Max_cache_bytes] is
+    truncation tests); a zero [max_results] trips at creation, so a run
+    under it emits nothing. [cache_bytes] is the probe [Max_cache_bytes] is
     judged against (default: constantly [0], so the cap never fires).
     [poll_every] (default [1024]) is how many {!checker} calls elapse
     between expensive polls. Omitted limits never fire; [create ()] is a

@@ -63,17 +63,14 @@ let iter ?(min_size = 0) ?(should_continue = fun () -> true) ?obs nh yield =
   recurse 0 Node_set.empty (Graph.nodes g) Node_set.empty Node_set.empty;
   match obs with None -> () | Some _ -> Neighborhood.sync_obs nh
 
-let iter_rooted ?(min_size = 0) ?(should_continue = fun () -> true) ?obs nh ~root
-    yield =
-  (* exactly the state the full run's top-level loop hands the branch on
-     [root]: by then every u < root has moved from P to X, and the child
-     P/X are filtered through ball(root) — so this subtree emits precisely
-     the maximal connected s-cliques whose minimum node is [root] *)
+let root_runner ?(min_size = 0) ?(should_continue = fun () -> true) ?obs nh yield =
   let g = Neighborhood.graph nh in
   let recurse = make_recurse ~min_size ~should_continue ?obs nh yield in
-  let ball = Neighborhood.ball nh root in
-  recurse 1 (Node_set.singleton root)
-    (Node_set.filter (fun u -> u > root) ball)
-    (Node_set.filter (fun u -> u < root) ball)
-    (Graph.neighbor_set g root);
-  match obs with None -> () | Some _ -> Neighborhood.sync_obs nh
+  fun root ->
+    (* exactly the state the full run's top-level loop hands the branch on
+       [root]: by then every u < root has moved from P to X, and the child
+       P/X are filtered through ball(root) — so this subtree emits
+       precisely the maximal connected s-cliques whose minimum node is
+       [root] *)
+    let p, x = Neighborhood.root_split nh root in
+    recurse 1 (Node_set.singleton root) p x (Graph.neighbor_set g root)

@@ -26,16 +26,19 @@ val iter :
     recursion-tree counters [cs1.calls], [cs1.max_depth] and [cs1.emits]
     are maintained; without it the search is uninstrumented. *)
 
-val iter_rooted :
+val root_runner :
   ?min_size:int ->
   ?should_continue:(unit -> bool) ->
   ?obs:Scliques_obs.Obs.t ->
   Neighborhood.t ->
-  root:int ->
   (Sgraph.Node_set.t -> unit) ->
+  int ->
   unit
-(** Run only the branch of the full recursion rooted at [root]: exactly
-    the maximal connected s-cliques whose {e minimum} node is [root] are
-    emitted. Running every root in turn reproduces {!iter}'s output —
-    this is the unit of work behind budgeted, checkpointable runs, where
-    fully-explored roots are recorded and a resume runs only the rest. *)
+(** [root_runner nh yield] configures one search (same options as
+    {!iter}) and returns the function running a single branch of the full
+    recursion: called on [root], it emits exactly the maximal connected
+    s-cliques whose {e minimum} node is [root]. Running every root in
+    turn reproduces {!iter}'s output — this is the unit of work behind
+    budgeted, checkpointable and root-subset runs. The delay clock starts
+    when the runner is built, not per root; the caller is responsible for
+    {!Neighborhood.sync_obs} when its run ends. *)

@@ -183,14 +183,13 @@ let expand_task rn t =
   List.rev !acc
 
 let root_task nh root =
-  let g = Neighborhood.graph nh in
-  let ball_v = Neighborhood.ball nh root in
+  let p, x = Neighborhood.root_split nh root in
   {
     depth = 0;
     r = Node_set.singleton root;
-    p = Node_set.filter (fun u -> u > root) ball_v;
-    x = Node_set.filter (fun u -> u < root) ball_v;
-    frontier = Graph.neighbor_set g root;
+    p;
+    x;
+    frontier = Graph.neighbor_set (Neighborhood.graph nh) root;
   }
 
 let iter ?pivot ?pivot_rule ?feasibility ?(root_order = Ascending) ?min_size
@@ -234,20 +233,4 @@ let iter ?pivot ?pivot_rule ?feasibility ?(root_order = Ascending) ?min_size
               }
           end)
         order);
-  match obs with None -> () | Some _ -> Neighborhood.sync_obs nh
-
-let iter_rooted ?pivot ?pivot_rule ?feasibility ?min_size ?should_continue ?obs nh
-    ~root ~p ~x yield =
-  let rn = make_runner ?pivot ?pivot_rule ?feasibility ?min_size ?should_continue ?obs nh
-      yield
-  in
-  let g = Neighborhood.graph nh in
-  run_task rn
-    {
-      depth = 0;
-      r = Node_set.singleton root;
-      p;
-      x;
-      frontier = Graph.neighbor_set g root;
-    };
   match obs with None -> () | Some _ -> Neighborhood.sync_obs nh

@@ -57,25 +57,6 @@ val iter :
     [cs2.feasibility_prunes] (nodes dropped by the §5.3 feasibility
     check) are maintained; without it the search is uninstrumented. *)
 
-val iter_rooted :
-  ?pivot:bool ->
-  ?pivot_rule:pivot_rule ->
-  ?feasibility:bool ->
-  ?min_size:int ->
-  ?should_continue:(unit -> bool) ->
-  ?obs:Scliques_obs.Obs.t ->
-  Neighborhood.t ->
-  root:int ->
-  p:Sgraph.Node_set.t ->
-  x:Sgraph.Node_set.t ->
-  (Sgraph.Node_set.t -> unit) ->
-  unit
-(** Explore only the subtree rooted at [R = {root}] with the given
-    candidate and exclusion sets — the state the ascending root loop
-    reaches at [root] is [p = N^s(root) ∩ {u > root}],
-    [x = N^s(root) ∩ {u < root}]. Disjoint root branches partition the
-    output, which is what {!Parallel} exploits. *)
-
 (** {2 Explicit task interface}
 
     The work-stealing {!Parallel} scheduler needs the recursion as
@@ -89,7 +70,9 @@ val iter_rooted :
     every child state is fully computed before any child runs, so
     running the children in any order — or on any worker — explores
     exactly the subtree [run_task] would: the emitted multiset is
-    schedule-independent. *)
+    schedule-independent. [Enumerate.run]'s rooted loop runs one
+    {!root_task} per root on a single runner; {!Parallel} moves tasks
+    between workers. *)
 
 type task
 
@@ -114,14 +97,15 @@ val make_runner :
   (Sgraph.Node_set.t -> unit) ->
   runner
 (** Same configuration surface as {!iter}. Emissions go to the given
-    sink; counters (when [obs] is set) use the same [cs2.*] vocabulary.
+    sink; counters (when [obs] is set) use the same [cs2.*] vocabulary,
+    and the delay clock starts when the runner is built.
     The runner is only as thread-safe as its neighborhood oracle and
     sink: give each worker its own. The caller is responsible for
     {!Neighborhood.sync_obs} when a run ends. *)
 
 val root_task : Neighborhood.t -> int -> task
 (** [root_task nh v] is the state the ascending root loop reaches at
-    [v]: [R = {v}], [p = N^s(v) ∩ {u > v}], [x = N^s(v) ∩ {u < v}].
+    [v]: [R = {v}] with [P] and [X] from {!Neighborhood.root_split}.
     The tasks of all roots partition the output. *)
 
 val run_task : runner -> task -> unit

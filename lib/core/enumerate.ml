@@ -24,69 +24,6 @@ let of_name n =
   | "brute" | "bruteforce" -> Some Brute
   | _ -> None
 
-let iter ?(min_size = 0) ?(optimized = true) ?cache_capacity
-    ?(should_continue = fun () -> true) ?obs algorithm g ~s yield =
-  (* Without the §6 optimizations the full enumeration runs and the size
-     bound is applied only at the output (Fig. 10's baseline). *)
-  let pushed_min = if optimized then min_size else 0 in
-  let yield = if optimized then yield
-    else fun c -> if Node_set.cardinal c >= min_size then yield c
-  in
-  match algorithm with
-  | Brute ->
-      if s < 1 then invalid_arg "Enumerate.iter: s must be >= 1";
-      let c_emits = Option.map (fun o -> Scliques_obs.Obs.counter o "brute.emits") obs in
-      (match obs with None -> () | Some o -> Scliques_obs.Obs.reset_clock o);
-      (* scan cooperatively so a tripped [should_continue] stops the
-         exponential subset walk itself, not just the emission loop *)
-      let acc = ref [] in
-      let (_ : int) =
-        Brute_force.iter_masks ~should_continue g ~s (fun c -> acc := c :: !acc)
-      in
-      List.iter
-        (fun c ->
-          if Node_set.cardinal c >= min_size then begin
-            (match (obs, c_emits) with
-            | Some o, Some ctr ->
-                Scliques_obs.Counters.incr ctr;
-                Scliques_obs.Obs.tick o
-            | _ -> ());
-            yield c
-          end)
-        (List.sort Node_set.compare !acc)
-  | _ ->
-      let nh = Neighborhood.create ?cache_capacity ?obs ~s g in
-      let run () =
-        match algorithm with
-        | Poly_delay ->
-            let queue_mode =
-              if optimized && min_size > 0 then Poly_delay.Largest_first
-              else Poly_delay.Fifo
-            in
-            Poly_delay.iter ~queue_mode ~min_size:pushed_min ~should_continue ?obs nh
-              yield
-        | Cs1 -> Cs_cliques1.iter ~min_size:pushed_min ~should_continue ?obs nh yield
-        | Cs2 ->
-            Cs_cliques2.iter ~pivot:false ~feasibility:false ~min_size:pushed_min
-              ~should_continue ?obs nh yield
-        | Cs2_f ->
-            Cs_cliques2.iter ~pivot:false ~feasibility:true ~min_size:pushed_min
-              ~should_continue ?obs nh yield
-        | Cs2_p ->
-            Cs_cliques2.iter ~pivot:true ~feasibility:false ~min_size:pushed_min
-              ~should_continue ?obs nh yield
-        | Cs2_pf ->
-            Cs_cliques2.iter ~pivot:true ~feasibility:true ~min_size:pushed_min
-              ~should_continue ?obs nh yield
-        | Brute -> assert false
-      in
-      (match obs with
-      | None -> run ()
-      | Some _ ->
-          (* early termination escapes via the caller's exception (e.g.
-             [first_n]'s quota): still publish the cache counters *)
-          Fun.protect ~finally:(fun () -> Neighborhood.sync_obs nh) run)
-
 type run_report = {
   outcome : Budget.outcome;
   resumable : Checkpoint.state option;
@@ -98,8 +35,58 @@ let checkpoint_family = function
   | Brute -> "brute"
   | Cs1 | Cs2 | Cs2_f | Cs2_p | Cs2_pf -> "roots"
 
-let run ?(min_size = 0) ?cache_capacity ?obs ?nh ?budget ?resume algorithm g ~s yield =
+(* pivot and feasibility of a CsCliques2 variant *)
+let cs2_flags = function
+  | Cs2 -> Some (false, false)
+  | Cs2_f -> Some (false, true)
+  | Cs2_p -> Some (true, false)
+  | Cs2_pf -> Some (true, true)
+  | Poly_delay | Cs1 | Brute -> None
+
+(* The root dispatch: one runner per run, returning the function that
+   runs a single root's branch — the results whose smallest member is
+   that root. *)
+let root_runner alg ~min_size ~should_continue ?obs nh sink =
+  match (alg, cs2_flags alg) with
+  | _, Some (pivot, feasibility) ->
+      let rn =
+        Cs_cliques2.make_runner ~pivot ~feasibility ~min_size ~should_continue ?obs nh
+          sink
+      in
+      fun root -> Cs_cliques2.run_task rn (Cs_cliques2.root_task nh root)
+  | Cs1, None -> Cs_cliques1.root_runner ~min_size ~should_continue ?obs nh sink
+  | _, None -> invalid_arg "Enumerate.root_runner: no rooted decomposition"
+
+let default_workers () = Domain.recommended_domain_count ()
+
+(* [stream]: deliver a rooted algorithm's results as the search finds
+   them instead of holding each root's back until it commits. Safe only
+   when nobody resumes from the run's state: a cut root's delivered
+   results would be produced again by a resume. *)
+let run_with ~stream ?(min_size = 0) ?cache_capacity ?obs ?nh ?budget ?resume
+    ?workers ?roots algorithm g ~s yield =
   if s < 1 then invalid_arg "Enumerate.run: s must be >= 1";
+  let rooted = String.equal (checkpoint_family algorithm) "roots" in
+  let n = Sgraph.Graph.n g in
+  (match (workers, cs2_flags algorithm) with
+  | Some _, None ->
+      invalid_arg
+        (Printf.sprintf
+           "Enumerate.run: %s has no parallel engine (workers need a CSCliques2 variant)"
+           (name algorithm))
+  | Some w, Some _ when w < 1 -> invalid_arg "Enumerate.run: workers must be >= 1"
+  | _ -> ());
+  (match roots with
+  | Some _ when not rooted ->
+      invalid_arg
+        (Printf.sprintf
+           "Enumerate.run: %s has no rooted decomposition to select roots from"
+           (name algorithm))
+  | Some rs ->
+      List.iter
+        (fun v -> if v < 0 || v >= n then invalid_arg "Enumerate.run: root out of range")
+        rs
+  | None -> ());
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   (* the daemon's warm path: queries against the same graph inject one
      shared-backed oracle instead of each run cold-starting its own *)
@@ -108,10 +95,17 @@ let run ?(min_size = 0) ?cache_capacity ?obs ?nh ?budget ?resume algorithm g ~s 
     | Some o ->
         if Neighborhood.s o <> s then
           invalid_arg "Enumerate.run: oracle has a different s";
-        if Sgraph.Graph.n (Neighborhood.graph o) <> Sgraph.Graph.n g then
+        if Sgraph.Graph.n (Neighborhood.graph o) <> n then
           invalid_arg "Enumerate.run: oracle graph has a different node count";
         o
     | None -> Neighborhood.create ?cache_capacity ?obs ~s g
+  in
+  (* publish the oracle's cache counters however the run ends, including
+     an exception from the caller's sink *)
+  let synced nh f =
+    match obs with
+    | None -> f ()
+    | Some _ -> Fun.protect ~finally:(fun () -> Neighborhood.sync_obs nh) f
   in
   (match resume with
   | Some st
@@ -121,10 +115,14 @@ let run ?(min_size = 0) ?cache_capacity ?obs ?nh ?budget ?resume algorithm g ~s 
            "cannot resume a %S checkpoint with algorithm %s (it needs a %S one)"
            (Checkpoint.family st) (name algorithm) (checkpoint_family algorithm))
   | _ -> ());
-  let emitted = ref 0 in
-  let commit c =
+  (* the parallel sink runs in worker domains, one root at a time *)
+  let emitted = Atomic.make 0 in
+  let deliver c =
     yield c;
-    incr emitted;
+    Atomic.incr emitted
+  in
+  let commit c =
+    deliver c;
     Budget.note_result budget
   in
   let resumable =
@@ -135,10 +133,21 @@ let run ?(min_size = 0) ?cache_capacity ?obs ?nh ?budget ?resume algorithm g ~s 
           | Some (Checkpoint.Brute_mask { next_mask }) -> Some next_mask
           | _ -> None
         in
-        let check = Budget.checker budget in
+        let c_emits =
+          Option.map (fun o -> Scliques_obs.Obs.counter o "brute.emits") obs
+        in
+        (match obs with None -> () | Some o -> Scliques_obs.Obs.reset_clock o);
         let next_mask =
-          Brute_force.iter_masks ~should_continue:check ?from_mask g ~s (fun c ->
-              if Node_set.cardinal c >= min_size then commit c)
+          Brute_force.iter_masks ~should_continue:(Budget.checker budget) ?from_mask g ~s
+            (fun c ->
+              if Node_set.cardinal c >= min_size then begin
+                (match (obs, c_emits) with
+                | Some o, Some ctr ->
+                    Scliques_obs.Counters.incr ctr;
+                    Scliques_obs.Obs.tick o
+                | _ -> ());
+                commit c
+              end)
         in
         fun () -> Checkpoint.Brute_mask { next_mask }
     | Poly_delay ->
@@ -152,78 +161,65 @@ let run ?(min_size = 0) ?cache_capacity ?obs ?nh ?budget ?resume algorithm g ~s 
         let queue_mode =
           if min_size > 0 then Poly_delay.Largest_first else Poly_delay.Fifo
         in
-        let check = Budget.checker budget in
-        let finish () =
-          let (_ : Poly_delay.run_stats), frontier =
-            Poly_delay.run ~queue_mode ~min_size ~should_continue:check ?init ?obs
-              nh commit
-          in
-          fun () ->
-            Checkpoint.Pd_frontier
-              { index = frontier.f_index; queue = frontier.f_queue }
+        let (_ : Poly_delay.run_stats), frontier =
+          synced nh (fun () ->
+              Poly_delay.run ~queue_mode ~min_size
+                ~should_continue:(Budget.checker budget) ?init ?obs nh commit)
         in
-        (match obs with
-        | None -> finish ()
-        | Some _ -> Fun.protect ~finally:(fun () -> Neighborhood.sync_obs nh) finish)
-    | (Cs1 | Cs2 | Cs2_f | Cs2_p | Cs2_pf) as alg ->
-        let nh = oracle () in
-        let check = Budget.checker budget in
-        let iter_root ~root sink =
-          match alg with
-          | Cs1 ->
-              Cs_cliques1.iter_rooted ~min_size ~should_continue:check ?obs nh
-                ~root sink
-          | _ ->
-              let pivot = match alg with Cs2_p | Cs2_pf -> true | _ -> false in
-              let feasibility =
-                match alg with Cs2_f | Cs2_pf -> true | _ -> false
-              in
-              let ball = Neighborhood.ball nh root in
-              Cs_cliques2.iter_rooted ~pivot ~feasibility ~min_size
-                ~should_continue:check ?obs nh ~root
-                ~p:(Node_set.filter (fun u -> u > root) ball)
-                ~x:(Node_set.filter (fun u -> u < root) ball)
-                sink
+        fun () ->
+          Checkpoint.Pd_frontier { index = frontier.f_index; queue = frontier.f_queue }
+    | Cs1 | Cs2 | Cs2_f | Cs2_p | Cs2_pf ->
+        let prior =
+          match resume with Some (Checkpoint.Roots { retired }) -> retired | _ -> []
         in
-        let n = Sgraph.Graph.n g in
-        let skip = Array.make (max n 1) false in
+        (* the roots this call runs, ascending: [roots] (default every
+           node) minus the ones a resumed checkpoint already retired *)
+        let todo = Array.make (max n 1) (Option.is_none roots) in
+        Option.iter (List.iter (fun v -> todo.(v) <- true)) roots;
+        List.iter (fun v -> if v >= 0 && v < n then todo.(v) <- false) prior;
+        let todo = List.filter (fun v -> todo.(v)) (List.init n Fun.id) in
         let retired =
-          ref
-            (match resume with
-            | Some (Checkpoint.Roots { retired }) ->
-                List.iter (fun v -> if v >= 0 && v < n then skip.(v) <- true) retired;
-                List.rev retired
-            | _ -> [])
+          match (workers, cs2_flags algorithm) with
+          | Some workers, Some (pivot, feasibility) ->
+              let (_ : Budget.outcome), retired =
+                Parallel.run ~pivot ~feasibility ~min_size ?cache_capacity ?obs
+                  ~roots:todo ~workers ~budget g ~s (fun _root rs ->
+                    List.iter deliver rs)
+              in
+              retired
+          | _ ->
+              let nh = oracle () in
+              let buffer = ref [] in
+              let run_root =
+                root_runner algorithm ~min_size ~should_continue:(Budget.checker budget)
+                  ?obs nh
+                  (if stream then commit else fun c -> buffer := c :: !buffer)
+              in
+              (* roots are explored one at a time with their results held
+                 back (unless [stream]); a root COMMITS — streams its
+                 buffer and joins the retired set — only if the budget is
+                 still live when its whole subtree has run. The trip flag
+                 is sticky, so a trip that pruned any part of the subtree
+                 is still visible here: pruned roots never commit, and
+                 uncommitted roots rerun in full on resume. Commits are
+                 root-atomic — a [Max_results] trip mid-commit still
+                 flushes the rest of that root's buffer (bounded
+                 overshoot) rather than splitting a root. *)
+              let rec loop retired = function
+                | root :: rest when Budget.live budget ->
+                    buffer := [];
+                    run_root root;
+                    if Budget.live budget then begin
+                      List.iter commit (List.rev !buffer);
+                      loop (root :: retired) rest
+                    end
+                    else retired
+                | _ -> retired
+              in
+              synced nh (fun () -> loop [] todo)
         in
-        let finish () =
-          (* roots are explored one at a time with their results held
-             back; a root COMMITS — streams its buffer and joins the
-             retired set — only if the budget is still live when its
-             whole subtree has run. The trip flag is sticky, so a trip
-             that pruned any part of the subtree is still visible here:
-             pruned roots never commit, and uncommitted roots rerun in
-             full on resume. Commits are root-atomic — a [Max_results]
-             trip mid-commit still flushes the rest of that root's
-             buffer (bounded overshoot) rather than splitting a root. *)
-          let buffer = ref [] in
-          let v = ref 0 in
-          while !v < n && Budget.live budget do
-            let root = !v in
-            if not skip.(root) then begin
-              buffer := [];
-              iter_root ~root (fun c -> buffer := c :: !buffer);
-              if Budget.live budget then begin
-                List.iter commit (List.rev !buffer);
-                retired := root :: !retired
-              end
-            end;
-            incr v
-          done;
-          fun () -> Checkpoint.Roots { retired = List.sort Int.compare !retired }
-        in
-        (match obs with
-        | None -> finish ()
-        | Some _ -> Fun.protect ~finally:(fun () -> Neighborhood.sync_obs nh) finish)
+        fun () ->
+          Checkpoint.Roots { retired = List.sort Int.compare (List.rev_append prior retired) }
   in
   let outcome = Budget.status budget in
   {
@@ -232,8 +228,21 @@ let run ?(min_size = 0) ?cache_capacity ?obs ?nh ?budget ?resume algorithm g ~s 
       (match outcome with
       | Budget.Complete -> None
       | Budget.Truncated _ -> Some (resumable ()));
-    emitted = !emitted;
+    emitted = Atomic.get emitted;
   }
+
+(* without a budget nothing can cut the run, so holding results back
+   buys nothing: they stream *)
+let run ?min_size ?cache_capacity ?obs ?nh ?budget ?resume ?workers ?roots algorithm g
+    ~s yield =
+  run_with ~stream:(Option.is_none budget) ?min_size ?cache_capacity ?obs ?nh ?budget
+    ?resume ?workers ?roots algorithm g ~s yield
+
+(* the results a run delivers, in delivery order *)
+let collect run =
+  let acc = ref [] in
+  let (_ : run_report) = run (fun c -> acc := c :: !acc) in
+  List.rev !acc
 
 type refresh_delta = {
   results : Node_set.t list;
@@ -423,38 +432,16 @@ let refresh ?(min_size = 0) ?cache_capacity ?(engine = `Seq Cs2_pf) ?nh ?edits
           prior
       in
       let fresh =
-        match (roots, engine) with
-        | [], _ -> [] (* every affected root fingerprint-skipped *)
-        | _, `Par workers ->
-            Parallel.enumerate_roots ?workers ~min_size ?cache_capacity ~roots
-              after ~s
-        | _, `Seq alg ->
-            let oracle =
-              match nh with
-              | Some oracle -> oracle
-              | None -> Neighborhood.create ?cache_capacity ~s after
+        match roots with
+        | [] -> [] (* every affected root fingerprint-skipped *)
+        | _ :: _ ->
+            let alg, workers =
+              match engine with
+              | `Seq alg -> (alg, None)
+              | `Par w -> (Cs2_p, Some (Option.value w ~default:(default_workers ())))
             in
-            let acc = ref [] in
-            let sink c = acc := c :: !acc in
-            List.iter
-              (fun root ->
-                match alg with
-                | Cs1 -> Cs_cliques1.iter_rooted ~min_size oracle ~root sink
-                | _ ->
-                    let pivot =
-                      match alg with Cs2_p | Cs2_pf -> true | _ -> false
-                    in
-                    let feasibility =
-                      match alg with Cs2_f | Cs2_pf -> true | _ -> false
-                    in
-                    let ball = Neighborhood.ball oracle root in
-                    Cs_cliques2.iter_rooted ~pivot ~feasibility ~min_size oracle
-                      ~root
-                      ~p:(Node_set.filter (fun u -> u > root) ball)
-                      ~x:(Node_set.filter (fun u -> u < root) ball)
-                      sink)
-              roots;
-            List.sort Node_set.compare !acc
+            List.sort Node_set.compare
+              (collect (run ~min_size ?cache_capacity ?nh ?workers ~roots alg after ~s))
       in
       {
         results = List.merge Node_set.compare kept fresh;
@@ -465,36 +452,29 @@ let refresh ?(min_size = 0) ?cache_capacity ?(engine = `Seq Cs2_pf) ?nh ?edits
         root_fingerprints;
       }
 
-let all_results ?min_size ?optimized ?cache_capacity ?obs algorithm g ~s =
-  let acc = ref [] in
-  iter ?min_size ?optimized ?cache_capacity ?obs algorithm g ~s
-    (fun c -> acc := c :: !acc);
+let first_n ?min_size ?cache_capacity ?obs ?budget algorithm g ~s n =
+  if n < 0 then invalid_arg "Enumerate.first_n: negative n";
+  (* no resumable state is ever asked of this run, so results stream and
+     the run stops at the n-th one the search finds *)
+  let acc = ref [] and got = ref 0 in
+  let exception Enough in
+  (if n > 0 then
+     try
+       let (_ : run_report) =
+         run_with ~stream:true ?min_size ?cache_capacity ?obs ?budget algorithm g ~s
+           (fun c ->
+             acc := c :: !acc;
+             incr got;
+             if !got = n then raise Enough)
+       in
+       ()
+     with Enough -> ());
   List.rev !acc
-
-exception Enough
-
-let first_n ?min_size ?optimized ?cache_capacity ?(should_continue = fun () -> true)
-    ?obs algorithm g ~s n =
-  let acc = ref [] in
-  let got = ref 0 in
-  (try
-     iter ?min_size ?optimized ?cache_capacity ~should_continue ?obs algorithm g ~s
-       (fun c ->
-         acc := c :: !acc;
-         incr got;
-         if !got >= n then raise Enough)
-   with Enough -> ());
-  List.rev !acc
-
-let count ?min_size ?cache_capacity algorithm g ~s =
-  let total = ref 0 in
-  iter ?min_size ?cache_capacity algorithm g ~s (fun _ -> incr total);
-  !total
 
 let sorted_results ?min_size ?cache_capacity algorithm g ~s =
-  List.sort Node_set.compare (all_results ?min_size ?cache_capacity algorithm g ~s)
+  List.sort Node_set.compare (collect (run ?min_size ?cache_capacity algorithm g ~s))
 
-let largest ?cache_capacity ?should_continue algorithm g ~s k =
+let largest ?cache_capacity algorithm g ~s k =
   if k < 0 then invalid_arg "Enumerate.largest: negative k";
   (* min-heap of the current champions: the root is the smallest kept set,
      evicted whenever something bigger arrives *)
@@ -503,10 +483,12 @@ let largest ?cache_capacity ?should_continue algorithm g ~s k =
     if c <> 0 then c else Node_set.compare b a
   in
   let heap = Scoll.Binary_heap.create ~cmp () in
-  iter ?cache_capacity ?should_continue algorithm g ~s (fun c ->
-      if Scoll.Binary_heap.length heap < k then Scoll.Binary_heap.push heap c
-      else if k > 0 && cmp c (Scoll.Binary_heap.peek heap) > 0 then begin
-        ignore (Scoll.Binary_heap.pop heap);
-        Scoll.Binary_heap.push heap c
-      end);
+  let (_ : run_report) =
+    run ?cache_capacity algorithm g ~s (fun c ->
+        if Scoll.Binary_heap.length heap < k then Scoll.Binary_heap.push heap c
+        else if k > 0 && cmp c (Scoll.Binary_heap.peek heap) > 0 then begin
+          ignore (Scoll.Binary_heap.pop heap);
+          Scoll.Binary_heap.push heap c
+        end)
+  in
   List.rev (Scoll.Binary_heap.pop_all heap)

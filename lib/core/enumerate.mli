@@ -1,10 +1,19 @@
-(** Unified front-end over every enumeration algorithm in the library.
+(** The one enumeration driver over every algorithm in the library.
 
     The variants carry the names used in the paper's plots:
     [PD] (PolyDelayEnum), [CS1] (CsCliques1), [CS2] with optional [P]
     (pivoting) and [F] (feasibility) suffixes, plus the brute-force
-    oracle. The benchmark harness, CLI, and tests all dispatch through
-    this module so an algorithm is always selected the same way. *)
+    oracle. The benchmark harness, CLI, daemon and tests all enumerate
+    through {!run}, so an algorithm, a budget, a resume, an observer, a
+    worker count or a root subset is always selected the same way;
+    {!refresh} and the helpers {!first_n}, {!sorted_results} and
+    {!largest} are thin layers over it.
+
+    CsCliques1 and CsCliques2 decompose by root: the branch on root [v]
+    yields exactly the results whose smallest member is [v]. {!run}
+    drives that decomposition — one root after another in the calling
+    domain, or on the work-stealing {!Parallel} engine with [workers] —
+    which is what resume, refresh and the daemon build on. *)
 
 type algorithm =
   | Poly_delay  (** paper "PD" *)
@@ -24,36 +33,6 @@ val name : algorithm -> string
 val of_name : string -> algorithm option
 (** Case-insensitive inverse of {!name}; also accepts the short aliases
     ["pd"], ["cs1"], ["cs2"], ["cs2f"], ["cs2p"], ["cs2pf"], ["brute"]. *)
-
-val iter :
-  ?min_size:int ->
-  ?optimized:bool ->
-  ?cache_capacity:int ->
-  ?should_continue:(unit -> bool) ->
-  ?obs:Scliques_obs.Obs.t ->
-  algorithm ->
-  Sgraph.Graph.t ->
-  s:int ->
-  (Sgraph.Node_set.t -> unit) ->
-  unit
-(** Enumerate all maximal connected s-cliques (each exactly once) and
-    pass them to the callback.
-
-    With [obs], the selected algorithm records per-result delays and its
-    counters into the handle (see {!Scliques_obs.Obs} for the counter
-    vocabulary), and the N^s-cache statistics are published when the run
-    ends — including runs cut short by an exception from the callback.
-    Omitting [obs] (the default) leaves every hot path uninstrumented.
-
-    [min_size] restricts the output to sets of at least that many nodes.
-    With [optimized = true] (default) the §6 machinery is engaged —
-    [|R| + |P|] pruning in the BK variants, a largest-first priority
-    queue in PolyDelayEnum; with [optimized = false] the full enumeration
-    runs and small results are merely filtered out (the paper's
-    "nonoptimized" Figure 10 baseline).
-
-    @raise Invalid_argument when [s < 1], or when [Brute] is applied to a
-    graph beyond {!Brute_force.max_nodes} nodes. *)
 
 type run_report = {
   outcome : Budget.outcome;
@@ -78,41 +57,77 @@ val run :
   ?nh:Neighborhood.t ->
   ?budget:Budget.t ->
   ?resume:Checkpoint.state ->
+  ?workers:int ->
+  ?roots:int list ->
   algorithm ->
   Sgraph.Graph.t ->
   s:int ->
   (Sgraph.Node_set.t -> unit) ->
   run_report
-(** Budgeted, resumable {!iter}. Every result reaching the callback is
+(** Enumerate the maximal connected s-cliques (each exactly once) and
+    pass them to the callback. Every result reaching the callback is
     {e committed} — it will never be produced again by a resumed run:
 
-    - the rooted algorithms buffer each root's results and release them
-      only when the root's subtree finished under a live budget, so a
-      trip mid-subtree discards the partial root and a resume reruns it;
+    - with a [budget], the rooted algorithms (CS1, CS2 and its variants)
+      run one root branch at a time and release its results only when
+      the whole branch finished under a live budget, so a trip
+      mid-branch discards the partial root and a resume reruns it.
+      Without one nothing can cut the run, so they stream each result
+      as the search finds it, in the same order;
     - PolyDelayEnum and the brute oracle emit at their natural unit (one
-      dequeue, one mask) and are emission-exact.
+      dequeue, one mask) and are emission-exact. The brute path streams
+      in {e scan order} (descending subset masks).
+
+    [min_size] restricts the output to sets of at least that many nodes
+    and engages the paper's §6 machinery: [|R| + |P|] pruning in the
+    Bron–Kerbosch variants, a largest-first queue in PolyDelayEnum.
 
     [budget] defaults to {!Budget.unlimited}; each emission is counted
     with {!Budget.note_result} — do not count again in the callback. On
     resume, seed the budget with {!Budget.preload_results} if the result
     cap should span the whole logical run. [Max_results] is exact for
     [Poly_delay]/[Brute] and root-atomic for the others (the capping
-    root's buffer is flushed whole, a bounded overshoot).
+    root's results are all delivered, a bounded overshoot). A resumed
+    ["roots"] checkpoint's retired roots are skipped, and the
+    [resumable] state of a truncated run lists them together with the
+    roots this call retired.
 
-    The brute path streams in {e scan order} (descending subset masks),
-    unlike {!iter}'s sorted [Brute] output.
+    [workers] runs a CS2 variant on the work-stealing {!Parallel} engine
+    with that many domains (the calling domain is one; {!default_workers}
+    is all cores); results then reach the callback {b in worker
+    domains}, one committed root at a time (with or without a budget),
+    in no fixed order. Without it the run stays a plain loop in the
+    calling domain.
+
+    [roots] runs only those root branches of a rooted algorithm
+    (duplicates are fine): exactly the results whose smallest member is
+    listed — what {!refresh} re-runs after an edit.
+
+    With [obs], the selected algorithm records one delay per emitted
+    result and its counters into the handle (see {!Scliques_obs.Obs} for
+    the counter vocabulary; worker runs add the [par.*] counters), and
+    the N{^s}-cache statistics are published when the run ends —
+    including runs cut short by an exception from the callback. Omitting
+    [obs] leaves every hot path uninstrumented.
 
     [nh] supplies the N{^s} oracle instead of creating one per run — the
     daemon passes a {!Neighborhood.of_shared} attachee so concurrent
     queries against the same graph share one warm ball cache. When set,
     [cache_capacity] is ignored and the oracle's own observer wiring (not
-    [obs]) instruments the BFS counter. [Brute] never consults an oracle.
+    [obs]) instruments the BFS counter. [Brute] and [workers] runs never
+    consult it (each worker builds its own oracle).
 
     @raise Invalid_argument when [s < 1], on an oversized [Brute] graph,
-    or when [nh] disagrees with [g]/[s] (different [s], different node
-    count).
+    when [nh] disagrees with [g]/[s] (different [s], different node
+    count), when [workers] is given to an algorithm other than a CS2
+    variant or is below 1, or when [roots] is given to [Poly_delay] or
+    [Brute] or holds an id outside [0 .. n-1].
     @raise Failure when [resume] belongs to a different
     {!checkpoint_family} than [algorithm]. *)
+
+val default_workers : unit -> int
+(** The worker count the parallel engine uses when none is given: every
+    core ([Domain.recommended_domain_count ()]). *)
 
 type refresh_delta = {
   results : Sgraph.Node_set.t list;
@@ -176,11 +191,11 @@ val refresh :
     [fingerprints:false] disables the gate (every affected root re-runs,
     the pre-fingerprint behavior — the benchmark baseline).
 
-    The surviving roots re-run on [after] — sequentially with a rooted
-    algorithm ([`Seq], default [`Seq Cs2_pf]) or via
-    {!Parallel.enumerate_roots} ([`Par workers]) — and everything else
-    is spliced through untouched, so [results] is bit-identical to a
-    full re-enumeration.
+    The surviving roots re-run on [after] through {!run}'s [roots] —
+    sequentially with a rooted algorithm ([`Seq], default [`Seq Cs2_pf])
+    or as CSCliques2P on [workers] domains ([`Par workers], default all
+    cores) — and everything else is spliced through untouched, so
+    [results] is bit-identical to a full re-enumeration.
 
     A caller-supplied [nh] oracle (currently bound to [before], with
     matching [s]) is advanced to [after] via {!Neighborhood.invalidate}
@@ -192,44 +207,32 @@ val refresh :
     oracle's [s] mismatches, or a [`Seq] algorithm has no rooted
     decomposition ([Poly_delay], [Brute]). *)
 
-val all_results :
-  ?min_size:int ->
-  ?optimized:bool ->
-  ?cache_capacity:int ->
-  ?obs:Scliques_obs.Obs.t ->
-  algorithm ->
-  Sgraph.Graph.t ->
-  s:int ->
-  Sgraph.Node_set.t list
-(** Materialized {!iter}, results in generation order. *)
-
 val first_n :
   ?min_size:int ->
-  ?optimized:bool ->
   ?cache_capacity:int ->
-  ?should_continue:(unit -> bool) ->
   ?obs:Scliques_obs.Obs.t ->
+  ?budget:Budget.t ->
   algorithm ->
   Sgraph.Graph.t ->
   s:int ->
   int ->
   Sgraph.Node_set.t list
-(** The first [n] results (fewer when the graph has fewer); enumeration
-    stops as soon as the quota is reached — the paper's "time to return
-    100 connected s-cliques" measurement shape. *)
-
-val count : ?min_size:int -> ?cache_capacity:int -> algorithm -> Sgraph.Graph.t -> s:int -> int
-(** Number of maximal connected s-cliques (of size ≥ [min_size]). *)
+(** The first [n] results the search finds (fewer when the graph has
+    fewer, or when [budget] trips first), in {!run}'s order. The run is
+    never resumed, so results are not held back per root: enumeration
+    stops at the [n]-th one found — the paper's "time to return 100
+    connected s-cliques" measurement shape. [budget] bounds the search
+    (a deadline, a cancel) and counts the results. [n = 0] runs nothing.
+    @raise Invalid_argument when [n < 0]. *)
 
 val sorted_results :
   ?min_size:int -> ?cache_capacity:int -> algorithm -> Sgraph.Graph.t -> s:int ->
   Sgraph.Node_set.t list
-(** {!all_results} sorted by {!Sgraph.Node_set.compare} — canonical form
-    for cross-algorithm comparison in tests. *)
+(** Every result of {!run}, sorted by {!Sgraph.Node_set.compare} — the
+    canonical form for cross-algorithm comparison in tests. *)
 
 val largest :
   ?cache_capacity:int ->
-  ?should_continue:(unit -> bool) ->
   algorithm ->
   Sgraph.Graph.t ->
   s:int ->

@@ -125,8 +125,10 @@ exception Found
 
 let feasible r =
   try
-    Enumerate.iter Enumerate.Cs2_pf r.graph ~s:r.s (fun c ->
-        if Node_set.subset r.seed c then raise Found);
+    let (_ : Enumerate.run_report) =
+      Enumerate.run Enumerate.Cs2_pf r.graph ~s:r.s (fun c ->
+          if Node_set.subset r.seed c then raise Found)
+    in
     false
   with Found -> true
 

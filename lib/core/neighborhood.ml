@@ -233,6 +233,10 @@ let load_mask t set =
 
 let ball_mask t v = load_mask t (ball t v)
 
+let root_split t v =
+  let b = ball t v in
+  (Node_set.filter (fun u -> u > v) b, Node_set.filter (fun u -> u < v) b)
+
 let ball_forall t c =
   if Node_set.is_empty c then Graph.nodes t.graph
   else

@@ -133,6 +133,13 @@ val invalidate : t -> after:Sgraph.Graph.t -> touched:int list -> unit
 val ball : t -> int -> Sgraph.Node_set.t
 (** [ball t v] is [N^s(v)], {b excluding} [v] itself. Cached. *)
 
+val root_split : t -> int -> Sgraph.Node_set.t * Sgraph.Node_set.t
+(** [root_split t v] is [(P, X)] for the branch on root [v] of the
+    Bron–Kerbosch adaptations' ascending root loop: the members of
+    [ball t v] above [v], and those below it. The branches of all roots
+    partition the output, each yielding the results whose smallest member
+    is its root. *)
+
 val ball_forall : t -> Sgraph.Node_set.t -> Sgraph.Node_set.t
 (** [ball_forall t c] is [N^{∀,s}(c)]: nodes (outside [c]) at distance at
     most [s] in the whole graph from every node of [c]. For an empty [c]

@@ -1,24 +1,16 @@
 module Node_set = Sgraph.Node_set
 module Graph = Sgraph.Graph
 
-type stats = {
-  results_per_worker : int array;
-  time_per_worker : float array;
-  tasks_per_worker : int array;
-  steals : int;
-  splits : int;
-}
-
 (* A unit of schedulable work. Roots travel as bare ids so the ball
    computation that materializes the root state happens on whichever
    worker executes (or steals) it, not serially up front. Subtrees carry
-   the id of the root branch they came from: budgeted runs account
-   results and completion per root. *)
+   the id of the root branch they came from: results and completion are
+   accounted per root. *)
 type work =
   | Root of int
   | Sub of int * Cs_cliques2.task
 
-(* Per-root completion tracking for budgeted runs. [root_pending.(v)]
+(* Per-root completion tracking. [root_pending.(v)]
    counts v's outstanding work items (the root item itself, plus every
    split-off subtree; children register before their parent retires, so
    0 means the whole branch ran). The worker whose decrement hits 0
@@ -33,20 +25,25 @@ type rooted = {
   buffers : Node_set.t list array; (* per-root results, under the stripe *)
   commit_lock : Mutex.t; (* serializes commits and the retired list *)
   mutable retired : int list;
-  mutable committed : Node_set.t list;
+  mutable committed : int; (* results the sink accepted *)
   budget : Budget.t;
-  on_root_retired : (int -> Node_set.t list -> unit) option;
+  sink : int -> Node_set.t list -> unit;
   fault : Scoll.Fault.t;
 }
 
 let commit_root rooted root =
+  (* the branch has run, so nothing writes this buffer any more: take it
+     out of the table whether or not the root commits, so no result
+     outlives its delivery *)
+  let buffered =
+    Scoll.Sync.with_lock rooted.stripes.(root land 63) (fun () ->
+        let rs = rooted.buffers.(root) in
+        rooted.buffers.(root) <- [];
+        rs)
+  in
   if Budget.live rooted.budget then
     Scoll.Sync.with_lock rooted.commit_lock (fun () ->
-        let rs =
-          List.rev
-            (Scoll.Sync.with_lock rooted.stripes.(root land 63) (fun () ->
-                 rooted.buffers.(root)))
-        in
+        let rs = List.rev buffered in
         (* the caller's sink runs FIRST: only once it has durably accepted
            the whole root (it may raise — injected fault, full disk) is
            the root recorded as retired. A sink failure therefore leaves
@@ -54,10 +51,10 @@ let commit_root rooted root =
            responsible for discarding whatever partial output its sink
            produced before failing (the stream format's clean-prefix
            truncation exists for exactly that). *)
-        (match rooted.on_root_retired with None -> () | Some f -> f root rs);
+        rooted.sink root rs;
         List.iter (fun _ -> Budget.note_result rooted.budget) rs;
         rooted.retired <- root :: rooted.retired;
-        rooted.committed <- List.rev_append rs rooted.committed)
+        rooted.committed <- rooted.committed + List.length rs)
 
 type shared = {
   deques : work Scoll.Deque.t array; (* one per worker, mutex-sharded *)
@@ -73,8 +70,7 @@ type shared = {
 
 (* What one worker hands back after the join. *)
 type worker_result = {
-  w_results : Node_set.t list;
-  w_time : float;
+  w_results : int; (* results this worker's tasks produced *)
   w_tasks : int;
   w_steals : int;
   w_splits : int;
@@ -83,32 +79,30 @@ type worker_result = {
 
 let run_worker ~id ~g ~s ~pivot ~feasibility ~min_size ~cache_capacity ~observed
     ~split_depth ~split_width ~split_min_subtree ~shared ~rooted () =
-  let t0 = Scliques_obs.Clock.now () in
   (* per-worker observer, oracle and sink: domains share only the
      immutable graph and the scheduler state *)
   let obs = if observed then Some (Scliques_obs.Obs.create ()) else None in
   let nh = Neighborhood.create ~cache_capacity ?obs ~s g in
-  let results = ref [] in
+  let results = ref 0 in
   (* which root branch the task being executed belongs to; set by
-     [execute] before the task body runs, read by the budgeted sink *)
+     [execute] before the task body runs, read by the buffering sink *)
   let cur_root = ref (-1) in
-  let yield, should_continue =
-    match rooted with
-    | None -> ((fun c -> results := c :: !results), fun () -> true)
-    | Some r ->
-        ( (fun c ->
-            let root = !cur_root in
-            Scoll.Sync.with_lock r.stripes.(root land 63) (fun () ->
-                r.buffers.(root) <- c :: r.buffers.(root))),
-          (* each worker gets its own checker: the countdown is local *)
-          Budget.checker r.budget )
+  let yield c =
+    incr results;
+    let root = !cur_root in
+    Scoll.Sync.with_lock rooted.stripes.(root land 63) (fun () ->
+        rooted.buffers.(root) <- c :: rooted.buffers.(root))
   in
   let rn =
-    Cs_cliques2.make_runner ~pivot ~feasibility ~min_size ~should_continue ?obs nh
-      yield
+    (* each worker gets its own checker: the countdown is local *)
+    Cs_cliques2.make_runner ~pivot ~feasibility ~min_size
+      ~should_continue:(Budget.checker rooted.budget) ?obs nh yield
   in
   let tasks = ref 0 and steals = ref 0 and splits = ref 0 in
   let workers = Array.length shared.deques in
+  (* SAFETY: the array is built before the spawn and never replaced; only
+     the atomics inside it change *)
+  let root_pending root = (rooted.root_pending.(root) [@lint.allow "domain-escape"]) in
   let pop_own () =
     Scoll.Sync.with_lock shared.locks.(id) (fun () ->
         Scoll.Deque.pop_back_opt shared.deques.(id))
@@ -136,11 +130,7 @@ let run_worker ~id ~g ~s ~pivot ~feasibility ~min_size ~cache_capacity ~observed
   in
   let push_children root children =
     ignore (Atomic.fetch_and_add shared.pending (List.length children));
-    (match rooted with
-    | None -> ()
-    | Some r ->
-        ignore
-          (Atomic.fetch_and_add r.root_pending.(root) (List.length children)));
+    ignore (Atomic.fetch_and_add (root_pending root) (List.length children));
     Scoll.Sync.with_lock shared.locks.(id) (fun () ->
         List.iter
           (fun c -> Scoll.Deque.push_back shared.deques.(id) (Sub (root, c)))
@@ -156,9 +146,7 @@ let run_worker ~id ~g ~s ~pivot ~feasibility ~min_size ~cache_capacity ~observed
        cancelled query must drain its queue in O(pending) bookkeeping,
        not O(pending) BFS work. Only the scheduler accounting below runs
        (a dead budget makes [commit_root] a no-op). *)
-    let live =
-      match rooted with None -> true | Some r -> Budget.poll r.budget
-    in
+    let live = Budget.poll rooted.budget in
     let root = match w with Root v -> v | Sub (root, _) -> root in
     if live then begin
       let t =
@@ -167,9 +155,7 @@ let run_worker ~id ~g ~s ~pivot ~feasibility ~min_size ~cache_capacity ~observed
         | Sub (_, t) -> t
       in
       cur_root := root;
-      (match rooted with
-      | None -> ()
-      | Some r -> Scoll.Fault.check r.fault "par.task");
+      Scoll.Fault.check rooted.fault "par.task";
       if
         Cs_cliques2.task_depth t < split_depth
         && Cs_cliques2.task_width t >= split_width
@@ -196,21 +182,18 @@ let run_worker ~id ~g ~s ~pivot ~feasibility ~min_size ~cache_capacity ~observed
       end
       else Cs_cliques2.run_task rn t
     end;
-    (match rooted with
-    | None -> ()
-    | Some r ->
-        (* children were registered above, so 1 -> 0 means the whole
-           branch has run; the unique winner of that decrement commits *)
-        if Atomic.fetch_and_add r.root_pending.(root) (-1) = 1 then
-          commit_root r root);
+    (* children were registered above, so 1 -> 0 means the whole
+       branch has run; the unique winner of that decrement commits *)
+    if Atomic.fetch_and_add (root_pending root) (-1) = 1 then
+      commit_root rooted root;
     Atomic.decr shared.pending
   in
   let execute w =
     (* a crash in a task body would leave [pending] above zero forever
        and put every other worker to sleep on it; record the first
        failure instead and let all loops drain. The handler does not
-       re-raise here by design: [enumerate_with_stats] re-raises with
-       the original backtrace after the domains are joined. *)
+       re-raise here by design: [run] re-raises with the original
+       backtrace after the domains are joined. *)
     (try execute w
      with e ->
        let bt = Printexc.get_raw_backtrace () in
@@ -247,64 +230,70 @@ let run_worker ~id ~g ~s ~pivot ~feasibility ~min_size ~cache_capacity ~observed
   (match obs with None -> () | Some _ -> Neighborhood.sync_obs nh);
   {
     w_results = !results;
-    w_time = Scliques_obs.Clock.now () -. t0;
     w_tasks = !tasks;
     w_steals = !steals;
     w_splits = !splits;
     w_obs = obs;
   }
 
-let enumerate_with_stats ?workers ?(split_depth = 3) ?(split_width = 8)
-    ?(split_min_subtree = 8) ?(pivot = true) ?(feasibility = false)
-    ?(min_size = 0) ?(cache_capacity = 65536) ?obs g ~s =
-  let workers =
-    match workers with Some w -> w | None -> Domain.recommended_domain_count ()
-  in
-  if workers < 1 then invalid_arg "Parallel.enumerate: workers must be >= 1";
+let run ?(split_depth = 3) ?(split_width = 8) ?(split_min_subtree = 8)
+    ?(pivot = true) ?(feasibility = false) ?(min_size = 0)
+    ?(cache_capacity = 65536) ?obs ?(fault = Scoll.Fault.none) ?roots ~workers
+    ~budget g ~s sink =
+  if workers < 1 then invalid_arg "Parallel.run: workers must be >= 1";
   let observed = Option.is_some obs in
   let n = Graph.n g in
+  let keep = Array.make (max n 1) (Option.is_none roots) in
+  Option.iter (List.iter (fun v -> keep.(v) <- true)) roots;
+  let roots = List.filter (fun v -> keep.(v)) (List.init n Fun.id) in
   let shared =
     {
       deques = Array.init workers (fun _ -> Scoll.Deque.create ());
       locks = Array.init workers (fun _ -> Mutex.create ());
-      pending = Atomic.make n;
+      pending = Atomic.make (List.length roots);
       failed = Atomic.make None;
     }
   in
   (* deal roots round-robin, ascending toward the back: owners drain their
      own deque newest-first, so thieves (who take the front) steal the
      SMALLEST remaining root id — the branch with the largest candidate
-     set, i.e. the heaviest work, which is what balancing wants moved *)
-  for v = 0 to n - 1 do
-    (* SAFETY: pre-spawn dealing — no helper domain exists yet, so these
-       unlocked pushes cannot race with the locked owner/thief accesses *)
-    (Scoll.Deque.push_back shared.deques.(v mod workers) (Root v)
-    [@lint.allow "atomicity"])
-  done;
+     set, i.e. the heaviest work, which is what balancing wants moved.
+     SAFETY: pre-spawn dealing — no helper domain exists yet, so these
+     unlocked pushes cannot race with the locked owner/thief accesses *)
+  List.iteri
+    (fun i v ->
+      (Scoll.Deque.push_back shared.deques.(i mod workers) (Root v)
+      [@lint.allow "atomicity"]))
+    roots;
+  let rooted =
+    {
+      root_pending =
+        Array.init (max n 1) (fun v -> Atomic.make (if keep.(v) then 1 else 0));
+      stripes = Array.init 64 (fun _ -> Mutex.create ());
+      buffers = Array.make (max n 1) [];
+      commit_lock = Mutex.create ();
+      retired = [];
+      committed = 0;
+      budget;
+      sink;
+      fault;
+    }
+  in
   let worker id () =
     run_worker ~id ~g ~s ~pivot ~feasibility ~min_size ~cache_capacity ~observed
-      ~split_depth ~split_width ~split_min_subtree ~shared ~rooted:None ()
+      ~split_depth ~split_width ~split_min_subtree ~shared ~rooted ()
   in
   let helpers = List.init (workers - 1) (fun i -> Domain.spawn (worker (i + 1))) in
   (* worker 0 runs in the calling domain *)
   let own = worker 0 () in
   let parts = own :: List.map Domain.join helpers in
-  (* only now, with every domain joined, surface a task crash: raising
-     earlier would leak helper domains still sleeping on [pending] *)
+  (* surface a task (or sink) crash only after every domain is joined —
+     raising earlier would leak helper domains still sleeping on
+     [pending]. The caller can still checkpoint what the sink accepted
+     before the crash, since uncommitted roots simply rerun on resume *)
   (match Atomic.get shared.failed with
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ());
-  let arr f = Array.of_list (List.map f parts) in
-  let results_per_worker = arr (fun p -> List.length p.w_results) in
-  let time_per_worker = arr (fun p -> p.w_time) in
-  let tasks_per_worker = arr (fun p -> p.w_tasks) in
-  let steals = List.fold_left (fun acc p -> acc + p.w_steals) 0 parts in
-  let splits = List.fold_left (fun acc p -> acc + p.w_splits) 0 parts in
-  (* canonical output: sorted by Node_set.compare, so the result list is
-     identical for every worker count and every steal schedule (tasks
-     partition the output, only their placement varies; sorting removes
-     the arrival order) *)
-  let all = List.sort Node_set.compare (List.concat_map (fun p -> p.w_results) parts) in
   (match obs with
   | None -> ()
   | Some into ->
@@ -318,112 +307,36 @@ let enumerate_with_stats ?workers ?(split_depth = 3) ?(split_width = 8)
                   (Scliques_obs.Obs.counter into (Printf.sprintf "par.worker%d.%s" i name))
                   v
               in
-              set "results" (List.length p.w_results);
+              set "results" p.w_results;
               set "tasks" p.w_tasks;
               Scliques_obs.Obs.merge_into ~into o)
         parts;
       let set name v = Scliques_obs.Counters.set (Scliques_obs.Obs.counter into name) v in
+      let total f = List.fold_left (fun acc p -> acc + f p) 0 parts in
+      let loads = List.map (fun p -> p.w_results) parts in
       set "par.workers" workers;
-      set "par.results" (List.length all);
-      set "par.tasks" (Array.fold_left ( + ) 0 tasks_per_worker);
-      set "par.steals" steals;
-      set "par.splits" splits;
-      set "par.max_worker_results" (Array.fold_left Int.max 0 results_per_worker);
-      set "par.min_worker_results" (Array.fold_left Int.min max_int results_per_worker));
-  (all, { results_per_worker; time_per_worker; tasks_per_worker; steals; splits })
+      (* SAFETY: every helper domain is joined above — this read happens
+         after quiescence, so the commit lock is not needed *)
+      set "par.results" (rooted.committed [@lint.allow "atomicity"]);
+      set "par.tasks" (total (fun p -> p.w_tasks));
+      set "par.steals" (total (fun p -> p.w_steals));
+      set "par.splits" (total (fun p -> p.w_splits));
+      set "par.max_worker_results" (List.fold_left Int.max 0 loads);
+      set "par.min_worker_results" (List.fold_left Int.min max_int loads));
+  (* SAFETY: as above, read after every domain joined *)
+  (Budget.status budget, List.sort Int.compare (rooted.retired [@lint.allow "atomicity"]))
 
-let enumerate ?workers ?split_depth ?split_width ?split_min_subtree ?pivot
+let enumerate ~workers ?split_depth ?split_width ?split_min_subtree ?pivot
     ?feasibility ?min_size ?cache_capacity ?obs g ~s =
-  fst
-    (enumerate_with_stats ?workers ?split_depth ?split_width ?split_min_subtree
-       ?pivot ?feasibility ?min_size ?cache_capacity ?obs g ~s)
-
-let enumerate_budgeted ?workers ?(split_depth = 3) ?(split_width = 8)
-    ?(split_min_subtree = 8) ?(pivot = true) ?(feasibility = false)
-    ?(min_size = 0) ?(cache_capacity = 65536) ?obs ?(fault = Scoll.Fault.none)
-    ?(skip_roots = []) ?on_root_retired ~budget g ~s =
-  let workers =
-    match workers with Some w -> w | None -> Domain.recommended_domain_count ()
+  (* the sink runs under the commit lock, one root at a time *)
+  let acc = ref [] in
+  let (_ : Budget.outcome), (_ : int list) =
+    run ?split_depth ?split_width ?split_min_subtree ?pivot ?feasibility ?min_size
+      ?cache_capacity ?obs ~workers ~budget:(Budget.unlimited ()) g ~s
+      (fun _root rs -> acc := List.rev_append rs !acc)
   in
-  if workers < 1 then invalid_arg "Parallel.enumerate_budgeted: workers must be >= 1";
-  let observed = Option.is_some obs in
-  let n = Graph.n g in
-  let skip = Array.make (max n 1) false in
-  List.iter (fun v -> if v >= 0 && v < n then skip.(v) <- true) skip_roots;
-  let roots = List.filter (fun v -> not skip.(v)) (List.init n Fun.id) in
-  let shared =
-    {
-      deques = Array.init workers (fun _ -> Scoll.Deque.create ());
-      locks = Array.init workers (fun _ -> Mutex.create ());
-      pending = Atomic.make (List.length roots);
-      failed = Atomic.make None;
-    }
-  in
-  (* SAFETY: pre-spawn dealing, as in [enumerate] above *)
-  List.iteri
-    (fun i v ->
-      (Scoll.Deque.push_back shared.deques.(i mod workers) (Root v)
-      [@lint.allow "atomicity"]))
-    roots;
-  let rooted =
-    {
-      root_pending =
-        Array.init (max n 1) (fun v -> Atomic.make (if skip.(v) then 0 else 1));
-      stripes = Array.init 64 (fun _ -> Mutex.create ());
-      buffers = Array.make (max n 1) [];
-      commit_lock = Mutex.create ();
-      retired = [];
-      committed = [];
-      budget;
-      on_root_retired;
-      fault;
-    }
-  in
-  let worker id () =
-    run_worker ~id ~g ~s ~pivot ~feasibility ~min_size ~cache_capacity ~observed
-      ~split_depth ~split_width ~split_min_subtree ~shared ~rooted:(Some rooted) ()
-  in
-  let helpers = List.init (workers - 1) (fun i -> Domain.spawn (worker (i + 1))) in
-  let own = worker 0 () in
-  let parts = own :: List.map Domain.join helpers in
-  (* surface a task (or sink) crash only after every domain is joined —
-     the caller can still checkpoint what [on_root_retired] delivered
-     before the crash, since uncommitted roots simply rerun on resume *)
-  (match Atomic.get shared.failed with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ());
-  (match obs with
-  | None -> ()
-  | Some into ->
-      List.iter
-        (fun p ->
-          match p.w_obs with None -> () | Some o -> Scliques_obs.Obs.merge_into ~into o)
-        parts;
-      Scliques_obs.Counters.set
-        (Scliques_obs.Obs.counter into "par.workers")
-        workers);
-  (* SAFETY: every helper domain is joined above — these reads happen after
-     quiescence, sequentially, so the commit lock is not needed *)
-  ( List.sort Node_set.compare (rooted.committed [@lint.allow "atomicity"]),
-    Budget.status budget,
-    List.sort Int.compare (rooted.retired [@lint.allow "atomicity"]) )
-
-let enumerate_roots ?workers ?split_depth ?split_width ?split_min_subtree
-    ?pivot ?feasibility ?min_size ?cache_capacity ?obs ~roots g ~s =
-  let n = Graph.n g in
-  let keep = Array.make (max n 1) false in
-  List.iter
-    (fun v ->
-      if v < 0 || v >= n then
-        invalid_arg "Parallel.enumerate_roots: root out of range";
-      keep.(v) <- true)
-    roots;
-  let skip_roots = List.filter (fun v -> not keep.(v)) (List.init n Fun.id) in
-  let results, _outcome, _retired =
-    (* an unlimited budget never trips, so every kept root commits and the
-       committed list is exactly the union of the requested branches *)
-    enumerate_budgeted ?workers ?split_depth ?split_width ?split_min_subtree
-      ?pivot ?feasibility ?min_size ?cache_capacity ?obs ~skip_roots
-      ~budget:(Budget.unlimited ()) g ~s
-  in
-  results
+  (* canonical output: sorted by Node_set.compare, so the result list is
+     identical for every worker count and every steal schedule (tasks
+     partition the output, only their placement varies; sorting removes
+     the arrival order) *)
+  List.sort Node_set.compare !acc

@@ -28,93 +28,12 @@
     the only shared mutable state is the scheduler's. Task placement
     never affects the result {e set} — every subproblem's state is fully
     computed before it is queued — so the canonicalized output is
-    schedule-independent. *)
+    schedule-independent.
 
-type stats = {
-  results_per_worker : int array;
-  time_per_worker : float array;  (** wall-clock seconds in each domain *)
-  tasks_per_worker : int array;
-      (** scheduler work items (roots + split-off subtrees) each worker
-          executed — the load-balance measure that, unlike results, also
-          counts fruitless subtrees *)
-  steals : int;  (** work items taken from another worker's deque *)
-  splits : int;  (** oversized subproblems expanded into requeued children *)
-}
+    Callers normally reach this engine through [Enumerate.run ~workers],
+    which adds resume and root-subset selection on top of {!run}. *)
 
-val enumerate :
-  ?workers:int ->
-  ?split_depth:int ->
-  ?split_width:int ->
-  ?split_min_subtree:int ->
-  ?pivot:bool ->
-  ?feasibility:bool ->
-  ?min_size:int ->
-  ?cache_capacity:int ->
-  ?obs:Scliques_obs.Obs.t ->
-  Sgraph.Graph.t ->
-  s:int ->
-  Sgraph.Node_set.t list
-(** All maximal connected s-cliques, each exactly once, {b canonicalized}:
-    sorted in increasing {!Sgraph.Node_set.compare} order, so the returned
-    list is identical for every [workers], [split_depth] and [split_width]
-    value (subproblems partition the output; only arrival order varies,
-    and sorting removes it). [workers] defaults to
-    [Domain.recommended_domain_count ()]; [pivot] defaults to [true].
-    Subtrees at recursion depth below [split_depth] (default [3]) with at
-    least [split_width] (default [8]) candidates are split for stealing
-    rather than run in place; [split_depth <= 0] disables splitting.
-    When a split fires, only the children with at least
-    [split_min_subtree] (default [8]) candidates are queued for stealing
-    — smaller ones are run inline by the splitting worker, since queueing
-    a near-leaf subtree costs more in deque traffic than it buys in
-    parallelism; [split_min_subtree <= 0] queues every child (the
-    pre-threshold behavior).
-    @raise Invalid_argument when [workers < 1] or [s < 1]. *)
-
-val enumerate_with_stats :
-  ?workers:int ->
-  ?split_depth:int ->
-  ?split_width:int ->
-  ?split_min_subtree:int ->
-  ?pivot:bool ->
-  ?feasibility:bool ->
-  ?min_size:int ->
-  ?cache_capacity:int ->
-  ?obs:Scliques_obs.Obs.t ->
-  Sgraph.Graph.t ->
-  s:int ->
-  Sgraph.Node_set.t list * stats
-(** Same, plus scheduler statistics. With [obs], every worker runs its
-    own observer (domains never share one): per-worker delay recorders
-    and recursion counters are merged into [obs] after the join, and the
-    scheduler counters [par.workers], [par.results], [par.tasks],
-    [par.steals], [par.splits], [par.worker<i>.results],
-    [par.worker<i>.tasks], [par.max_worker_results] and
-    [par.min_worker_results] are published. *)
-
-val enumerate_roots :
-  ?workers:int ->
-  ?split_depth:int ->
-  ?split_width:int ->
-  ?split_min_subtree:int ->
-  ?pivot:bool ->
-  ?feasibility:bool ->
-  ?min_size:int ->
-  ?cache_capacity:int ->
-  ?obs:Scliques_obs.Obs.t ->
-  roots:int list ->
-  Sgraph.Graph.t ->
-  s:int ->
-  Sgraph.Node_set.t list
-(** Like {!enumerate} but restricted to the given root branches: exactly
-    the maximal connected s-cliques whose {e smallest member} is listed in
-    [roots], canonically sorted. Duplicates in [roots] are fine. This is
-    the parallel engine behind [Enumerate.refresh]'s re-enumeration of
-    the affected roots after an edit batch.
-    @raise Invalid_argument when a root is outside [0 .. n-1]. *)
-
-val enumerate_budgeted :
-  ?workers:int ->
+val run :
   ?split_depth:int ->
   ?split_width:int ->
   ?split_min_subtree:int ->
@@ -124,43 +43,85 @@ val enumerate_budgeted :
   ?cache_capacity:int ->
   ?obs:Scliques_obs.Obs.t ->
   ?fault:Scoll.Fault.t ->
-  ?skip_roots:int list ->
-  ?on_root_retired:(int -> Sgraph.Node_set.t list -> unit) ->
+  ?roots:int list ->
+  workers:int ->
   budget:Budget.t ->
   Sgraph.Graph.t ->
   s:int ->
-  Sgraph.Node_set.t list * Budget.outcome * int list
-(** Budget-aware {!enumerate} with per-root completion tracking. Returns
-    [(results, outcome, retired)]: the canonically sorted results of every
-    {e committed} root, the budget's verdict, and the sorted committed
-    root ids (excluding [skip_roots]) — ready for a
-    [Checkpoint.Roots { retired = skip_roots @ retired }].
+  (int -> Sgraph.Node_set.t list -> unit) ->
+  Budget.outcome * int list
+(** [run ~workers ~budget g ~s sink] runs the root branches [roots]
+    (default: every node; duplicates are fine; ids must lie in
+    [0 .. n-1], which [Enumerate.run] checks) of CsCliques2 ([pivot]
+    defaults to [true], [feasibility] to [false]) on [workers] domains,
+    the calling domain being worker 0. It returns the budget's verdict
+    and the sorted ids of the roots this call {e committed}.
 
     A root commits when its whole branch has executed and the budget is
-    still live at that moment; the trip flag is sticky, so a deadline or
+    still live at that moment: [sink root results] then receives all of
+    the root's results, and only once the sink returns is the root
+    recorded retired and each result counted with
+    {!Budget.note_result}. A branch's results are held only until that
+    moment: the engine keeps no result after handing it to the sink, or
+    after its root failed to commit. The trip flag is sticky, so a deadline or
     cancel that pruned any subtree leaves its root uncommitted, and a
-    resume ([skip_roots] = previously retired) reruns exactly the
-    uncommitted roots. A deadline or cancel is honored within one poll
-    cadence per worker ({!Budget.create}'s [poll_every] recursion
-    entries) {e and} at every task pickup, where the budget is polled in
-    full; once tripped, remaining queued work drains as pure bookkeeping
-    — no root-ball BFS, no visits — so a disconnected client's query
-    stops paying for enumeration within [poll_every] extend-calls.
-    [Max_results] is root-atomic: the capping root's results are all
-    kept.
+    resume that passes the other roots reruns exactly the uncommitted
+    ones. A deadline or cancel is honored within one poll cadence per
+    worker ({!Budget.create}'s [poll_every] recursion entries) {e and} at
+    every task pickup, where the budget is polled in full; once tripped,
+    remaining queued work drains as pure bookkeeping — no root-ball BFS,
+    no visits. [Max_results] is root-atomic: the capping root's results
+    are all delivered. On a resume, seed the budget with
+    {!Budget.preload_results}.
 
-    [on_root_retired root results] runs {b in a worker domain}, serialized
-    under the commit lock, {e before} the root is recorded retired — the
-    streaming sink. If it raises, the root stays uncommitted and the
-    exception aborts the run (re-raised after every domain joins, like a
-    task crash); roots already committed remain valid for checkpointing,
-    which the caller observed through earlier callbacks.
+    The sink runs {b in a worker domain}, serialized under the commit
+    lock. If it raises, the root stays uncommitted and the exception
+    aborts the run (re-raised after every domain joins, like a task
+    crash); roots whose sink call returned remain valid for
+    checkpointing.
+
+    Subtrees at recursion depth below [split_depth] (default [3]) with
+    at least [split_width] (default [8]) candidates are split for
+    stealing rather than run in place; [split_depth <= 0] disables
+    splitting. When a split fires, only the children with at least
+    [split_min_subtree] (default [8]) candidates are queued for stealing
+    — smaller ones are run inline by the splitting worker, since
+    queueing a near-leaf subtree costs more in deque traffic than it
+    buys in parallelism; [split_min_subtree <= 0] queues every child.
 
     [fault] arms the [par.task] injection site (the crash drill: the Nth
-    executed work item raises). A crashed task's root can never commit —
-    the failure cannot corrupt the retired set — and termination is
-    unaffected because every worker drains as soon as the failure is
-    recorded.
+    executed work item raises). A crashed task's root can never commit,
+    and termination is unaffected because every worker drains as soon as
+    the failure is recorded.
 
-    Each callback result was already counted via {!Budget.note_result};
-    on a resume, seed the budget with {!Budget.preload_results}. *)
+    With [obs], every worker runs its own observer (domains never share
+    one): per-worker delay recorders and search counters are merged into
+    [obs] after the join, and the scheduler counters [par.workers],
+    [par.results] (results delivered to the sink), [par.tasks],
+    [par.steals], [par.splits], [par.worker<i>.results] (results worker
+    [i]'s tasks produced), [par.worker<i>.tasks] (work items it
+    executed, fruitless subtrees included), [par.max_worker_results] and
+    [par.min_worker_results] are published.
+
+    @raise Invalid_argument when [workers < 1]. *)
+
+val enumerate :
+  workers:int ->
+  ?split_depth:int ->
+  ?split_width:int ->
+  ?split_min_subtree:int ->
+  ?pivot:bool ->
+  ?feasibility:bool ->
+  ?min_size:int ->
+  ?cache_capacity:int ->
+  ?obs:Scliques_obs.Obs.t ->
+  Sgraph.Graph.t ->
+  s:int ->
+  Sgraph.Node_set.t list
+(** Every maximal connected s-clique, each exactly once, from an
+    unbudgeted {!run} over all roots, {b canonicalized}: sorted in
+    increasing {!Sgraph.Node_set.compare} order, so the returned list is
+    identical for every [workers], [split_depth] and [split_width] value
+    (subproblems partition the output; only arrival order varies, and
+    sorting removes it).
+    @raise Invalid_argument when [workers < 1] or [s < 1]. *)

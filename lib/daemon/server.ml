@@ -412,65 +412,36 @@ let cancelled_done id =
       d_resume = None;
     }
 
+(* [par] is CSCliques2P on the daemon's work-stealing worker count *)
+let engine srv = function
+  | Protocol.Alg alg -> (alg, None)
+  | Protocol.Par -> (E.Cs2_p, Some srv.par_workers)
+
 let exec_query srv sess entry cell (q : Protocol.query) budget =
-  let emitted = ref 0 in
-  let yield set =
-    send srv sess (Protocol.Result (q.q_id, Stream.encode_set set));
-    incr emitted
+  let yield set = send srv sess (Protocol.Result (q.q_id, Stream.encode_set set)) in
+  let alg, workers = engine srv q.q_engine in
+  (* the brute oracle and the work-stealing workers never consult an N^s
+     oracle; every other engine attaches to the shared warm cache *)
+  let nh =
+    match (alg, workers) with
+    | E.Brute, _ | _, Some _ -> None
+    | _ -> Some (Neighborhood.of_shared (store_for srv entry cell q.q_s))
   in
-  match q.q_engine with
-  | Protocol.Alg alg ->
-      (* the brute oracle never consults an N^s oracle; every other
-         sequential engine attaches to the shared warm cache *)
-      let nh =
-        match alg with
-        | E.Brute -> None
-        | _ -> Some (Neighborhood.of_shared (store_for srv entry cell q.q_s))
-      in
-      let report =
-        E.run ~min_size:q.q_min_size ?nh ~budget ?resume:q.q_resume alg
-          cell.ec_graph ~s:q.q_s yield
-      in
-      (* unregister before the terminal frame: the moment the client
-         reads Done, the id is free to reuse on this connection *)
-      unregister sess q.q_id;
-      send srv sess
-        (Protocol.Done
-           {
-             d_id = q.q_id;
-             d_outcome = report.E.outcome;
-             d_emitted = !emitted;
-             d_resume = report.E.resumable;
-           })
-  | Protocol.Par ->
-      let skip_roots =
-        match q.q_resume with
-        | Some (Ckpt.Roots { retired }) -> retired
-        | _ -> []
-      in
-      let on_root_retired _root results = List.iter yield results in
-      let _, outcome, retired =
-        Scliques_core.Parallel.enumerate_budgeted ~workers:srv.par_workers
-          ~min_size:q.q_min_size ~budget ~skip_roots ~on_root_retired
-          cell.ec_graph ~s:q.q_s
-      in
-      let d_resume =
-        match outcome with
-        | Budget.Complete -> None
-        | Budget.Truncated _ ->
-            Some
-              (Ckpt.Roots
-                 { retired = List.sort Int.compare (skip_roots @ retired) })
-      in
-      unregister sess q.q_id;
-      send srv sess
-        (Protocol.Done
-           {
-             d_id = q.q_id;
-             d_outcome = outcome;
-             d_emitted = !emitted;
-             d_resume;
-           })
+  let report =
+    E.run ~min_size:q.q_min_size ?nh ~budget ?resume:q.q_resume ?workers alg
+      cell.ec_graph ~s:q.q_s yield
+  in
+  (* unregister before the terminal frame: the moment the client reads
+     Done, the id is free to reuse on this connection *)
+  unregister sess q.q_id;
+  send srv sess
+    (Protocol.Done
+       {
+         d_id = q.q_id;
+         d_outcome = report.E.outcome;
+         d_emitted = report.E.emitted;
+         d_resume = report.E.resumable;
+       })
 
 let run_job srv sess entry cell (q : Protocol.query) budget =
   Fun.protect
@@ -507,11 +478,7 @@ let validate srv sess (q : Protocol.query) =
       else if live_query sess q.q_id then
         Error (Printf.sprintf "query id %d is already in flight" q.q_id)
       else begin
-        let family =
-          match q.q_engine with
-          | Protocol.Alg alg -> E.checkpoint_family alg
-          | Protocol.Par -> "roots"
-        in
+        let family = E.checkpoint_family (fst (engine srv q.q_engine)) in
         match q.q_resume with
         | Some st when not (String.equal (Ckpt.family st) family) ->
             Error

@@ -19,9 +19,12 @@
     - [cs2.calls], [cs2.max_depth], [cs2.emits], [cs2.pivot_prunes],
       [cs2.feasibility_prunes] — CsCliques2 (Fig. 7, §5.3);
     - [brute.emits] — the oracle;
-    - [par.workers], [par.results] — the §8 parallel decomposition
-      (worker recorders and counters are merged into the caller's
-      handle). *)
+    - [par.workers], [par.results], [par.tasks], [par.steals],
+      [par.splits], [par.worker<i>.results], [par.worker<i>.tasks],
+      [par.max_worker_results], [par.min_worker_results] — the §8
+      parallel decomposition (worker recorders and counters are merged
+      into the caller's handle; steals and the per-worker loads vary
+      with the steal schedule). *)
 
 type t
 

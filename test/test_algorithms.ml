@@ -120,8 +120,7 @@ let connected_tests =
           let g = fig1 () in
           List.iter
             (fun (s, expected) ->
-              check int (Printf.sprintf "s=%d" s) expected
-                (List.length (E.all_results alg g ~s)))
+              check int (Printf.sprintf "s=%d" s) expected (Test_support.count alg g ~s))
             [ (1, 6); (2, 3); (3, 2); (4, 1) ]))
   @ per_variant "exact sets on figure 1 at s=2" (fun title alg ->
         Alcotest.test_case title `Quick (fun () ->
@@ -148,7 +147,7 @@ let connected_tests =
               (E.sorted_results alg (G.empty 2) ~s:2)))
   @ per_variant "empty graph yields nothing" (fun title alg ->
         Alcotest.test_case title `Quick (fun () ->
-            check int "none" 0 (E.count alg (G.empty 0) ~s:2)))
+            check int "none" 0 (Test_support.count alg (G.empty 0) ~s:2)))
   @ per_variant "single node" (fun title alg ->
         Alcotest.test_case title `Quick (fun () ->
             check Test_support.ns_list "it alone" [ of_l [ 0 ] ]
@@ -253,8 +252,8 @@ let enumerate_tests =
         check int "3" 3 (List.length (E.first_n E.Cs2_p (fig1 ()) ~s:2 100)));
     Alcotest.test_case "count equals list length" `Quick (fun () ->
         let g = Test_support.random_graph 16 ~n:30 ~m:60 in
-        check int "consistent" (List.length (E.all_results E.Cs2_p g ~s:2))
-          (E.count E.Cs2_p g ~s:2));
+        check int "consistent" (List.length (E.sorted_results E.Cs2_p g ~s:2))
+          (Test_support.count E.Cs2_p g ~s:2));
     Alcotest.test_case "min_size optimized vs filtered agree" `Quick (fun () ->
         let g = Test_support.random_graph 17 ~n:25 ~m:50 in
         List.iter
@@ -276,13 +275,18 @@ let enumerate_tests =
         let g = Test_support.random_graph 18 ~n:25 ~m:60 in
         List.iter
           (fun alg ->
-            let opt = sorted (E.all_results ~min_size:5 ~optimized:true alg g ~s:2) in
-            let plain = sorted (E.all_results ~min_size:5 ~optimized:false alg g ~s:2) in
-            check Test_support.ns_list (E.name alg) plain opt)
+            (* Fig. 10's baseline: the full run, filtered at the output *)
+            let opt = E.sorted_results ~min_size:5 alg g ~s:2 in
+            let plain =
+              List.filter
+                (fun c -> NS.cardinal c >= 5)
+                (Test_support.run_results alg g ~s:2)
+            in
+            check Test_support.ns_list (E.name alg) (sorted plain) opt)
           variants);
     Alcotest.test_case "brute via front-end honors min_size" `Quick (fun () ->
         check int "only >= 4 on fig1 s=2" 3
-          (E.count ~min_size:4 E.Brute (fig1 ()) ~s:2));
+          (Test_support.count ~min_size:4 E.Brute (fig1 ()) ~s:2));
     Alcotest.test_case "cache_capacity 0 still correct" `Quick (fun () ->
         let g = Test_support.random_graph 19 ~n:20 ~m:40 in
         List.iter
@@ -303,12 +307,14 @@ let enumerate_tests =
         List.iter
           (fun alg ->
             let seen = ref 0 in
-            E.iter ~should_continue:(fun () -> false) alg g ~s:2 (fun _ -> incr seen);
+            let budget = Scliques_core.Budget.create () in
+            Scliques_core.Budget.request_cancel budget;
+            let (_ : E.run_report) = E.run ~budget alg g ~s:2 (fun _ -> incr seen) in
             check int (E.name alg) 0 !seen)
           variants);
     Alcotest.test_case "largest returns the k biggest, descending" `Quick (fun () ->
         let g = Test_support.random_graph 25 ~n:30 ~m:80 in
-        let all = E.all_results E.Cs2_p g ~s:2 in
+        let all = E.sorted_results E.Cs2_p g ~s:2 in
         let by_size =
           List.sort
             (fun a b ->
@@ -333,9 +339,40 @@ let enumerate_tests =
         let g = Test_support.random_graph 24 ~n:30 ~m:70 in
         List.iter
           (fun alg ->
-            let a = E.all_results alg g ~s:2 in
-            let b = E.all_results alg g ~s:2 in
+            let a = Test_support.run_results alg g ~s:2 in
+            let b = Test_support.run_results alg g ~s:2 in
             check Test_support.ns_list (E.name alg) a b)
+          variants);
+    Alcotest.test_case "first_n and unbudgeted runs stop at the n-th result found"
+      `Quick (fun () ->
+        (* root 0's branch of the gadget alone holds far more than 3
+           results: holding them back until the root commits would make
+           the search emit all of them first *)
+        let g = Sgraph.Gen.exponential_gadget 6 in
+        let emits alg go =
+          let obs = Scliques_obs.Obs.create () in
+          go obs;
+          let engine =
+            match alg with E.Poly_delay -> "pd" | E.Cs1 -> "cs1" | _ -> "cs2"
+          in
+          Scliques_obs.Counters.find (Scliques_obs.Obs.counters obs) (engine ^ ".emits")
+        in
+        List.iter
+          (fun alg ->
+            check (Alcotest.option int) (E.name alg ^ " first_n") (Some 3)
+              (emits alg (fun obs -> ignore (E.first_n ~obs alg g ~s:2 3)));
+            check (Alcotest.option int) (E.name alg ^ " run") (Some 3)
+              (emits alg (fun obs ->
+                   let got = ref 0 in
+                   let exception Enough in
+                   try
+                     let (_ : E.run_report) =
+                       E.run ~obs alg g ~s:2 (fun _ ->
+                           incr got;
+                           if !got = 3 then raise Enough)
+                     in
+                     ()
+                   with Enough -> ())))
           variants);
   ]
 

@@ -3,10 +3,10 @@
    equality, and the fault drill — injected socket failures and client
    disconnects must degrade to per-query errors, never a wedged daemon.
 
-   Also pins the Parallel.enumerate_budgeted fix this PR ships: once a
-   budget is dead, draining the remaining queue is pure bookkeeping (no
-   root-ball BFS, no visits), so a disconnected client's query stops
-   paying for enumeration within one poll cadence. *)
+   Also pins the work-stealing engine's cancel bound: once a budget is
+   dead, draining the remaining queue is pure bookkeeping (no root-ball
+   BFS, no visits), so a disconnected client's query stops paying for
+   enumeration within one poll cadence. *)
 
 module NS = Sgraph.Node_set
 module E = Scliques_core.Enumerate
@@ -1377,14 +1377,13 @@ let test_dead_budget_drains_free () =
   let g = gadget 8 in
   let obs = Obs.create () in
   let budget = Budget.create ~deadline_s:0. () in
-  let results, outcome, retired =
-    Parallel.enumerate_budgeted ~workers:2 ~obs ~budget g ~s:2
-  in
-  (match outcome with
+  let report = E.run ~workers:2 ~obs ~budget E.Cs2_p g ~s:2 ignore in
+  (match report.E.outcome with
   | Budget.Truncated Budget.Deadline -> ()
   | _ -> Alcotest.fail "dead budget did not trip");
-  Alcotest.(check int) "no results" 0 (List.length results);
-  Alcotest.(check int) "no roots retired" 0 (List.length retired);
+  Alcotest.(check int) "no results" 0 report.E.emitted;
+  Alcotest.(check bool) "no roots retired" true
+    (report.E.resumable = Some (Ckpt.Roots { retired = [] }));
   Alcotest.(check int) "zero visit entries while draining" 0
     (counter_value obs "cs2.calls");
   Alcotest.(check int) "zero ball BFS while draining" 0
@@ -1403,9 +1402,8 @@ let test_cancel_stops_paying () =
       incr retired_seen;
       if cancel && !retired_seen = 1 then Budget.request_cancel budget
     in
-    let _, outcome, retired =
-      Parallel.enumerate_budgeted ~workers:1 ~obs ~budget ~on_root_retired g
-        ~s:2
+    let outcome, retired =
+      Parallel.run ~workers:1 ~obs ~budget g ~s:2 on_root_retired
     in
     ( outcome,
       List.length retired,
@@ -1435,21 +1433,27 @@ let test_skip_roots_drain_is_free () =
   (* resuming with every root already retired: the whole queue is skipped
      work, and skipping must not BFS the root balls either *)
   let g = gadget 6 in
-  let _, outcome, all_retired =
-    Parallel.enumerate_budgeted ~workers:1 ~budget:(Budget.create ()) g ~s:2
+  let outcome, all_retired =
+    Parallel.run ~workers:1 ~budget:(Budget.create ()) g ~s:2 (fun _ _ -> ())
   in
   (match outcome with
   | Budget.Complete -> ()
   | Budget.Truncated _ -> Alcotest.fail "setup run truncated");
   let obs = Obs.create () in
-  let results, outcome, retired =
-    Parallel.enumerate_budgeted ~workers:1 ~obs ~budget:(Budget.create ())
-      ~skip_roots:all_retired g ~s:2
+  let emitted = ref 0 in
+  let outcome, retired =
+    Parallel.run ~workers:1 ~obs ~budget:(Budget.create ())
+      ~roots:
+        (List.filter
+           (fun v -> not (List.mem v all_retired))
+           (List.init (Sgraph.Graph.n g) Fun.id))
+      g ~s:2
+      (fun _ rs -> emitted := !emitted + List.length rs)
   in
   (match outcome with
   | Budget.Complete -> ()
   | Budget.Truncated _ -> Alcotest.fail "skip-all run truncated");
-  Alcotest.(check int) "nothing re-emitted" 0 (List.length results);
+  Alcotest.(check int) "nothing re-emitted" 0 !emitted;
   Alcotest.(check int) "nothing newly retired" 0 (List.length retired);
   Alcotest.(check int) "skipped roots cost zero visits" 0
     (counter_value obs "cs2.calls")

@@ -233,28 +233,39 @@ let prop_parallel_deterministic =
               first second))
 
 let test_parallel_scheduler_stats () =
-  (* accounting invariants of the stats block on a graph big enough that
-     splitting actually happens *)
+  (* accounting invariants of the par.* counters on a graph big enough
+     that splitting actually happens *)
   let g = Sgraph.Gen.barabasi_albert (Scoll.Rng.create 11) ~n:60 ~m_attach:3 in
-  let results, stats =
-    Scliques_core.Parallel.enumerate_with_stats ~workers:4 ~split_depth:3
-      ~split_width:2 g ~s:2
+  let obs = Scliques_obs.Obs.create () in
+  let results =
+    Scliques_core.Parallel.enumerate ~workers:4 ~split_depth:3 ~split_width:2 ~obs g
+      ~s:2
   in
-  let sum = Array.fold_left ( + ) 0 in
+  let counter name =
+    Option.value ~default:(-1)
+      (Scliques_obs.Counters.find (Scliques_obs.Obs.counters obs) name)
+  in
+  let per_worker what =
+    List.fold_left ( + ) 0
+      (List.init 4 (fun i -> counter (Printf.sprintf "par.worker%d.%s" i what)))
+  in
+  let tasks = per_worker "tasks" in
+  Alcotest.(check int) "workers counted" 4 (counter "par.workers");
+  Alcotest.(check int) "delivered results counted" (List.length results)
+    (counter "par.results");
   Alcotest.(check int)
     "per-worker results sum to the total" (List.length results)
-    (sum stats.Scliques_core.Parallel.results_per_worker);
+    (per_worker "results");
+  Alcotest.(check int) "per-worker tasks sum to the total" (counter "par.tasks") tasks;
   Alcotest.(check bool)
     "tasks cover at least the root branches" true
-    (sum stats.Scliques_core.Parallel.tasks_per_worker >= Sgraph.Graph.n g);
+    (tasks >= Sgraph.Graph.n g);
   Alcotest.(check bool)
     "splits were exercised at these thresholds" true
-    (stats.Scliques_core.Parallel.splits > 0);
+    (counter "par.splits" > 0);
   Alcotest.(check bool)
     "steal count is sane" true
-    (stats.Scliques_core.Parallel.steals >= 0
-    && stats.Scliques_core.Parallel.steals
-       <= sum stats.Scliques_core.Parallel.tasks_per_worker)
+    (counter "par.steals" >= 0 && counter "par.steals" <= tasks)
 
 let test_parallel_fixed_graph () =
   (* deterministic pin of the same guarantee on one scale-free instance *)
@@ -267,6 +278,91 @@ let test_parallel_fixed_graph () =
         reference
         (Scliques_core.Parallel.enumerate ~workers g ~s:2))
     [ 2; 4 ]
+
+(* ---------- root subsets ---------- *)
+
+(* (family, n, edge parameter, s, seed, parts): ER/SF graphs of up to 60
+   nodes, fewer as s grows (the unpruned variants run too, as in
+   [arb_graph_case]), with the root range [0, n) dealt at random into
+   [parts] parts *)
+let arb_roots_case =
+  let open QCheck2.Gen in
+  oneofl [ `Er; `Sf ] >>= fun family ->
+  int_range 1 3 >>= fun s ->
+  int_range 2 (match s with 1 -> 60 | 2 -> 30 | _ -> 16) >>= fun n ->
+  int_range 0 (2 * n) >>= fun m ->
+  int_range 0 1_000_000 >>= fun seed ->
+  int_range 1 4 >>= fun parts -> return (family, n, m, s, seed, parts)
+
+let print_roots_case (family, n, m, s, seed, parts) =
+  Printf.sprintf "%s parts=%d" (print_case (family, n, m, s, seed)) parts
+
+let rooted_engines =
+  (E.Cs1, None)
+  :: List.concat_map
+       (fun alg -> [ (alg, None); (alg, Some 2) ])
+       [ E.Cs2; E.Cs2_f; E.Cs2_p; E.Cs2_pf ]
+
+let prop_root_subsets_partition =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:40 ~name:"root subsets partition the answer"
+       ~print:print_roots_case arb_roots_case
+       (fun (family, n, m, s, seed, parts) ->
+         let g = graph_of_case (family, n, m, seed) in
+         let full = E.sorted_results E.Cs2_pf g ~s in
+         let rng = Scoll.Rng.create (seed + 1) in
+         let part_of = Array.init n (fun _ -> Scoll.Rng.int rng parts) in
+         let part p = List.filter (fun v -> part_of.(v) = p) (List.init n Fun.id) in
+         List.for_all
+           (fun (alg, workers) ->
+             let label =
+               Printf.sprintf "%s workers=%s" (E.name alg)
+                 (match workers with Some w -> string_of_int w | None -> "-")
+             in
+             let got =
+               List.concat
+                 (List.init parts (fun p ->
+                      let roots = part p in
+                      let rs =
+                        collect (fun sink -> ignore (E.run ?workers ~roots alg g ~s sink))
+                      in
+                      List.iter
+                        (fun c ->
+                          if part_of.(NS.min_elt c) <> p then
+                            QCheck2.Test.fail_reportf
+                              "%s: %a has its root outside part %d" label NS.pp c p)
+                        rs;
+                      rs))
+             in
+             let got = List.sort NS.compare got in
+             same_sets full got || show_mismatch label full got)
+           rooted_engines))
+
+let raises_invalid name f =
+  match f () with
+  | exception Invalid_argument _ -> ()
+  | (_ : E.run_report) -> Alcotest.failf "%s: expected Invalid_argument" name
+
+let test_run_refusals () =
+  let g = Sgraph.Gen.exponential_gadget 3 in
+  let n = Sgraph.Graph.n g in
+  List.iter
+    (fun root ->
+      raises_invalid (Printf.sprintf "root %d" root) (fun () ->
+          E.run ~roots:[ 0; root ] E.Cs2_pf g ~s:2 ignore);
+      raises_invalid (Printf.sprintf "root %d, workers" root) (fun () ->
+          E.run ~workers:2 ~roots:[ root ] E.Cs2_p g ~s:2 ignore))
+    [ -1; n ];
+  List.iter
+    (fun alg ->
+      raises_invalid (E.name alg ^ " with roots") (fun () ->
+          E.run ~roots:[ 0 ] alg g ~s:2 ignore))
+    [ E.Poly_delay; E.Brute ];
+  List.iter
+    (fun alg ->
+      raises_invalid (E.name alg ^ " with workers") (fun () ->
+          E.run ~workers:2 alg g ~s:2 ignore))
+    [ E.Cs1; E.Poly_delay; E.Brute ]
 
 let suites =
   [
@@ -286,5 +382,10 @@ let suites =
           test_parallel_fixed_graph;
         Alcotest.test_case "scheduler stats invariants" `Quick
           test_parallel_scheduler_stats;
+      ] );
+    ( "root_subsets",
+      [
+        prop_root_subsets_partition;
+        Alcotest.test_case "run refuses bad roots and workers" `Quick test_run_refusals;
       ] );
   ]

@@ -174,9 +174,7 @@ let fixture_tests =
         List.iter
           (fun n ->
             let g = Gen.exponential_gadget n in
-            let count =
-              Scliques_core.Enumerate.count Scliques_core.Enumerate.Cs2_p g ~s:2
-            in
+            let count = Test_support.count Scliques_core.Enumerate.Cs2_p g ~s:2 in
             check bool
               (Printf.sprintf "n=%d: %d >= 2^%d" n count n)
               true
@@ -191,9 +189,7 @@ let fixture_tests =
         List.iter
           (fun n ->
             let g = Gen.exponential_gadget n in
-            let count =
-              Scliques_core.Enumerate.count Scliques_core.Enumerate.Cs2_pf g ~s:2
-            in
+            let count = Test_support.count Scliques_core.Enumerate.Cs2_pf g ~s:2 in
             check int
               (Printf.sprintf "n=%d: 2^n + n(n-1) + 2n" n)
               ((1 lsl n) + (n * (n - 1)) + (2 * n))

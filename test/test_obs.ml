@@ -260,9 +260,7 @@ let test_pd_delay_sanity () =
      recorder must see exactly one tick per emitted result *)
   let g = Sgraph.Gen.path 200 in
   let obs = O.create () in
-  let results =
-    Scliques_core.Enumerate.all_results ~obs Scliques_core.Enumerate.Poly_delay g ~s:2
-  in
+  let results = Test_support.run_results ~obs Scliques_core.Enumerate.Poly_delay g ~s:2 in
   Alcotest.(check int) "one tick per result" (List.length results)
     (R.count (O.delay obs));
   Alcotest.(check bool) "max delay bounded (generous)" true
@@ -275,11 +273,41 @@ let test_pd_delay_sanity () =
   let gap n =
     let o = O.create () in
     ignore
-      (Scliques_core.Enumerate.all_results ~obs:o Scliques_core.Enumerate.Poly_delay
+      (Test_support.run_results ~obs:o Scliques_core.Enumerate.Poly_delay
          (Sgraph.Gen.path n) ~s:2);
     Option.get (C.find (O.counters o) "pd.max_extend_calls_between_emits")
   in
   Alcotest.(check int) "work-per-result flat across n" (gap 50) (gap 400)
+
+(* ---------- the driver's delay clock ---------- *)
+
+let test_run_delay_clock () =
+  (* a fake clock advancing one second per read: every emitted result is
+     one recorded delay, and the gaps add up to the run's total — the
+     clock starts once per run, never once per root *)
+  let g = Sgraph.Gen.exponential_gadget 4 in
+  List.iter
+    (fun alg ->
+      let name = Scliques_core.Enumerate.name alg in
+      let t = ref 0. in
+      let obs =
+        O.create
+          ~clock:(fun () ->
+            t := !t +. 1.;
+            !t)
+          ()
+      in
+      let r = Scliques_core.Enumerate.run ~obs alg g ~s:2 ignore in
+      let d = O.delay obs in
+      Alcotest.(check int) (name ^ ": one delay per result") r.emitted (R.count d);
+      Alcotest.(check (float 1e-9))
+        (name ^ ": gaps sum to the total")
+        (R.total d)
+        (R.mean d *. float_of_int (R.count d));
+      if alg = Scliques_core.Enumerate.Brute then
+        Alcotest.(check (option int)) "brute.emits counted" (Some r.emitted)
+          (C.find (O.counters obs) "brute.emits"))
+    Scliques_core.Enumerate.all
 
 let suites =
   [
@@ -312,5 +340,7 @@ let suites =
       [
         Alcotest.test_case "counters + recorder + snapshot" `Quick test_obs_facade;
         Alcotest.test_case "PD delay sanity on a path" `Quick test_pd_delay_sanity;
+        Alcotest.test_case "run records one delay per result" `Quick
+          test_run_delay_clock;
       ] );
   ]

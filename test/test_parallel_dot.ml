@@ -49,18 +49,49 @@ let parallel_tests =
           (P.enumerate ~workers:3 ~feasibility:true ~min_size:4 g ~s:2));
     Alcotest.test_case "stats account for every result" `Quick (fun () ->
         let g = Test_support.random_graph 83 ~n:25 ~m:60 in
-        let results, stats = P.enumerate_with_stats ~workers:3 g ~s:2 in
+        let obs = Scliques_obs.Obs.create () in
+        let results = P.enumerate ~workers:3 ~obs g ~s:2 in
+        let counter name =
+          Scliques_obs.Counters.find (Scliques_obs.Obs.counters obs) name
+        in
+        let per_worker what =
+          List.init 3 (fun i -> counter (Printf.sprintf "par.worker%d.%s" i what))
+        in
         check int "worker counts sum to total" (List.length results)
-          (Array.fold_left ( + ) 0 stats.P.results_per_worker);
-        check int "3 workers" 3 (Array.length stats.P.time_per_worker);
-        Array.iter (fun t -> check bool "time non-negative" true (t >= 0.))
-          stats.P.time_per_worker);
+          (List.fold_left (fun acc c -> acc + Option.get c) 0 (per_worker "results"));
+        check (Alcotest.option int) "3 workers" (Some 3) (counter "par.workers");
+        List.iter
+          (fun t -> check bool "tasks non-negative" true (Option.get t >= 0))
+          (per_worker "tasks"));
     Alcotest.test_case "workers < 1 rejected" `Quick (fun () ->
         match P.enumerate ~workers:0 (Sgraph.Gen.path 3) ~s:2 with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "expected Invalid_argument");
     Alcotest.test_case "empty graph" `Quick (fun () ->
         check Test_support.ns_list "nothing" [] (P.enumerate ~workers:2 (G.empty 0) ~s:2));
+    Alcotest.test_case "committed results are not retained" `Quick (fun () ->
+        (* weakly hold the first non-empty root's results; the sink drops
+           them, so by the next commit nothing may keep them alive *)
+        let g = Test_support.random_graph 84 ~n:40 ~m:90 in
+        let held = ref None and alive = ref None in
+        let (_ : Scliques_core.Budget.outcome), (_ : int list) =
+          P.run ~workers:1 ~budget:(Scliques_core.Budget.unlimited ()) g ~s:2
+            (fun _root rs ->
+              match (!held, rs) with
+              | None, [] -> ()
+              | None, _ :: _ ->
+                  let w = Weak.create (List.length rs) in
+                  List.iteri (fun i c -> Weak.set w i (Some c)) rs;
+                  held := Some w
+              | Some w, _ when Option.is_none !alive ->
+                  Gc.full_major ();
+                  alive :=
+                    Some
+                      (List.length
+                         (List.filter (Weak.check w) (List.init (Weak.length w) Fun.id)))
+              | Some _, _ -> ())
+        in
+        check (Alcotest.option int) "live results of the first root" (Some 0) !alive);
   ]
 
 let dot_tests =

@@ -40,34 +40,34 @@ let invariant_tests =
     prop "every emitted set certifies as sound output" (fun params ->
         let g = graph_of params in
         let _, _, s, _ = params in
-        Result.is_ok (V.certify g ~s (E.all_results E.Cs2_pf g ~s)));
+        Result.is_ok (V.certify g ~s (E.sorted_results E.Cs2_pf g ~s)));
     prop "results cover every node" (fun params ->
         (* each node belongs to at least one maximal connected s-clique
            (its singleton extends to one) *)
         let g = graph_of params in
         let _, _, s, _ = params in
         let covered =
-          List.fold_left NS.union NS.empty (E.all_results E.Poly_delay g ~s)
+          List.fold_left NS.union NS.empty (E.sorted_results E.Poly_delay g ~s)
         in
         NS.equal covered (G.nodes g));
     prop "every maximal clique is inside some maximal connected s-clique"
       (fun params ->
         let g = graph_of params in
         let _, _, s, _ = params in
-        let s_results = E.all_results E.Cs2_p g ~s in
+        let s_results = E.sorted_results E.Cs2_p g ~s in
         List.for_all
           (fun clique -> List.exists (NS.subset clique) s_results)
           (Scliques_core.Bron_kerbosch.maximal_cliques g));
     prop "monotone in s: each result is inside some (s+1)-result" (fun params ->
         let g = graph_of params in
         let _, _, s, _ = params in
-        let now = E.all_results E.Cs2_p g ~s in
-        let larger = E.all_results E.Cs2_p g ~s:(s + 1) in
+        let now = E.sorted_results E.Cs2_p g ~s in
+        let larger = E.sorted_results E.Cs2_p g ~s:(s + 1) in
         List.for_all (fun c -> List.exists (NS.subset c) larger) now);
     prop "result count >= number of connected components with a node" (fun params ->
         let g = graph_of params in
         let _, _, s, _ = params in
-        E.count E.Cs2_pf g ~s >= Sgraph.Components.count g);
+        Test_support.count E.Cs2_pf g ~s >= Sgraph.Components.count g);
     prop "s >= diameter collapses each component to one result" (fun params ->
         let g = graph_of params in
         let _, _, _, _ = params in
@@ -84,7 +84,7 @@ let invariant_tests =
         let unconnected = Scliques_core.Bron_kerbosch.maximal_s_cliques_via_power g ~s in
         List.for_all
           (fun c -> List.exists (NS.subset c) unconnected)
-          (E.all_results E.Cs2_pf g ~s));
+          (E.sorted_results E.Cs2_pf g ~s));
     prop "power-graph reduction agrees with its oracle" (fun params ->
         let g = graph_of params in
         let _, _, s, _ = params in

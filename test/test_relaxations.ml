@@ -56,7 +56,7 @@ let s_club_tests =
         let rng = Scoll.Rng.create 62 in
         for _ = 1 to 10 do
           let g = Sgraph.Gen.erdos_renyi_gnm rng ~n:8 ~m:(5 + Scoll.Rng.int rng 12) in
-          let s_cliques = E.all_results E.Cs2_pf g ~s:2 in
+          let s_cliques = E.sorted_results E.Cs2_pf g ~s:2 in
           List.iter
             (fun club ->
               check bool "covered" true
@@ -206,7 +206,7 @@ let delay_tests =
       (fun () ->
         let g = Test_support.random_graph 70 ~n:25 ~m:50 in
         let d = D.create () in
-        E.iter E.Poly_delay g ~s:2 (D.wrap d (fun _ -> ()));
+        let (_ : E.run_report) = E.run E.Poly_delay g ~s:2 (D.wrap d (fun _ -> ())) in
         D.finish d;
         let r = D.report d in
         check bool "saw results" true (r.D.results > 0);

@@ -25,6 +25,24 @@ let graph_of_case (family, n, m, seed) =
 
 (* ---------- budget unit behavior ---------- *)
 
+let test_zero_cap_trips_at_creation () =
+  let b = Budget.create ~max_results:0 () in
+  Alcotest.(check bool) "tripped before any result" false (Budget.live b);
+  (match Budget.status b with
+  | Budget.Truncated Budget.Max_results -> ()
+  | _ -> Alcotest.fail "expected Truncated Max_results");
+  (* so no engine emits anything under it, and every one can resume *)
+  let g = Sgraph.Gen.exponential_gadget 3 in
+  List.iter
+    (fun (alg, workers) ->
+      let r =
+        E.run ?workers ~budget:(Budget.create ~max_results:0 ()) alg g ~s:2 (fun _ ->
+            Alcotest.failf "%s emitted under a zero cap" (E.name alg))
+      in
+      Alcotest.(check int) (E.name alg) 0 r.E.emitted;
+      Alcotest.(check bool) (E.name alg ^ " resumable") true (r.E.resumable <> None))
+    ((E.Cs2_p, Some 2) :: List.map (fun alg -> (alg, None)) E.all)
+
 let test_budget_trips () =
   let b = Budget.create ~deadline_s:0. () in
   let check = Budget.checker b in
@@ -401,22 +419,20 @@ let test_parallel_resume () =
   let g = par_case_graph 11 in
   let s = 2 in
   let expected = canonical (Scliques_core.Parallel.enumerate ~workers:2 g ~s) in
+  let run ?resume budget =
+    let got = ref [] in
+    let r = E.run ~workers:3 ~budget ?resume E.Cs2_p g ~s (fun c -> got := c :: !got) in
+    (r, !got)
+  in
   List.iter
     (fun cap ->
-      let budget = Budget.create ~max_results:cap () in
-      let part1, outcome, retired =
-        Scliques_core.Parallel.enumerate_budgeted ~workers:3 ~budget g ~s
-      in
-      match outcome with
+      let r1, part1 = run (Budget.create ~max_results:cap ()) in
+      match r1.E.outcome with
       | Budget.Complete ->
-          Alcotest.(check (list set)) "complete parallel run" expected part1
+          Alcotest.(check (list set)) "complete parallel run" expected (canonical part1)
       | Budget.Truncated _ ->
-          let budget2 = Budget.unlimited () in
-          let part2, outcome2, _ =
-            Scliques_core.Parallel.enumerate_budgeted ~workers:3 ~budget:budget2
-              ~skip_roots:retired g ~s
-          in
-          (match outcome2 with
+          let r2, part2 = run ?resume:r1.E.resumable (Budget.unlimited ()) in
+          (match r2.E.outcome with
           | Budget.Complete -> ()
           | Budget.Truncated _ -> Alcotest.fail "unbudgeted resume truncated");
           Alcotest.(check (list set))
@@ -428,14 +444,26 @@ let test_parallel_resume () =
 let test_parallel_deadline () =
   let g = par_case_graph 12 in
   let budget = Budget.create ~deadline_s:0. ~poll_every:1 () in
-  let results, outcome, retired =
-    Scliques_core.Parallel.enumerate_budgeted ~workers:3 ~budget g ~s:2
-  in
-  (match outcome with
+  let r = E.run ~workers:3 ~budget E.Cs2_p g ~s:2 ignore in
+  (match r.E.outcome with
   | Budget.Truncated Budget.Deadline -> ()
   | _ -> Alcotest.fail "expected Truncated Deadline");
-  Alcotest.(check (list set)) "zero deadline commits nothing" [] results;
-  Alcotest.(check (list int)) "and retires nothing" [] retired
+  Alcotest.(check int) "zero deadline commits nothing" 0 r.E.emitted;
+  Alcotest.(check bool) "and retires nothing" true
+    (r.E.resumable = Some (Ckpt.Roots { retired = [] }))
+
+(* recover exactly like the CLI: resume skipping the roots whose results
+   reached the sink before the failure *)
+let recover g ~s retired =
+  let got = ref [] in
+  let r =
+    E.run ~workers:3 ~resume:(Ckpt.Roots { retired }) E.Cs2_p g ~s (fun c ->
+        got := c :: !got)
+  in
+  (match r.E.outcome with
+  | Budget.Complete -> ()
+  | Budget.Truncated _ -> Alcotest.fail "recovery run truncated");
+  !got
 
 let test_parallel_crash_drill () =
   let g = par_case_graph 13 in
@@ -453,31 +481,20 @@ let test_parallel_crash_drill () =
       let budget = Budget.unlimited () in
       let crashed =
         try
-          let (_ : NS.t list), (_ : Budget.outcome), (_ : int list) =
-            Scliques_core.Parallel.enumerate_budgeted ~workers:3 ~budget ~fault
-              ~on_root_retired:(fun root results ->
+          let (_ : Budget.outcome), (_ : int list) =
+            Scliques_core.Parallel.run ~workers:3 ~budget ~fault g ~s
+              (fun root results ->
                 streamed := results @ !streamed;
                 retired := root :: !retired)
-              g ~s
           in
           false
         with Fault.Injected _ -> true
       in
-      if crashed then begin
-        (* recover exactly like the CLI: resume skipping the roots whose
-           results reached the sink before the crash *)
-        let part2, outcome2, _ =
-          Scliques_core.Parallel.enumerate_budgeted ~workers:3
-            ~budget:(Budget.unlimited ()) ~skip_roots:!retired g ~s
-        in
-        (match outcome2 with
-        | Budget.Complete -> ()
-        | Budget.Truncated _ -> Alcotest.fail "recovery run truncated");
+      if crashed then
         Alcotest.(check (list set))
           (Printf.sprintf "crash at task %d: streamed + recovery = full" m)
           expected
-          (canonical (!streamed @ part2))
-      end
+          (canonical (!streamed @ recover g ~s !retired))
       else
         (* the fault site was never reached (fewer than m tasks): the
            run must then simply be correct *)
@@ -495,30 +512,21 @@ let test_sink_failure_keeps_root_uncommitted () =
   let calls = ref 0 in
   let crashed =
     try
-      let (_ : NS.t list), (_ : Budget.outcome), (_ : int list) =
-        Scliques_core.Parallel.enumerate_budgeted ~workers:2
-          ~budget:(Budget.unlimited ())
-          ~on_root_retired:(fun root results ->
+      let (_ : Budget.outcome), (_ : int list) =
+        Scliques_core.Parallel.run ~workers:2 ~budget:(Budget.unlimited ()) g ~s
+          (fun root results ->
             incr calls;
             if !calls = 3 then failwith "sink full";
             streamed := results @ !streamed;
             retired := root :: !retired)
-          g ~s
       in
       false
     with Failure _ -> true
   in
   Alcotest.(check bool) "third sink call aborted the run" true crashed;
-  let part2, outcome2, _ =
-    Scliques_core.Parallel.enumerate_budgeted ~workers:2
-      ~budget:(Budget.unlimited ()) ~skip_roots:!retired g ~s
-  in
-  (match outcome2 with
-  | Budget.Complete -> ()
-  | Budget.Truncated _ -> Alcotest.fail "recovery run truncated");
   Alcotest.(check (list set)) "failed sink call's root was not retired"
     expected
-    (canonical (!streamed @ part2))
+    (canonical (!streamed @ recover g ~s !retired))
 
 let suites =
   [
@@ -526,6 +534,8 @@ let suites =
       [
         Alcotest.test_case "budget trips each limit" `Quick test_budget_trips;
         Alcotest.test_case "budget first trip wins" `Quick test_budget_first_trip_wins;
+        Alcotest.test_case "zero result cap trips at creation" `Quick
+          test_zero_cap_trips_at_creation;
         Alcotest.test_case "stream round trip" `Quick test_stream_round_trip;
         Alcotest.test_case "stream torn tail" `Quick test_stream_torn_tail;
         Alcotest.test_case "stream corrupt CRC" `Quick test_stream_corrupt_crc;

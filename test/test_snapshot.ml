@@ -108,7 +108,7 @@ let snapshot_tests =
             Snap.save g path;
             let g' = Snap.load path in
             let module E = Scliques_core.Enumerate in
-            let sets alg g = E.all_results alg g ~s:2 in
+            let sets alg g = Test_support.run_results alg g ~s:2 in
             check
               (Alcotest.list Test_support.ns)
               "same results" (sets E.Cs2_pf g) (sets E.Cs2_pf g')));

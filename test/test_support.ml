@@ -36,5 +36,13 @@ let oracle g s = Scliques_core.Brute_force.maximal_connected_s_cliques g ~s
 
 let algorithm_results alg g s = E.sorted_results alg g ~s
 
+(* every result of [E.run], in delivery order *)
+let run_results ?obs alg g ~s =
+  let acc = ref [] in
+  let (_ : E.run_report) = E.run ?obs alg g ~s (fun c -> acc := c :: !acc) in
+  List.rev !acc
+
+let count ?min_size alg g ~s = (E.run ?min_size alg g ~s ignore).E.emitted
+
 (* All real (non-oracle) algorithm variants. *)
 let real_algorithms = [ E.Poly_delay; E.Cs1; E.Cs2; E.Cs2_f; E.Cs2_p; E.Cs2_pf ]
