@@ -42,6 +42,27 @@ let kernel_tests () =
      counting kernels, not the shared ball-cache lookups. The list
      baseline is the seed's non-allocating merge count. *)
   let cand_balls = List.map (NH.ball nh) (NS.to_list (take 20 b)) in
+  (* feasibility checks from real CSCliques2PF visits (the first 64
+     states with |R| >= 2 under root 0's branch), each with every branch
+     node v of P and its P ∩ N^s(v) *)
+  let module Cs2 = Scliques_core.Cs_cliques2 in
+  let feasibility_calls =
+    let rn = Cs2.make_runner ~pivot:true ~feasibility:true nh ignore in
+    let calls = ref [] and states = ref 0 in
+    let rec walk t =
+      if !states < 64 then begin
+        if NS.cardinal t.Cs2.r >= 2 then begin
+          incr states;
+          NS.iter
+            (fun v -> calls := (t.Cs2.r, v, NS.inter t.Cs2.p (NH.ball nh v)) :: !calls)
+            t.Cs2.p
+        end;
+        List.iter walk (Cs2.expand_task rn t)
+      end
+    in
+    walk (Cs2.root_task nh 0);
+    List.rev !calls
+  in
   let cap = Sgraph.Graph.n g in
   let bp = NS.to_bitset p ~capacity:cap and bb = NS.to_bitset b ~capacity:cap in
   let scratch = Scoll.Bitset.copy bp in
@@ -90,6 +111,21 @@ let kernel_tests () =
            List.iter
              (fun b -> ignore (psz - NS.inter_bitset_cardinal b pm))
              cand_balls));
+    (* feasibility (§5.3): the set-algebra check the visit step used —
+       build the universe, BFS all of it, test R's inclusion — vs the
+       scratch BFS that stops once it has reached R *)
+    Test.make ~name:"kernel:feasible-list"
+      (Staged.stage (fun () ->
+           List.iter
+             (fun (r, v, p_cap_ball) ->
+               let universe = NS.add v (NS.union r p_cap_ball) in
+               ignore (NS.subset r (Sgraph.Bfs.reachable_within g ~universe v)))
+             feasibility_calls));
+    Test.make ~name:"kernel:feasible-bitset"
+      (Staged.stage (fun () ->
+           List.iter
+             (fun (r, v, p_cap_ball) -> ignore (Cs2.feasible nh r v p_cap_ball))
+             feasibility_calls));
     (* N^{∀,s}(C) has NO mask pair: the chained ball intersection stays on
        galloping sorted merges, which beat mask reloads ~2x there (see
        Neighborhood.ball_forall and EXPERIMENTS.md).

@@ -176,9 +176,9 @@ let print_set c =
 (* The [--deadline]/[--max-results]/[--checkpoint]/[--resume] path: stream
    results as they are emitted, and on truncation (exit 3) leave behind a
    checkpoint a later run can [--resume]. Results are mirrored into the
-   crash-safe record stream [CKPT.results] so a crash between emissions
-   loses at most the unflushed tail, which the next run's clean-prefix
-   truncation cuts off. *)
+   crash-safe record stream [CKPT.results], fsynced before the checkpoint
+   is saved; a resume keeps exactly the records the checkpoint counts and
+   cuts off whatever a crash left after them. *)
 let budgeted_run g ~s ~algorithm ~workers ~min_size ~deadline ~max_results
     ~ckpt_path ~resume_path ~sigint_after =
   let alg_label = engine_label algorithm in
@@ -198,7 +198,7 @@ let budgeted_run g ~s ~algorithm ~workers ~min_size ~deadline ~max_results
             (Printf.sprintf
                "checkpoint %s holds a %S state; algorithm %s needs %S" p
                (Ckpt.family c.Ckpt.state) alg_label family);
-        Some c
+        Some (p, c)
   in
   let budget =
     (* with the SIGINT self-test hook armed, poll every iteration so the
@@ -208,20 +208,21 @@ let budgeted_run g ~s ~algorithm ~workers ~min_size ~deadline ~max_results
       ()
   in
   (match prior with
-  | Some c -> Budget.preload_results budget c.Ckpt.emitted
+  | Some (_, c) -> Budget.preload_results budget c.Ckpt.emitted
   | None -> ());
   Sys.set_signal Sys.sigint
     (Sys.Signal_handle (fun _ -> Budget.request_cancel budget));
   let stream =
-    match ckpt_out with
-    | None -> None
-    | Some p ->
-        let path = p ^ ".results" in
-        if resume_path <> None && Sys.file_exists path then begin
-          let _, clean_len, _ = Stream.read_records path in
-          Some (Stream.open_append path ~clean_len)
-        end
-        else Some (Stream.open_writer path)
+    match (ckpt_out, prior) with
+    | None, _ -> None
+    | Some p, None -> Some (Stream.open_writer (p ^ ".results"))
+    | Some p, Some (resumed, c) ->
+        (* continue after the records the resumed checkpoint vouches for:
+           a crash after a root committed but before the checkpoint moved
+           on left records past them, and their roots run again *)
+        Some
+          (Stream.open_resume ~from:(resumed ^ ".results") (p ^ ".results")
+             ~records:c.Ckpt.emitted)
   in
   let to_kill = ref (match sigint_after with Some k -> k | None -> -1) in
   let emit c =
@@ -280,7 +281,7 @@ let budgeted_run g ~s ~algorithm ~workers ~min_size ~deadline ~max_results
               (Budget.reason_to_string reason);
             3)
   in
-  let resume = Option.map (fun c -> c.Ckpt.state) prior in
+  let resume = Option.map (fun (_, c) -> c.Ckpt.state) prior in
   let report = E.run ~min_size ~budget ?resume ?workers alg g ~s emit in
   finish report.E.outcome (fun () -> Option.get report.E.resumable)
 

@@ -17,7 +17,18 @@
       outright (they can never complete to a connected s-clique with [R],
       so they are not needed in [X] either). Complete pruning is
       NP-complete (Thm. 5.6); this check is the paper's sound
-      approximation. *)
+      approximation. It is one BFS from [v] over a scratch bitset
+      holding [R ∪ (P ∩ N^s(v))]: the BFS reads CSR rows, clears each
+      bit it reaches, and stops as soon as it has reached all of [R].
+
+    A visit's inner tests all run on the oracle's scratch
+    ({!Neighborhood.scratch}): the feasibility BFS, the print-time
+    connectivity check on the same kernel, and the [P]/[X] filter by
+    [N^{∃,1}(R)], which scatters [R]'s CSR rows into the scratch bitset
+    at each visit rather than carrying a running union in the task. They
+    compute the same sets as the set-algebra formulation and ask
+    {!Neighborhood.ball} for the same nodes in the same order, so
+    results, emission order and counters do not depend on them. *)
 
 type pivot_rule =
   | Min_uncovered
@@ -55,30 +66,34 @@ val iter :
     [cs2.calls], [cs2.max_depth], [cs2.emits], [cs2.pivot_prunes]
     (candidates removed from branching by the §5.3 pivot) and
     [cs2.feasibility_prunes] (nodes dropped by the §5.3 feasibility
-    check) are maintained; without it the search is uninstrumented. *)
+    check) are maintained; without it the search is uninstrumented.
+
+    With [root_order = Ascending] it runs {!root_task} for every node in
+    ascending order — the branches [Enumerate.run] runs. *)
 
 (** {2 Explicit task interface}
 
     The work-stealing {!Parallel} scheduler needs the recursion as
     first-class subproblems it can move between workers. A {!task} is one
-    node of the recursion tree — the state [(depth, R, P, X, frontier)] —
-    and a {!runner} bundles a search configuration with its output sink.
-    {!run_task} explores a subtree depth-first exactly as {!iter} would;
-    {!expand_task} performs ONE visit step (emitting [R] if it is a
-    maximal connected s-clique) and returns the child subproblems in
-    branch order. Both paths execute the same shared visit code, and
-    every child state is fully computed before any child runs, so
-    running the children in any order — or on any worker — explores
+    node of the recursion tree — the state [(depth, R, P, X)], with [R]
+    never empty — and a {!runner} bundles a search configuration with its
+    output sink. {!run_task} explores a subtree depth-first exactly as
+    {!iter} would; {!expand_task} performs ONE visit step (emitting [R]
+    if it is a maximal connected s-clique) and returns the child
+    subproblems in branch order. Both paths execute the same shared visit
+    code, and every child state is fully computed before any child runs,
+    so running the children in any order — or on any worker — explores
     exactly the subtree [run_task] would: the emitted multiset is
     schedule-independent. [Enumerate.run]'s rooted loop runs one
     {!root_task} per root on a single runner; {!Parallel} moves tasks
     between workers. *)
 
-type task
-
-val task_depth : task -> int
-(** Distance from the task's originating root call (the split-depth
-    knob's unit). *)
+type task = private {
+  depth : int;  (** distance from the task's root call (the split-depth knob's unit) *)
+  r : Sgraph.Node_set.t;
+  p : Sgraph.Node_set.t;
+  x : Sgraph.Node_set.t;
+}
 
 val task_width : task -> int
 (** [|P|] — the branching factor bound the scheduler's split-width
@@ -114,3 +129,25 @@ val run_task : runner -> task -> unit
 val expand_task : runner -> task -> task list
 (** One visit step: emit [R] if maximal, return the children. An empty
     list means the subtree is exhausted. *)
+
+(** {2 Scratch kernels}
+
+    The visit step's inner tests, each on the oracle's scratch, which it
+    leaves all-zero. Exposed for the differential suite and the kernel
+    benchmarks; the visit step is their only other caller. *)
+
+val feasible : Neighborhood.t -> Sgraph.Node_set.t -> int -> Sgraph.Node_set.t -> bool
+(** [feasible nh r v p_cap_ball]: does a BFS from [v] inside
+    [G\[r ∪ {v} ∪ p_cap_ball\]] reach every member of [r]? [v] must be
+    in neither set; the visit passes [p_cap_ball = P ∩ N^s(v)]. *)
+
+val connected : Neighborhood.t -> Sgraph.Node_set.t -> bool
+(** [Sgraph.Bfs.is_connected_subset] on the feasibility kernel. *)
+
+val candidates : Neighborhood.t -> task -> Sgraph.Node_set.t
+(** [(P ∪ X) ∩ N^{∃,1}(R)]: the pivot candidates, empty exactly when no
+    node of [P ∪ X] touches [R]. *)
+
+val pivot_of : Neighborhood.t -> pivot_rule -> task -> int option
+(** The pivot a visit of the task branches around, [None] when
+    {!candidates} is empty. *)

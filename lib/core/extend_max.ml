@@ -31,9 +31,6 @@ module Graph = Sgraph.Graph
    slower with the search alone, and cuts of 4 and 64 were no faster. *)
 let search_ratio = 16
 
-let reserve (buf : int array) k =
-  if Array.length buf >= k then buf else Array.make (max k (2 * Array.length buf)) 0
-
 (* keep the candidates that lie in [ball], in place; the new length *)
 let keep_within nh (cand : int array) len ball =
   let k = ref 0 in
@@ -70,18 +67,13 @@ let rec first_eligible (words : int array) (cand : int array) len i =
     if words.(x lsr 5) land (1 lsl (x land 31)) <> 0 then x
     else first_eligible words cand len (i + 1)
 
-let zero_row (words : int array) (off : int array) (adj : int array) v =
-  for j = off.(v) to off.(v + 1) - 1 do
-    words.(adj.(j) lsr 5) <- 0
-  done
-
 (* Grow [seed] to a maximal set. The candidates start as [pool] minus
    the seed, filtered by the balls of the seed members from index
    [from] on (the caller already used the earlier ones as the pool). *)
 let grow nh ~pool ~from seed =
   let sc = Neighborhood.scratch nh in
   let k0 = Node_set.cardinal seed and np = Node_set.cardinal pool in
-  sc.cand <- reserve sc.cand np;
+  sc.cand <- Neighborhood.reserve sc.cand np;
   let cand = sc.cand in
   (* pool minus seed, one merge pass over the two sorted sets *)
   let len = ref 0 and j = ref 0 in
@@ -98,12 +90,13 @@ let grow nh ~pool ~from seed =
   for i = from to k0 - 1 do
     len := keep_within nh cand !len (Neighborhood.ball nh (Node_set.nth seed i))
   done;
-  sc.members <- reserve sc.members (k0 + !len);
+  sc.members <- Neighborhood.reserve sc.members (k0 + !len);
   let members = sc.members in
   let csr = Graph.csr (Neighborhood.graph nh) in
   let off = Sgraph.Csr.offsets csr and adj = Sgraph.Csr.adjacency csr in
   (* SAFETY: the frontier's words are only read and written through
-     checked [.()]; [zero_row] below restores the all-zero invariant *)
+     checked [.()]; [Neighborhood.zero_row] below restores the all-zero
+     invariant *)
   let words =
     (Scoll.Bitset.unsafe_words sc.frontier [@lint.allow "unsafe-allowlist"])
   in
@@ -129,7 +122,7 @@ let grow nh ~pool ~from seed =
     v := first_eligible words cand !len 0
   done;
   for i = 0 to !k - 1 do
-    zero_row words off adj members.(i)
+    Neighborhood.zero_row words ~off ~adj members.(i)
   done;
   if !k = k0 then seed else Node_set.of_array (Array.sub members 0 !k)
 

@@ -279,6 +279,14 @@ let adjacent_any t c =
 
 let scratch t = t.scratch
 
+let reserve (buf : int array) k =
+  if Array.length buf >= k then buf else Array.make (max k (2 * Array.length buf)) 0
+
+let zero_row (words : int array) ~(off : int array) ~(adj : int array) v =
+  for j = off.(v) to off.(v + 1) - 1 do
+    words.(adj.(j) lsr 5) <- 0
+  done
+
 let within_distance t u v = u = v || Node_set.mem v (ball t u)
 
 let cache_stats t =

@@ -161,11 +161,14 @@ val ball_mask : t -> int -> Scoll.Bitset.t
 (** [ball_mask t v] is [load_mask t (ball t v)] — the ball of [v] as a
     scratch bitset, with the same single-load validity rule. *)
 
-(** ExtendMax's working state ({!Extend_max}), owned by the oracle so
-    that every oracle — each Parallel worker's, each daemon query's —
-    has its own and none is ever shared:
-    - [cand]: a candidate buffer, grown by its user; its contents are
-      meaningless between calls;
+(** The working state of ExtendMax ({!Extend_max}) and of CSCliques2's
+    visit step ({!Cs_cliques2}), owned by the oracle so that every
+    oracle — each Parallel worker's, each daemon query's — has its own
+    and none is ever shared. The two users never interleave: neither
+    calls the other, and each call leaves the state as the rules below
+    require before it returns.
+    - [cand]: a candidate buffer (also the visit step's BFS queue),
+      grown by its user; its contents are meaningless between calls;
     - [members]: a buffer for the members of the set being grown, with
       the same rule;
     - [frontier]: a bitset over the node ids that is {b all-zero}
@@ -179,6 +182,16 @@ type scratch = {
 }
 
 val scratch : t -> scratch
+
+val reserve : int array -> int -> int array
+(** [reserve buf k] is [buf] when it holds at least [k] ints, else a
+    fresh buffer of at least [max k (2 * length buf)]. *)
+
+val zero_row : int array -> off:int array -> adj:int array -> int -> unit
+(** [zero_row words ~off ~adj v] stores zero to every word of a bitset's
+    word array ({!Scoll.Bitset.unsafe_words}) that holds a neighbor of
+    [v], where [off]/[adj] are the graph's CSR arrays: it undoes a
+    scatter of [v]'s row, and wipes any other bit sharing those words. *)
 
 val within_distance : t -> int -> int -> bool
 (** [within_distance t u v] decides [dist(u,v) <= s] using the cache

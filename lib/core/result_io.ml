@@ -82,12 +82,17 @@ module Stream = struct
 
   let magic = format.magic
 
-  type writer = { oc : out_channel; fault : Scoll.Fault.t; mutable closed : bool }
+  type writer = {
+    path : string;
+    oc : out_channel;
+    fault : Scoll.Fault.t;
+    mutable closed : bool;
+  }
 
   let open_writer ?(fault = Scoll.Fault.none) path =
     let oc = open_out_bin path in
     output_string oc magic;
-    { oc; fault; closed = false }
+    { path; oc; fault; closed = false }
 
   let open_append ?(fault = Scoll.Fault.none) path ~clean_len =
     if clean_len < String.length magic || not (Sys.file_exists path) then
@@ -98,13 +103,15 @@ module Stream = struct
         Unix.ftruncate fd clean_len;
         ignore (Unix.lseek fd clean_len Unix.SEEK_SET : int)
       with
-      | () -> { oc = Unix.out_channel_of_descr fd; fault; closed = false }
+      | () -> { path; oc = Unix.out_channel_of_descr fd; fault; closed = false }
       | exception e ->
           (try Unix.close fd with Unix.Unix_error _ -> ());
           raise e
     end
 
   let encode_record payload = Codec.frame format payload
+
+  let frame_overhead = String.length (encode_record "")
 
   let write_record w payload =
     Scoll.Fault.check w.fault "stream.write";
@@ -114,10 +121,20 @@ module Stream = struct
     Scoll.Fault.check w.fault "stream.flush";
     Stdlib.flush w.oc
 
+  (* fsync before the close: a checkpoint or an SCLQIDX1 sidecar saved
+     after [close] may name any record written before it *)
   let close w =
     if not w.closed then begin
       w.closed <- true;
-      close_out w.oc
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr w.oc)
+        (fun () ->
+          Stdlib.flush w.oc;
+          Scoll.Fault.check w.fault "stream.fsync";
+          (try Unix.fsync (Unix.descr_of_out_channel w.oc)
+           with Unix.Unix_error (e, _, _) ->
+             raise (Sys_error (Printf.sprintf "%s: fsync: %s" w.path (Unix.error_message e))));
+          close_out w.oc)
     end
 
   let encode_set set = String.concat " " (List.map string_of_int (Node_set.to_list set))
@@ -148,6 +165,31 @@ module Stream = struct
             ([], 0, `Torn))
 
   let read_records path = records_of_string ~file:path (Codec.read_file path)
+
+  let open_resume ?fault ~from path ~records =
+    let image = if Sys.file_exists from then Codec.read_file from else "" in
+    let payloads =
+      if String.length image = 0 then []
+      else
+        let payloads, _, _ = records_of_string ~file:from image in
+        payloads
+    in
+    let held = List.length payloads in
+    if held < records then
+      Sgraph.Io_error.failf ~file:from ~line:0
+        "stream holds %d intact records but the checkpoint vouches for %d" held records;
+    let len =
+      List.fold_left
+        (fun len p -> len + frame_overhead + String.length p)
+        (String.length magic)
+        (List.filteri (fun i _ -> i < records) payloads)
+    in
+    if String.equal from path then open_append ?fault path ~clean_len:len
+    else begin
+      let w = open_writer ?fault path in
+      output_substring w.oc image (String.length magic) (len - String.length magic);
+      w
+    end
 
   let read_results path =
     let records, _, tail = read_records path in

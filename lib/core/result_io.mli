@@ -45,7 +45,7 @@ module Stream : sig
 
   val open_writer : ?fault:Scoll.Fault.t -> string -> writer
   (** Create or truncate [path] and write the magic. [fault] arms the
-      [stream.write] / [stream.flush] injection sites. *)
+      [stream.write] / [stream.flush] / [stream.fsync] injection sites. *)
 
   val open_append : ?fault:Scoll.Fault.t -> string -> clean_len:int -> writer
   (** Reopen an existing stream for appending after truncating it to
@@ -53,6 +53,20 @@ module Stream : sig
       {!read_records} — so a torn tail from a crashed run is cut off
       before new records land. Falls back to {!open_writer} when the file
       is missing or [clean_len] does not even cover the magic. *)
+
+  val open_resume : ?fault:Scoll.Fault.t -> from:string -> string -> records:int -> writer
+  (** [open_resume ~from path ~records] opens [path] to continue the
+      stream [from], of which a checkpoint vouches for [records]
+      records. The new stream holds exactly the first [records] intact
+      records of [from], then whatever is appended. With [from = path]
+      the file is truncated in place, dropping later records (a crashed
+      run's output past its last checkpoint) and any torn tail;
+      otherwise those records are copied to [path], replacing what was
+      there. A missing file holds no records.
+      @raise Sgraph.Io_error.Parse_error when [from] holds fewer than
+      [records] intact records: the checkpoint names results that never
+      reached the disk.
+      @raise Sys_error when a file cannot be read or written. *)
 
   val write_record : writer -> string -> unit
   (** Append one record. Not flushed — see {!flush}.
@@ -64,7 +78,12 @@ module Stream : sig
   val flush : writer -> unit
 
   val close : writer -> unit
-  (** Flush and close. Idempotent. *)
+  (** Flush, fsync and close, so that a checkpoint or index saved after
+      [close] never names a record that is not on disk. Idempotent; the
+      file is closed even when the flush, the fsync or the
+      [stream.fsync] fault raises.
+      @raise Sys_error when the fsync fails.
+      @raise Scoll.Fault.Injected when the armed fault fires. *)
 
   val read_records : string -> string list * int * [ `Clean | `Torn ]
   (** [read_records path] is [(payloads, clean_len, tail)]: every intact

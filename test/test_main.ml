@@ -9,4 +9,4 @@ let () =
    @ Test_families.suites @ Test_fuzz.suites @ Test_properties.suites
    @ Test_obs.suites @ Test_differential.suites @ Test_resume.suites
    @ Test_snapshot.suites @ Test_churn.suites @ Test_daemon.suites @ Test_codec.suites
-   @ Test_extend_max.suites)
+   @ Test_extend_max.suites @ Test_cs2_visit.suites)

@@ -165,6 +165,72 @@ let test_stream_write_fault () =
 
 (* ---------- checkpoints ---------- *)
 
+let test_stream_fsync_fault () =
+  (* the fsync fault fires after the flush: every record is in the file,
+     the writer is closed anyway, and a second close is a no-op *)
+  let path = temp ".stream" in
+  let fault = Fault.create () in
+  Fault.arm_nth fault ~site:"stream.fsync" ~n:1;
+  let w = Stream.open_writer ~fault path in
+  Stream.write_set w (NS.of_list [ 1 ]);
+  Stream.write_set w (NS.of_list [ 2 ]);
+  (try
+     Stream.close w;
+     Alcotest.fail "armed fault did not fire"
+   with Fault.Injected site -> Alcotest.(check string) "site" "stream.fsync#1" site);
+  Stream.close w;
+  let got, _ = Stream.read_results path in
+  Alcotest.(check (list set)) "flushed records survive"
+    [ NS.of_list [ 1 ]; NS.of_list [ 2 ] ]
+    got;
+  Sys.remove path
+
+let test_stream_open_resume () =
+  (* a resume keeps exactly the records its checkpoint counts: later
+     records and a torn tail go, and a stream holding fewer is refused *)
+  let path = temp ".stream" in
+  let w = Stream.open_writer path in
+  List.iter (fun v -> Stream.write_set w (NS.singleton v)) [ 1; 2; 3; 4 ];
+  Stream.close w;
+  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+  output_string oc "\x40\x00\x00\x00\xde\xad";
+  close_out oc;
+  let w = Stream.open_resume ~from:path path ~records:2 in
+  Stream.write_set w (NS.singleton 9);
+  Stream.close w;
+  let got, tail = Stream.read_results path in
+  (match tail with `Clean -> () | `Torn -> Alcotest.fail "tear survived the resume");
+  Alcotest.(check (list set)) "vouched records + appended"
+    [ NS.singleton 1; NS.singleton 2; NS.singleton 9 ]
+    got;
+  (match Stream.open_resume ~from:path path ~records:4 with
+  | (_ : Stream.writer) -> Alcotest.fail "a short stream was reopened"
+  | exception Sgraph.Io_error.Parse_error { msg; _ } ->
+      Alcotest.(check string) "refusal"
+        "stream holds 3 intact records but the checkpoint vouches for 4" msg);
+  (* resuming into another path copies the vouched records there,
+     replacing what the target held *)
+  let other = temp ".stream" in
+  let w = Stream.open_writer other in
+  Stream.write_set w (NS.singleton 7);
+  Stream.close w;
+  let w = Stream.open_resume ~from:path other ~records:2 in
+  Stream.write_set w (NS.singleton 8);
+  Stream.close w;
+  Alcotest.(check (list set)) "copied records + appended"
+    [ NS.singleton 1; NS.singleton 2; NS.singleton 8 ]
+    (fst (Stream.read_results other));
+  Alcotest.(check (list set)) "the source is left alone"
+    [ NS.singleton 1; NS.singleton 2; NS.singleton 9 ]
+    (fst (Stream.read_results path));
+  Sys.remove other;
+  Sys.remove path;
+  let w = Stream.open_resume ~from:path path ~records:0 in
+  Stream.close w;
+  Alcotest.(check int) "a missing stream with nothing vouched starts empty" 0
+    (List.length (fst (Stream.read_results path)));
+  Sys.remove path
+
 let test_checkpoint_round_trip () =
   let path = temp ".ck" in
   let states =
@@ -560,5 +626,8 @@ let suites =
         Alcotest.test_case "parallel crash drill" `Quick test_parallel_crash_drill;
         Alcotest.test_case "parallel sink failure" `Quick
           test_sink_failure_keeps_root_uncommitted;
+        Alcotest.test_case "stream fsync fault" `Quick test_stream_fsync_fault;
+        Alcotest.test_case "stream resumes at vouched records" `Quick
+          test_stream_open_resume;
       ] );
   ]
