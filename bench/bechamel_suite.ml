@@ -46,16 +46,15 @@ let kernel_tests () =
      states with |R| >= 2 under root 0's branch), each with every branch
      node v of P and its P ∩ N^s(v) *)
   let module Cs2 = Scliques_core.Cs_cliques2 in
+  let rn = Cs2.make_runner ~pivot:true ~feasibility:true nh ignore in
   let feasibility_calls =
-    let rn = Cs2.make_runner ~pivot:true ~feasibility:true nh ignore in
     let calls = ref [] and states = ref 0 in
     let rec walk t =
       if !states < 64 then begin
-        if NS.cardinal t.Cs2.r >= 2 then begin
+        let r = Cs2.task_r t and p = Cs2.task_p t in
+        if NS.cardinal r >= 2 then begin
           incr states;
-          NS.iter
-            (fun v -> calls := (t.Cs2.r, v, NS.inter t.Cs2.p (NH.ball nh v)) :: !calls)
-            t.Cs2.p
+          NS.iter (fun v -> calls := (t, r, v, NS.inter p (NH.ball nh v)) :: !calls) p
         end;
         List.iter walk (Cs2.expand_task rn t)
       end
@@ -113,19 +112,18 @@ let kernel_tests () =
              cand_balls));
     (* feasibility (§5.3): the set-algebra check the visit step used —
        build the universe, BFS all of it, test R's inclusion — vs the
-       scratch BFS that stops once it has reached R *)
+       dense BFS over the root universe's adjacency rows that stops once
+       it has reached R *)
     Test.make ~name:"kernel:feasible-list"
       (Staged.stage (fun () ->
            List.iter
-             (fun (r, v, p_cap_ball) ->
+             (fun (_, r, v, p_cap_ball) ->
                let universe = NS.add v (NS.union r p_cap_ball) in
                ignore (NS.subset r (Sgraph.Bfs.reachable_within g ~universe v)))
              feasibility_calls));
     Test.make ~name:"kernel:feasible-bitset"
       (Staged.stage (fun () ->
-           List.iter
-             (fun (r, v, p_cap_ball) -> ignore (Cs2.feasible nh r v p_cap_ball))
-             feasibility_calls));
+           List.iter (fun (t, _, v, _) -> ignore (Cs2.feasible rn t v)) feasibility_calls));
     (* N^{∀,s}(C) has NO mask pair: the chained ball intersection stays on
        galloping sorted merges, which beat mask reloads ~2x there (see
        Neighborhood.ball_forall and EXPERIMENTS.md).

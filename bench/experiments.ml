@@ -559,14 +559,16 @@ let scaling () =
     List.concat_map
       (fun (family, g) ->
         (* sequential baseline: the same engine the workers run, observed
-           like them, no scheduler *)
+           like them, no scheduler; its answer, sorted as Parallel sorts,
+           is what every worker count must return *)
         let t0 = Harness.now () in
-        let baseline = ref 0 in
+        let baseline = ref [] in
         let obs = Scliques_obs.Obs.create () in
         Scliques_core.Cs_cliques2.iter ~pivot:true ~obs
           (Scliques_core.Neighborhood.create ~obs ~s:2 g)
-          (fun _ -> incr baseline);
+          (fun c -> baseline := c :: !baseline);
         let t_seq = Harness.now () -. t0 in
+        let expected = List.sort NS.compare !baseline in
         (* over-splitting check: the minimum-subtree threshold must cut
            the split count without changing the canonical output *)
         let workers = List.fold_left Int.max 1 worker_counts in
@@ -601,6 +603,10 @@ let scaling () =
             let t0 = Harness.now () in
             let results, counter, tasks = par_run ~workers g in
             let wall = Harness.now () -. t0 in
+            if not (List.equal NS.equal expected results) then
+              failwith
+                (Printf.sprintf "%s: %d workers returned %d results, sequential CS2P %d"
+                   family workers (List.length results) (List.length expected));
             let speedup = t_seq /. Float.max 1e-9 wall in
             let max_tasks = Array.fold_left Int.max 0 tasks in
             let avg_tasks =

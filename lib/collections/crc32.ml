@@ -82,3 +82,17 @@ let string ?(off = 0) ?len s =
   (* SAFETY: digest_bytes only reads its buffer, so viewing the
      immutable string as bytes without a copy cannot mutate it *)
   digest_bytes (Bytes.unsafe_of_string s) off len
+
+(* Running digests for callers that produce their input a few bytes at a
+   time: the state is the CRC register before the final inversion, and
+   one 4-byte step is slicing-by-8's step over a 4-byte group. *)
+let start = 0xFFFFFFFF
+
+let add_int32_le crc v =
+  let c = crc lxor (v land 0xFFFFFFFF) in
+  t3.(c land 0xFF)
+  lxor t2.((c lsr 8) land 0xFF)
+  lxor t1.((c lsr 16) land 0xFF)
+  lxor t0.(c lsr 24)
+
+let finish crc = crc lxor 0xFFFFFFFF

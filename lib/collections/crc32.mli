@@ -12,3 +12,17 @@ val string : ?off:int -> ?len:int -> string -> int
 
 val bytes : ?off:int -> ?len:int -> bytes -> int
 (** Same over a [bytes] buffer. *)
+
+(** {2 Running digests} *)
+
+val start : int
+(** The running state of the empty input. *)
+
+val add_int32_le : int -> int -> int
+(** [add_int32_le crc v] feeds the four little-endian bytes of [v]'s low
+    32 bits — what [Buffer.add_int32_le] writes for [Int32.of_int v] — into
+    the running state [crc]. Allocation-free. *)
+
+val finish : int -> int
+(** The digest of a running state: [finish (add_int32_le start v)] is
+    {!string} of [v]'s four bytes. *)

@@ -60,6 +60,17 @@ let find_opt t k =
       t.misses <- t.misses + 1;
       None
 
+(* [Tbl.find] returns the bound value itself, where [find_opt] boxes it
+   in a [Some]: a hit allocates nothing *)
+let find_or t k ~default =
+  match Tbl.find t.table k with
+  | v ->
+      t.hits <- t.hits + 1;
+      v
+  | exception Not_found ->
+      t.misses <- t.misses + 1;
+      default
+
 let mem t k = Tbl.mem t.table k
 
 let rec evict_one t =

@@ -33,6 +33,12 @@ val total_weight : 'v t -> int
 val find_opt : 'v t -> int -> 'v option
 (** Updates the hit/miss counters but never the eviction order. *)
 
+val find_or : 'v t -> int -> default:'v -> 'v
+(** [find_or t k ~default] is {!find_opt} without the option: the cached
+    value, or [default] on a miss (a caller tells the two apart with a
+    [default] that is never cached, compared by [==]). Same counters;
+    a hit allocates nothing. *)
+
 val mem : 'v t -> int -> bool
 (** Membership without touching the statistics. *)
 

@@ -17,18 +17,32 @@
       outright (they can never complete to a connected s-clique with [R],
       so they are not needed in [X] either). Complete pruning is
       NP-complete (Thm. 5.6); this check is the paper's sound
-      approximation. It is one BFS from [v] over a scratch bitset
-      holding [R ∪ (P ∩ N^s(v))]: the BFS reads CSR rows, clears each
-      bit it reaches, and stops as soon as it has reached all of [R].
+      approximation: one BFS from [v] over [R ∪ (P ∩ N^s(v))] that stops
+      as soon as it has reached all of [R].
 
-    A visit's inner tests all run on the oracle's scratch
-    ({!Neighborhood.scratch}): the feasibility BFS, the print-time
-    connectivity check on the same kernel, and the [P]/[X] filter by
-    [N^{∃,1}(R)], which scatters [R]'s CSR rows into the scratch bitset
-    at each visit rather than carrying a running union in the task. They
-    compute the same sets as the set-algebra formulation and ask
-    {!Neighborhood.ball} for the same nodes in the same order, so
-    results, emission order and counters do not depend on them. *)
+    {b Dense universes.} Every branch of a root stays inside the root's
+    closed ball [U = N^s\[root\]] (the Eppstein–Löffler–Strash per-vertex
+    subproblem), which is small on social graphs. A task numbers [U] by
+    rank, so ascending local ids are ascending nodes, and carries [R],
+    [P] and [X] as bitsets of [⌈|U|/32⌉] words over them. A runner works
+    in one universe at a time and keeps a row store beside it: on first
+    use within the universe it fills a node's ball row [N^s(u) ∩ U] (from
+    {!Neighborhood.ball}) and its adjacency row [N(u) ∩ U] (from the CSR
+    row) as bitsets, so every set operation of a visit is a loop over a
+    few words — the filters [P ∩ N^s(v)] and [X ∩ N^s(v)], the pivot
+    cost [|P| − popcount(P ∧ N^s(u))], [P − N^s(u)], [N^{∃,1}(R)] as the
+    union of [R]'s adjacency rows, and the feasibility and print-time
+    connectivity BFS. The store holds at most {!row_cap} words: when it
+    is full it forgets every row and refills on demand. The depth-first
+    search keeps each level's [R], [P] and [X] in runner-owned frames,
+    so {!run_task} allocates nothing per visit but the emitted sets.
+
+    The kernels compute the same sets as the set-algebra formulation and
+    the visit makes the same choices in the same order, so results,
+    emission order and the [cs2.*] counters do not depend on them. Each
+    ball is read from the oracle once per root rather than once per use:
+    [nh.cache_misses] and [nh.bfs_expansions] are unchanged (as long as
+    the oracle's cache evicts nothing), [nh.cache_hits] is lower. *)
 
 type pivot_rule =
   | Min_uncovered
@@ -60,7 +74,9 @@ val iter :
 (** Call the function on every maximal connected s-clique exactly once.
     Defaults: [pivot = false], [pivot_rule = Min_uncovered],
     [feasibility = false]. [min_size] enables the §6 pruning and filters
-    the output; [should_continue] is polled at every recursion entry.
+    the output; [should_continue] is polled before each root (no root
+    branch is built once it returns [false]) and at every recursion
+    entry.
 
     With [obs], the delay recorder ticks per emission and the counters
     [cs2.calls], [cs2.max_depth], [cs2.emits], [cs2.pivot_prunes]
@@ -75,29 +91,38 @@ val iter :
 
     The work-stealing {!Parallel} scheduler needs the recursion as
     first-class subproblems it can move between workers. A {!task} is one
-    node of the recursion tree — the state [(depth, R, P, X)], with [R]
-    never empty — and a {!runner} bundles a search configuration with its
-    output sink. {!run_task} explores a subtree depth-first exactly as
-    {!iter} would; {!expand_task} performs ONE visit step (emitting [R]
-    if it is a maximal connected s-clique) and returns the child
-    subproblems in branch order. Both paths execute the same shared visit
-    code, and every child state is fully computed before any child runs,
-    so running the children in any order — or on any worker — explores
-    exactly the subtree [run_task] would: the emitted multiset is
-    schedule-independent. [Enumerate.run]'s rooted loop runs one
-    {!root_task} per root on a single runner; {!Parallel} moves tasks
-    between workers. *)
+    node of the recursion tree — the state [(depth, R, P, X)] over its
+    root's universe, with [R] never empty — and a {!runner} bundles a
+    search configuration with its output sink and its dense working
+    state. {!run_task} explores a subtree depth-first exactly as {!iter}
+    would; {!expand_task} performs ONE visit step (emitting [R] if it is
+    a maximal connected s-clique) and returns the child subproblems in
+    branch order. Both paths execute the same shared visit code, and
+    every child state is fully computed before any child runs, so running
+    the children in any order — or on any worker — explores exactly the
+    subtree [run_task] would: the emitted multiset is
+    schedule-independent. A task is immutable and shares its universe
+    with the other tasks of its root; a runner handed a task of another
+    root switches to that root's universe (same numbering) and forgets
+    its rows, so a stolen task runs on the thief's own state.
+    [Enumerate.run]'s rooted loop runs one {!root_task} per root on a
+    single runner; {!Parallel} moves tasks between workers. *)
 
-type task = private {
-  depth : int;  (** distance from the task's root call (the split-depth knob's unit) *)
-  r : Sgraph.Node_set.t;
-  p : Sgraph.Node_set.t;
-  x : Sgraph.Node_set.t;
-}
+type task
+
+val task_depth : task -> int
+(** Distance from the task's root call (the split-depth knob's unit). *)
 
 val task_width : task -> int
 (** [|P|] — the branching factor bound the scheduler's split-width
     threshold compares against. *)
+
+val task_r : task -> Sgraph.Node_set.t
+(** [R] as a node set (allocates; for tests and tools). *)
+
+val task_p : task -> Sgraph.Node_set.t
+
+val task_x : task -> Sgraph.Node_set.t
 
 type runner
 
@@ -120,8 +145,9 @@ val make_runner :
 
 val root_task : Neighborhood.t -> int -> task
 (** [root_task nh v] is the state the ascending root loop reaches at
-    [v]: [R = {v}] with [P] and [X] from {!Neighborhood.root_split}.
-    The tasks of all roots partition the output. *)
+    [v]: [R = {v}], [P] the members of [N^s(v)] above [v] and [X] those
+    below it, over the universe [N^s\[v\]]. The tasks of all roots
+    partition the output. *)
 
 val run_task : runner -> task -> unit
 (** Explore the whole subtree depth-first. *)
@@ -130,24 +156,42 @@ val expand_task : runner -> task -> task list
 (** One visit step: emit [R] if maximal, return the children. An empty
     list means the subtree is exhausted. *)
 
-(** {2 Scratch kernels}
+(** {2 The row store} *)
 
-    The visit step's inner tests, each on the oracle's scratch, which it
-    leaves all-zero. Exposed for the differential suite and the kernel
-    benchmarks; the visit step is their only other caller. *)
+val row_cap : int
+(** The most words a runner's row store holds: [2^18] (2 MiB), a fixed
+    constant. A universe of [k] nodes needs [2k⌈k/32⌉] words for all of
+    its rows ([k⌈k/32⌉] at [s = 1], where the two rows agree), so only a
+    universe of more than about 2,000 nodes can fill it; a universe of
+    more than [32 * row_cap] nodes gets a store of one row. *)
 
-val feasible : Neighborhood.t -> Sgraph.Node_set.t -> int -> Sgraph.Node_set.t -> bool
-(** [feasible nh r v p_cap_ball]: does a BFS from [v] inside
-    [G\[r ∪ {v} ∪ p_cap_ball\]] reach every member of [r]? [v] must be
-    in neither set; the visit passes [p_cap_ball = P ∩ N^s(v)]. *)
+val row_flushes : runner -> int
+(** How many times the store was full and forgot its rows. *)
 
-val connected : Neighborhood.t -> Sgraph.Node_set.t -> bool
-(** [Sgraph.Bfs.is_connected_subset] on the feasibility kernel. *)
+val row_store_words : runner -> int
+(** The store's current size in words, at most {!row_cap}. *)
 
-val candidates : Neighborhood.t -> task -> Sgraph.Node_set.t
+(** {2 Dense kernels}
+
+    The visit step's inner tests on a task's bitsets, run in the given
+    runner (which switches to the task's universe first). Exposed for the
+    differential suite and the kernel benchmarks; the visit step is their
+    only other caller. Node arguments and results are node ids.
+    @raise Invalid_argument on a node outside the task's universe. *)
+
+val feasible : runner -> task -> int -> bool
+(** [feasible rn t v], for [v] in the task's [P]: does a BFS from [v]
+    inside [G\[R ∪ {v} ∪ (P ∩ N^s(v))\]] reach every member of [R]?
+    @raise Invalid_argument when [v] is not in [P]. *)
+
+val connected : runner -> task -> Sgraph.Node_set.t -> bool
+(** [Sgraph.Bfs.is_connected_subset] of a subset of the task's universe,
+    on the feasibility BFS. *)
+
+val candidates : runner -> task -> Sgraph.Node_set.t
 (** [(P ∪ X) ∩ N^{∃,1}(R)]: the pivot candidates, empty exactly when no
     node of [P ∪ X] touches [R]. *)
 
-val pivot_of : Neighborhood.t -> pivot_rule -> task -> int option
+val pivot_of : runner -> pivot_rule -> task -> int option
 (** The pivot a visit of the task branches around, [None] when
     {!candidates} is empty. *)

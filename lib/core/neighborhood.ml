@@ -195,11 +195,23 @@ let bfs_ball t v =
   | Some c -> Scliques_obs.Counters.add c (Node_set.cardinal b + 1));
   b
 
+(* the miss marker of [ball]'s private lookup: a set of its own, never
+   cached, told apart from every cached ball by [==] *)
+let absent = Node_set.singleton (-1)
+
 let ball t v =
   if t.s = 1 then Graph.neighbor_set t.graph v (* already materialized *)
   else
     match t.backend with
-    | Private cache -> Scoll.Lri_cache.find_or_add cache v ~compute:(fun v -> bfs_ball t v)
+    | Private cache ->
+        (* no closure and no option: a warm hit allocates nothing *)
+        let b = Scoll.Lri_cache.find_or cache v ~default:absent in
+        if b != absent then b
+        else begin
+          let b = bfs_ball t v in
+          Scoll.Lri_cache.add cache v b;
+          b
+        end
     | Shared_store (st, birth) -> (
         (* double-checked: probe under the lock, but run the BFS outside
            it (Bfs.ball is pure), so one slow miss never serializes the
@@ -326,17 +338,22 @@ let root_fingerprint ~s g root =
          root (Graph.n g));
   let radius = fingerprint_radius ~s in
   let members = Node_set.add root (Sgraph.Bfs.ball g root ~radius) in
-  let buf = Buffer.create 256 in
-  let add v = Buffer.add_int32_le buf (Int32.of_int v) in
-  Node_set.iter
-    (fun v ->
-      add v;
-      Graph.iter_neighbors add g v;
-      (* row terminator: -1 is no node id, so (member, row) framing is
-         unambiguous and shifting ids across rows cannot collide *)
-      add (-1))
-    members;
-  Scoll.Crc32.string (Buffer.contents buf)
+  let csr = Graph.csr g in
+  let off = Sgraph.Csr.offsets csr and adj = Sgraph.Csr.adjacency csr in
+  (* each id goes into the running CRC as the 4 little-endian bytes of
+     its int32, with no buffer in between *)
+  let crc = ref Scoll.Crc32.start in
+  for i = 0 to Node_set.cardinal members - 1 do
+    let v = Node_set.nth members i in
+    crc := Scoll.Crc32.add_int32_le !crc v;
+    for j = off.(v) to off.(v + 1) - 1 do
+      crc := Scoll.Crc32.add_int32_le !crc adj.(j)
+    done;
+    (* row terminator: -1 is no node id, so (member, row) framing is
+       unambiguous and shifting ids across rows cannot collide *)
+    crc := Scoll.Crc32.add_int32_le !crc (-1)
+  done;
+  Scoll.Crc32.finish !crc
 
 let sync_obs t =
   match t.obs with

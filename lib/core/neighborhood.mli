@@ -131,7 +131,8 @@ val invalidate : t -> after:Sgraph.Graph.t -> touched:int list -> unit
     through {!Shared.invalidate} instead). *)
 
 val ball : t -> int -> Sgraph.Node_set.t
-(** [ball t v] is [N^s(v)], {b excluding} [v] itself. Cached. *)
+(** [ball t v] is [N^s(v)], {b excluding} [v] itself. Cached; a hit on a
+    {!create}d oracle allocates nothing. *)
 
 val root_split : t -> int -> Sgraph.Node_set.t * Sgraph.Node_set.t
 (** [root_split t v] is [(P, X)] for the branch on root [v] of the
@@ -161,14 +162,12 @@ val ball_mask : t -> int -> Scoll.Bitset.t
 (** [ball_mask t v] is [load_mask t (ball t v)] — the ball of [v] as a
     scratch bitset, with the same single-load validity rule. *)
 
-(** The working state of ExtendMax ({!Extend_max}) and of CSCliques2's
-    visit step ({!Cs_cliques2}), owned by the oracle so that every
-    oracle — each Parallel worker's, each daemon query's — has its own
-    and none is ever shared. The two users never interleave: neither
-    calls the other, and each call leaves the state as the rules below
-    require before it returns.
-    - [cand]: a candidate buffer (also the visit step's BFS queue),
-      grown by its user; its contents are meaningless between calls;
+(** The working state of ExtendMax ({!Extend_max}), owned by the oracle
+    so that every oracle — each daemon query's, each PD run's — has its
+    own and none is ever shared. Each call leaves the state as the rules
+    below require before it returns.
+    - [cand]: a candidate buffer, grown by its user; its contents are
+      meaningless between calls;
     - [members]: a buffer for the members of the set being grown, with
       the same rule;
     - [frontier]: a bitset over the node ids that is {b all-zero}

@@ -157,7 +157,7 @@ let run_worker ~id ~g ~s ~pivot ~feasibility ~min_size ~cache_capacity ~observed
       cur_root := root;
       Scoll.Fault.check rooted.fault "par.task";
       if
-        t.Cs_cliques2.depth < split_depth
+        Cs_cliques2.task_depth t < split_depth
         && Cs_cliques2.task_width t >= split_width
       then begin
         (* oversized shallow subtree: do one visit step (emitting if

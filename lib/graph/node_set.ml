@@ -444,6 +444,17 @@ let inter_bitset_cardinal (s : t) mask =
 
 let diff_bitset_cardinal s mask = Array.length s - inter_bitset_cardinal s mask
 
+(* one direct loop over the members: per element, a cross-module call
+   would cost more than the renumbering and the bit store together *)
+let scatter_ranks (s : t) ~(rank : int array) ~(into : int array) ~off =
+  for i = 0 to Array.length s - 1 do
+    let l = rank.(s.(i)) in
+    if l >= 0 then begin
+      let j = off + (l lsr 5) in
+      into.(j) <- into.(j) lor (1 lsl (l land 31))
+    end
+  done
+
 let pp fmt s =
   Format.fprintf fmt "{";
   Array.iteri

@@ -129,6 +129,14 @@ val inter_bitset_cardinal : t -> Scoll.Bitset.t -> int
 val diff_bitset_cardinal : t -> Scoll.Bitset.t -> int
 (** [cardinal (diff_bitset s mask)] without allocating. *)
 
+val scatter_ranks : t -> rank:int array -> into:int array -> off:int -> unit
+(** [scatter_ranks s ~rank ~into ~off] sets bit [rank.(x)] of the bitset
+    stored in [into] from word [off] on (32 bits per word, as in
+    {!Scoll.Bitset}) for every member [x] of [s] with [rank.(x) >= 0]:
+    [s] seen through a renumbering that drops the nodes it maps to [-1].
+    @raise Invalid_argument when a member or a word falls outside
+    [rank] or [into]. *)
+
 val pp : Format.formatter -> t -> unit
 (** Prints as [{1, 5, 9}]. *)
 

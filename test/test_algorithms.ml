@@ -232,6 +232,23 @@ let poly_delay_tests =
         let g = Sgraph.Gen.exponential_gadget 6 in
         let first = E.first_n E.Poly_delay g ~s:2 5 in
         check int "5 results" 5 (List.length first));
+    Alcotest.test_case "CS2 iter told to stop builds no root" `Quick (fun () ->
+        (* a root's task costs its ball; a checker that is false from the
+           start must stop the ascending loop before the first one *)
+        let g = Sgraph.Gen.erdos_renyi (Scoll.Rng.create 23) ~n:200 ~avg_degree:6. in
+        List.iter
+          (fun root_order ->
+            let obs = Scliques_obs.Obs.create () in
+            let nh = Nh.create ~obs ~s:2 g in
+            let emitted = ref 0 in
+            Scliques_core.Cs_cliques2.iter ~pivot:true ~root_order
+              ~should_continue:(fun () -> false)
+              ~obs nh
+              (fun _ -> incr emitted);
+            check int "results" 0 !emitted;
+            let bfs = Scliques_obs.Obs.counter obs "nh.bfs_expansions" in
+            check int "nh.bfs_expansions" 0 (Scliques_obs.Counters.value bfs))
+          [ Scliques_core.Cs_cliques2.Ascending; Scliques_core.Cs_cliques2.Power_degeneracy ]);
   ]
 
 let enumerate_tests =

@@ -713,6 +713,21 @@ let crc32_tests =
     test_case "out-of-bounds substring raises" `Quick (fun () ->
         check_raises "bad range" (Invalid_argument "Crc32: substring out of bounds")
           (fun () -> ignore (Crc32.string ~off:1 ~len:100 "short")));
+    test_case "running int32 digest = digest of the bytes" `Quick (fun () ->
+        (* ids, the -1 terminator and values whose int32 wraps: each run
+           of k values against the Buffer bytes Int32.of_int writes *)
+        let values = [| 0; 1; 255; 256; 65_537; 0x7FFF_FFFF; -1; 0x1_2345_6789; -77 |] in
+        for k = 0 to Array.length values do
+          let buf = Buffer.create 64 in
+          let crc = ref Crc32.start in
+          for i = 0 to k - 1 do
+            Buffer.add_int32_le buf (Int32.of_int values.(i));
+            crc := Crc32.add_int32_le !crc values.(i)
+          done;
+          check int (Printf.sprintf "%d values" k)
+            (Crc32.string (Buffer.contents buf))
+            (Crc32.finish !crc)
+        done);
   ]
 
 let suites =

@@ -16,6 +16,36 @@ let of_l = NS.of_list
 
 let fig1 () = fst (Sgraph.Gen.figure1 ())
 
+(* [Neighborhood.root_fingerprint] as first written: the int32 stream
+   built in a Buffer and digested at the end *)
+let buffered_fingerprint ~s g root =
+  let members = NS.add root (Sgraph.Bfs.ball g root ~radius:(Nh.fingerprint_radius ~s)) in
+  let buf = Buffer.create 256 in
+  let add v = Buffer.add_int32_le buf (Int32.of_int v) in
+  NS.iter
+    (fun v ->
+      add v;
+      G.iter_neighbors add g v;
+      add (-1))
+    members;
+  Scoll.Crc32.string (Buffer.contents buf)
+
+let fingerprint_matches_buffered =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:60 ~name:"root_fingerprint = buffered digest, every root"
+       ~print:Test_differential.print_case
+       QCheck2.Gen.(
+         oneofl [ `Er; `Sf ] >>= fun family ->
+         int_range 1 3 >>= fun s ->
+         int_range 2 120 >>= fun n ->
+         int_range 0 (3 * n) >>= fun m ->
+         int_range 0 1_000_000 >>= fun seed -> return (family, n, m, s, seed))
+       (fun (family, n, m, s, seed) ->
+         let g = Test_differential.graph_of_case (family, n, m, seed) in
+         List.for_all
+           (fun r -> Int.equal (buffered_fingerprint ~s g r) (Nh.root_fingerprint ~s g r))
+           (List.init (G.n g) Fun.id)))
+
 let neighborhood_tests =
   [
     Alcotest.test_case "ball equals Bfs.ball" `Quick (fun () ->
@@ -80,6 +110,39 @@ let neighborhood_tests =
     Alcotest.test_case "s < 1 rejected" `Quick (fun () ->
         Alcotest.check_raises "s=0" (Invalid_argument "Neighborhood.create: s must be >= 1")
           (fun () -> ignore (Nh.create ~s:0 (fig1 ()))));
+    Alcotest.test_case "warm ball hits allocate nothing" `Quick (fun () ->
+        (* 1,000 hits on cached balls may allocate only the measurement's
+           own float boxes; the hits are counted as before *)
+        let g = Sgraph.Gen.erdos_renyi (Scoll.Rng.create 5) ~n:1000 ~avg_degree:8. in
+        let nh = Nh.create ~s:2 g in
+        for v = 0 to 99 do
+          ignore (Nh.ball nh v)
+        done;
+        let before = Gc.minor_words () in
+        for i = 1 to 1000 do
+          ignore (Sys.opaque_identity (Nh.ball nh (i mod 100)))
+        done;
+        let w = Gc.minor_words () -. before in
+        if w > 16. then Alcotest.failf "%.0f minor words for 1,000 warm hits" w;
+        let stats = Nh.cache_stats nh in
+        check int "hits" 1000 stats.Scoll.Lri_cache.hits;
+        check int "misses" 100 stats.Scoll.Lri_cache.misses);
+    Alcotest.test_case "root_fingerprint known answers" `Quick (fun () ->
+        (* digests stored in SCLQIDX1 sidecars: they must never move *)
+        let g = fig1 () in
+        let er = Sgraph.Gen.erdos_renyi (Scoll.Rng.create 3) ~n:200 ~avg_degree:5. in
+        List.iter
+          (fun (name, g, s, root, expected) ->
+            check int name expected (Nh.root_fingerprint ~s g root))
+          [
+            ("figure 1, s=1, root 0", g, 1, 0, 1971497302);
+            ("figure 1, s=2, root 3", g, 2, 3, 1028468047);
+            (* at radius 4 the ball of node 7 is the whole graph, as is
+               node 3's at radius 2 *)
+            ("figure 1, s=3, root 7", g, 3, 7, 1028468047);
+            ("ER n=200, s=2, root 17", er, 2, 17, 2299109874);
+          ]);
+    fingerprint_matches_buffered;
   ]
 
 let extend_max_tests =

@@ -1,10 +1,11 @@
-(* CSCliques2 visit-step differential: the scratch kernels of
-   [Cs_cliques2] (the feasibility BFS, the connectivity check on the same
-   kernel, the P/X filter by N^{∃,1}(R) and pivot scoring) against the
-   set-algebra formulation they replaced, kept here as the reference. The
-   reference reads only the public oracle operators and allocates fresh
-   sets, so it has no scratch to get wrong. The states are real visits:
-   each case walks the recursion tree with [expand_task]. *)
+(* CSCliques2 visit-step differential: the dense kernels of [Cs_cliques2]
+   (the feasibility BFS, the connectivity check on the same BFS, the
+   pivot candidates (P ∪ X) ∩ N^{∃,1}(R), pivot scoring, and the children
+   a visit hands out) against the set-algebra formulation they replaced,
+   kept here as the reference. The reference reads only the public oracle
+   operators and allocates fresh sets, so it has no universe or row store
+   to get wrong. The states are real visits: each case walks the
+   recursion tree with [expand_task]. *)
 
 module NS = Sgraph.Node_set
 module G = Sgraph.Graph
@@ -22,19 +23,19 @@ module Reference = struct
   let frontier nh r =
     NS.fold (fun v acc -> NS.union acc (G.neighbor_set (Nh.graph nh) v)) r NS.empty
 
-  let candidates nh (t : Cs2.task) =
-    let m = Nh.load_mask nh (frontier nh t.r) in
-    NS.union (NS.inter_bitset t.p m) (NS.inter_bitset t.x m)
+  let candidates nh (r, p, x) =
+    let m = Nh.load_mask nh (frontier nh r) in
+    NS.union (NS.inter_bitset p m) (NS.inter_bitset x m)
 
-  let pivot_of nh rule (t : Cs2.task) =
+  let pivot_of nh rule ((_, p, _) as t) =
     let candidates = candidates nh t in
     if NS.is_empty candidates then None
     else
       match rule with
       | Cs2.First_candidate -> Some (NS.min_elt candidates)
       | Cs2.Min_uncovered ->
-          let p_mask = Nh.load_mask nh t.p in
-          let p_size = NS.cardinal t.p in
+          let p_mask = Nh.load_mask nh p in
+          let p_size = NS.cardinal p in
           let best = ref (-1) and best_cost = ref max_int in
           NS.iter
             (fun u ->
@@ -45,59 +46,104 @@ module Reference = struct
               end)
             candidates;
           Some !best
+
+  (* what a visit emits and the children it hands out, in branch order *)
+  let visit nh ~pivot ~feasibility ((r, p, x) as t) =
+    let maximal = NS.is_empty (candidates nh t) in
+    let emitted =
+      if maximal && Sgraph.Bfs.is_connected_subset (Nh.graph nh) r then [ r ] else []
+    in
+    let branchable =
+      if not pivot then p
+      else
+        match pivot_of nh Cs2.Min_uncovered t with
+        | None -> NS.empty
+        | Some u -> NS.diff p (Nh.ball nh u)
+    in
+    let p = ref p and x = ref x and children = ref [] in
+    NS.iter
+      (fun v ->
+        let ball = Nh.ball nh v in
+        let p_cap = NS.inter !p ball in
+        if not (feasibility && not (feasible nh r v p_cap)) then begin
+          children := (NS.add v r, p_cap, NS.inter !x ball) :: !children;
+          x := NS.add v !x
+        end;
+        p := NS.remove v !p)
+      branchable;
+    (emitted, List.rev !children)
 end
 
-let scratch_clean what nh =
-  if not (Scoll.Bitset.is_empty (Nh.scratch nh).frontier) then
-    QCheck2.Test.fail_reportf "%s left bits set in the scratch bitset" what
+let sets t = (Cs2.task_r t, Cs2.task_p t, Cs2.task_x t)
 
 let agree_bool what expected got =
   if not (Bool.equal expected got) then
-    QCheck2.Test.fail_reportf "%s: reference %b, scratch %b" what expected got
+    QCheck2.Test.fail_reportf "%s: reference %b, dense %b" what expected got
 
-(* Every kernel on state [t] of oracle [nh] against the reference on its
-   own oracle [ref_nh], with the scratch checked all-zero after each
-   call: the pivot candidates, both pivot rules, connectivity of R and of
-   R plus one node of P, and feasibility of up to eight branch nodes. *)
-let check_state ~ref_nh nh (t : Cs2.task) =
-  let got = Cs2.candidates nh t in
-  scratch_clean "candidates" nh;
-  let expected = Reference.candidates ref_nh t in
+let pp_state ppf (r, p, x) = Fmt.pf ppf "R=%a P=%a X=%a" NS.pp r NS.pp p NS.pp x
+
+(* Every kernel on state [t], run in runner [rn], against the reference
+   on its own oracle [ref_nh]: the pivot candidates, both pivot rules,
+   connectivity of R and of R plus one node of P, and feasibility of up
+   to eight branch nodes. *)
+let check_state ~ref_nh rn t =
+  let ((r, p, _) as st) = sets t in
+  let got = Cs2.candidates rn t in
+  let expected = Reference.candidates ref_nh st in
   if not (NS.equal expected got) then
-    QCheck2.Test.fail_reportf "candidates R=%a: reference %a, scratch %a" NS.pp t.r NS.pp
+    QCheck2.Test.fail_reportf "candidates %a: reference %a, dense %a" pp_state st NS.pp
       expected NS.pp got;
   List.iter
     (fun rule ->
-      let got = Cs2.pivot_of nh rule t in
-      scratch_clean "pivot_of" nh;
-      let expected = Reference.pivot_of ref_nh rule t in
+      let got = Cs2.pivot_of rn rule t in
+      let expected = Reference.pivot_of ref_nh rule st in
       if not (Option.equal Int.equal expected got) then
-        QCheck2.Test.fail_reportf "pivot R=%a P=%a: reference %a, scratch %a" NS.pp t.r
-          NS.pp t.p Fmt.(Dump.option int) expected Fmt.(Dump.option int) got)
+        QCheck2.Test.fail_reportf "pivot %a: reference %a, dense %a" pp_state st
+          Fmt.(Dump.option int) expected Fmt.(Dump.option int) got)
     [ Cs2.Min_uncovered; Cs2.First_candidate ];
-  let g = Nh.graph nh in
+  let g = Nh.graph ref_nh in
   let conn u =
-    let got = Cs2.connected nh u in
-    scratch_clean "connected" nh;
-    agree_bool "connected" (Sgraph.Bfs.is_connected_subset g u) got
+    agree_bool "connected" (Sgraph.Bfs.is_connected_subset g u) (Cs2.connected rn t u)
   in
-  conn t.r;
-  if not (NS.is_empty t.p) then conn (NS.add (NS.choose t.p) t.r);
-  for i = 0 to min 8 (NS.cardinal t.p) - 1 do
-    let v = NS.nth t.p i in
-    let p_cap_ball = NS.inter t.p (Nh.ball nh v) in
-    let got = Cs2.feasible nh t.r v p_cap_ball in
-    scratch_clean "feasible" nh;
-    agree_bool "feasible" (Reference.feasible ref_nh t.r v p_cap_ball) got
+  conn r;
+  if not (NS.is_empty p) then conn (NS.add (NS.choose p) r);
+  for i = 0 to min 8 (NS.cardinal p) - 1 do
+    let v = NS.nth p i in
+    let p_cap_ball = NS.inter p (Nh.ball ref_nh v) in
+    agree_bool "feasible" (Reference.feasible ref_nh r v p_cap_ball) (Cs2.feasible rn t v)
   done
 
-(* Up to [budget] states of the recursion trees of up to 24 roots in a
-   seed-shuffled order, the budget split evenly between the roots, so
-   consecutive calls reuse the scratch on unrelated regions of the graph:
-   each state is checked, then expanded by a real visit. *)
-let walk ~pivot ~feasibility ~budget rng nh f =
-  let rn = Cs2.make_runner ~pivot ~feasibility nh ignore in
-  let g = Nh.graph nh in
+(* A runner whose emissions land in [emitted], and its visit of [t]
+   checked against the reference visit: the same emission and the same
+   children, in the same order, one level deeper. *)
+let expander ~pivot ~feasibility ~ref_nh nh =
+  let emitted = ref [] in
+  let rn = Cs2.make_runner ~pivot ~feasibility nh (fun c -> emitted := c :: !emitted) in
+  let expand t =
+    let st = sets t in
+    emitted := [];
+    let children = Cs2.expand_task rn t in
+    let exp_emitted, exp_children = Reference.visit ref_nh ~pivot ~feasibility st in
+    if not (List.equal NS.equal exp_emitted !emitted) then
+      QCheck2.Test.fail_reportf "emission at %a differs" pp_state st;
+    let same (r, p, x) c =
+      Int.equal (Cs2.task_depth c) (Cs2.task_depth t + 1)
+      &&
+      let r', p', x' = sets c in
+      NS.equal r r' && NS.equal p p' && NS.equal x x'
+    in
+    if
+      not
+        (Int.equal (List.length exp_children) (List.length children)
+        && List.for_all2 same exp_children children)
+    then
+      QCheck2.Test.fail_reportf "children of %a: reference %d, dense %d" pp_state st
+        (List.length exp_children) (List.length children);
+    children
+  in
+  (rn, expand)
+
+let shuffled_roots rng g =
   let order = Array.init (G.n g) Fun.id in
   for i = Array.length order - 1 downto 1 do
     let j = Scoll.Rng.int rng (i + 1) in
@@ -105,24 +151,30 @@ let walk ~pivot ~feasibility ~budget rng nh f =
     order.(i) <- order.(j);
     order.(j) <- x
   done;
-  let roots = Array.sub order 0 (min 24 (G.n g)) in
+  Array.sub order 0 (min 24 (G.n g))
+
+(* Up to [budget] states of the recursion trees of up to 24 roots in a
+   seed-shuffled order, the budget split evenly between the roots, so
+   consecutive roots switch the runner to unrelated universes: each
+   state is checked, then expanded by a real visit. *)
+let walk ~budget roots expand f =
   let left = ref 0 in
   let rec go t =
     if !left > 0 then begin
       decr left;
       f t;
-      List.iter go (Cs2.expand_task rn t)
+      List.iter go (expand t)
     end
   in
-  Array.iter
-    (fun v ->
-      left := max 1 (budget / Array.length roots);
-      go (Cs2.root_task nh v))
+  List.iter
+    (fun t ->
+      left := max 1 (budget / List.length roots);
+      go t)
     roots
 
-(* Graphs of up to 160 nodes, as in extend_max_diff: the scratch bitset
-   packs 32 ids per word, and a graph that fits in one or two words would
-   hide a bit left set (any other reset zeroes the same word). *)
+(* Graphs of up to 160 nodes, as in extend_max_diff: universes of up to
+   160 nodes span several words, and a graph whose universes fit in one
+   word would hide a word-index slip. *)
 let arb_case =
   let open QCheck2.Gen in
   oneofl [ `Er; `Sf ] >>= fun family ->
@@ -146,11 +198,15 @@ let property name ~count body =
          body (Scoll.Rng.create seed) g s ~pivot ~feasibility;
          true))
 
+let root_tasks rng nh =
+  List.map (Cs2.root_task nh) (Array.to_list (shuffled_roots rng (Nh.graph nh)))
+
 let prop_one_oracle =
   property "scratch = reference, many calls on one oracle" ~count:150
     (fun rng g s ~pivot ~feasibility ->
       let nh = Nh.create ~s g and ref_nh = Nh.create ~s g in
-      walk ~pivot ~feasibility ~budget:300 rng nh (check_state ~ref_nh nh))
+      let rn, expand = expander ~pivot ~feasibility ~ref_nh nh in
+      walk ~budget:300 (root_tasks rng nh) expand (check_state ~ref_nh rn))
 
 let prop_two_oracles =
   property "scratch = reference, two oracles taking turns" ~count:80
@@ -158,40 +214,112 @@ let prop_two_oracles =
       let store = Nh.Shared.create ~s g in
       let a = Nh.of_shared store and b = Nh.of_shared store in
       let ref_nh = Nh.create ~s g in
+      let rn_a, expand = expander ~pivot ~feasibility ~ref_nh a in
+      let rn_b = Cs2.make_runner ~pivot ~feasibility b ignore in
       let turn = ref 0 in
       (* the states come from [a]'s visits; every other state is checked
-         on [b], and a visit on [a] follows each check on [b] *)
-      walk ~pivot ~feasibility ~budget:200 rng a (fun t ->
+         on [b]'s runner — a task of a universe it did not build, as a
+         stolen task is — and a visit on [a] follows each check on [b] *)
+      walk ~budget:200 (root_tasks rng a) expand (fun t ->
           incr turn;
-          check_state ~ref_nh (if !turn land 1 = 0 then a else b) t;
-          scratch_clean "the other oracle" (if !turn land 1 = 0 then b else a)))
+          check_state ~ref_nh (if !turn land 1 = 0 then rn_a else rn_b) t))
+
+let prop_interleaved =
+  property "dense = reference, roots interleaved on one runner" ~count:80
+    (fun rng g s ~pivot ~feasibility ->
+      let nh = Nh.create ~s g and ref_nh = Nh.create ~s g in
+      let rn, expand = expander ~pivot ~feasibility ~ref_nh nh in
+      (* one queue of pending states per root, served round-robin, so
+         consecutive visits and kernel calls run in different universes *)
+      let queues =
+        List.map
+          (fun t ->
+            let q = Queue.create () in
+            Queue.add t q;
+            q)
+          (root_tasks rng nh)
+      in
+      let left = ref 300 in
+      while !left > 0 && List.exists (fun q -> not (Queue.is_empty q)) queues do
+        List.iter
+          (fun q ->
+            if !left > 0 && not (Queue.is_empty q) then begin
+              decr left;
+              let t = Queue.pop q in
+              check_state ~ref_nh rn t;
+              List.iter (fun c -> Queue.add c q) (expand t)
+            end)
+          queues
+      done)
+
+(* Hub graphs whose root universe overflows the row store. s = 1: a star
+   with 6,000 leaves, whose hub universe needs one 188-word row per node
+   (1.13M words). s = 2: the hub joined to 48 middle nodes with 88
+   leaves each, a 4,273-node universe whose ball and adjacency rows need
+   2 * 4,273 * 134 words. Each walks the hub's branch with pivoting and
+   feasibility, every state and child checked against the reference;
+   the store must flush and never outgrow its cap, and the whole answer
+   must be the one the construction dictates. *)
+let test_row_store_flush () =
+  let check_hub ~s g expected =
+    let nh = Nh.create ~s g and ref_nh = Nh.create ~s g in
+    let rn, expand = expander ~pivot:true ~feasibility:true ~ref_nh nh in
+    walk ~budget:120 [ Cs2.root_task nh 0 ] expand (check_state ~ref_nh rn);
+    if Cs2.row_flushes rn = 0 then Alcotest.failf "s=%d: the row store never flushed" s;
+    if Cs2.row_store_words rn > Cs2.row_cap then
+      Alcotest.failf "s=%d: row store of %d words, cap %d" s (Cs2.row_store_words rn)
+        Cs2.row_cap;
+    let got = ref [] in
+    Cs2.iter ~pivot:true ~feasibility:true nh (fun c -> got := c :: !got);
+    Alcotest.check Test_support.ns_list
+      (Printf.sprintf "s=%d answer" s)
+      (List.sort NS.compare expected) (List.sort NS.compare !got)
+  in
+  let leaves = 6_000 in
+  check_hub ~s:1
+    (G.of_edges ~n:(leaves + 1) (List.init leaves (fun i -> (0, i + 1))))
+    (List.init leaves (fun i -> NS.of_list [ 0; i + 1 ]));
+  let mids = 48 and per = 88 in
+  let leaf m j = 1 + mids + (m * per) + j in
+  let edges =
+    List.concat
+      (List.init mids (fun m -> (0, m + 1) :: List.init per (fun j -> (m + 1, leaf m j))))
+  in
+  check_hub ~s:2
+    (G.of_edges ~n:(1 + mids + (mids * per)) edges)
+    (NS.of_list (List.init (mids + 1) Fun.id)
+    :: List.init mids (fun m -> NS.of_list ([ 0; m + 1 ] @ List.init per (leaf m))))
 
 let test_feasible_allocates_nothing () =
   (* one feasible and one infeasible call from real visits, each with a
      multi-member R and a nonempty P ∩ N^s(v); after a warm-up call has
-     sized the scratch buffer, 1,000 calls may allocate only the
-     measurement's own float boxes *)
+     filled the rows, 1,000 calls may allocate only the measurement's own
+     float boxes *)
   let g = Sgraph.Gen.erdos_renyi (Scoll.Rng.create 11) ~n:300 ~avg_degree:6. in
   let nh = Nh.create ~s:2 g in
+  let rn = Cs2.make_runner ~pivot:true nh ignore in
   let found = Hashtbl.create 2 in
-  walk ~pivot:true ~feasibility:false ~budget:5_000 (Scoll.Rng.create 1) nh
-    (fun (t : Cs2.task) ->
-      if NS.cardinal t.r >= 2 then
+  walk ~budget:5_000
+    (root_tasks (Scoll.Rng.create 1) nh)
+    (Cs2.expand_task rn)
+    (fun t ->
+      let r = Cs2.task_r t and p = Cs2.task_p t in
+      if NS.cardinal r >= 2 then
         NS.iter
           (fun v ->
-            let p_cap_ball = NS.inter t.p (Nh.ball nh v) in
-            let ok = Cs2.feasible nh t.r v p_cap_ball in
-            if (not (NS.is_empty p_cap_ball)) && not (Hashtbl.mem found ok) then
-              Hashtbl.add found ok (t.r, v, p_cap_ball))
-          t.p);
+            let ok = Cs2.feasible rn t v in
+            let branching = not (NS.is_empty (NS.inter p (Nh.ball nh v))) in
+            if branching && not (Hashtbl.mem found ok) then Hashtbl.add found ok (t, v))
+          p);
   List.iter
     (fun ok ->
       match Hashtbl.find_opt found ok with
       | None -> Alcotest.failf "no %b feasibility call in the walk" ok
-      | Some (r, v, p_cap_ball) ->
+      | Some (t, v) ->
+          ignore (Cs2.feasible rn t v : bool);
           let before = Gc.minor_words () in
           for _ = 1 to 1000 do
-            ignore (Sys.opaque_identity (Cs2.feasible nh r v p_cap_ball))
+            ignore (Sys.opaque_identity (Cs2.feasible rn t v))
           done;
           let w = Gc.minor_words () -. before in
           if w > 16. then
@@ -206,5 +334,7 @@ let suites =
         prop_two_oracles;
         Alcotest.test_case "1,000 feasibility calls allocate nothing" `Quick
           test_feasible_allocates_nothing;
+        prop_interleaved;
+        Alcotest.test_case "row store flushes, answers hold" `Quick test_row_store_flush;
       ] );
   ]

@@ -92,6 +92,22 @@ let parallel_tests =
               | Some _, _ -> ())
         in
         check (Alcotest.option int) "live results of the first root" (Some 0) !alive);
+    Alcotest.test_case "SF hubs, 2 workers, forced splits = sequential" `Quick (fun () ->
+        (* every task of depth < 64 is expanded and all its children are
+           requeued, so subtrees of the hubs' big universes move between
+           the two workers and run on runners that did not build them *)
+        let g = Sgraph.Gen.barabasi_albert (Scoll.Rng.create 17) ~n:120 ~m_attach:3 in
+        List.iter
+          (fun (alg, feasibility) ->
+            let obs = Scliques_obs.Obs.create () in
+            let got =
+              P.enumerate ~workers:2 ~split_depth:64 ~split_width:0 ~split_min_subtree:0
+                ~feasibility ~obs g ~s:2
+            in
+            check Test_support.ns_list (E.name alg) (E.sorted_results alg g ~s:2) got;
+            check bool "split" true
+              (Scliques_obs.Counters.value (Scliques_obs.Obs.counter obs "par.splits") > 0))
+          [ (E.Cs2_p, false); (E.Cs2_pf, true) ]);
   ]
 
 let dot_tests =
