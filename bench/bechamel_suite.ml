@@ -63,6 +63,43 @@ let kernel_tests () =
     List.rev !calls
   in
   let cap = Sgraph.Graph.n g in
+  (* the N^s miss path and the branch fingerprint, each as it ran before
+     (one-off hashed traversal; that traversal, a Node_set.add and one
+     CRC call per id) and on reusable scratch, over the same 64 roots *)
+  let miss_roots = Array.init 64 (fun i -> i * 13) in
+  let bfs = Sgraph.Bfs.scratch cap in
+  let csr = Sgraph.Graph.csr g in
+  let off = Sgraph.Csr.offsets csr and adj = Sgraph.Csr.adjacency csr in
+  let hashed_fingerprint root =
+    let members = NS.add root (Sgraph.Bfs.ball g root ~radius:2) in
+    let crc = ref Scoll.Crc32.start in
+    for i = 0 to NS.cardinal members - 1 do
+      let v = NS.nth members i in
+      crc := Scoll.Crc32.add_int32_le !crc v;
+      for j = off.(v) to off.(v + 1) - 1 do
+        crc := Scoll.Crc32.add_int32_le !crc adj.(j)
+      done;
+      crc := Scoll.Crc32.add_int32_le !crc (-1)
+    done;
+    Scoll.Crc32.finish !crc
+  in
+  let staged_fingerprint = NH.root_fingerprint ~s:2 g in
+  (* one result record, the largest of the first 20 CS2PF results, and
+     the stream codec as it was: through lists of tokens *)
+  let record =
+    List.fold_left
+      (fun a c -> if NS.cardinal c > NS.cardinal a then c else a)
+      NS.empty
+      (E.first_n E.Cs2_pf g ~s:2 20)
+  in
+  let module St = Scliques_core.Result_io.Stream in
+  let list_encode set = String.concat " " (List.map string_of_int (NS.to_list set)) in
+  let list_decode payload =
+    NS.of_list
+      (List.filter_map
+         (fun tok -> if String.length tok = 0 then None else int_of_string_opt tok)
+         (String.split_on_char ' ' payload))
+  in
   let bp = NS.to_bitset p ~capacity:cap and bb = NS.to_bitset b ~capacity:cap in
   let scratch = Scoll.Bitset.copy bp in
   [
@@ -124,6 +161,20 @@ let kernel_tests () =
     Test.make ~name:"kernel:feasible-bitset"
       (Staged.stage (fun () ->
            List.iter (fun (t, _, v, _) -> ignore (Cs2.feasible rn t v)) feasibility_calls));
+    Test.make ~name:"kernel:ballmiss-hashed"
+      (Staged.stage (fun () ->
+           Array.iter (fun v -> ignore (Sgraph.Bfs.ball g v ~radius:2)) miss_roots));
+    Test.make ~name:"kernel:ballmiss-scratch"
+      (Staged.stage (fun () ->
+           Array.iter (fun v -> ignore (Sgraph.Bfs.ball_on bfs g v ~radius:2)) miss_roots));
+    Test.make ~name:"kernel:fingerprint-hashed"
+      (Staged.stage (fun () -> Array.iter (fun v -> ignore (hashed_fingerprint v)) miss_roots));
+    Test.make ~name:"kernel:fingerprint-staged"
+      (Staged.stage (fun () -> Array.iter (fun v -> ignore (staged_fingerprint v)) miss_roots));
+    Test.make ~name:"kernel:record-lists"
+      (Staged.stage (fun () -> ignore (list_decode (list_encode record))));
+    Test.make ~name:"kernel:record-direct"
+      (Staged.stage (fun () -> ignore (St.decode_set (St.encode_set record))));
     (* N^{∀,s}(C) has NO mask pair: the chained ball intersection stays on
        galloping sorted merges, which beat mask reloads ~2x there (see
        Neighborhood.ball_forall and EXPERIMENTS.md).

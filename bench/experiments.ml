@@ -897,6 +897,29 @@ let churn () =
               RI.splice ~old_stream:stream_path ~index:idx ~patched
                 ~out:out_path)
         in
+        (* the spliced file, read back: a clean stream holding the full
+           answer, and a sidecar equal to one built from scratch — every
+           digest the splice copied through still holds on g1, since the
+           cover radius 2s-1 is at least rho_s *)
+        let spliced, tail = RSt.read_results out_path in
+        if not (tail = `Clean && List.equal NS.equal (List.sort NS.compare spliced) full)
+        then failwith (op ^ ": spliced stream differs from full recompute");
+        let rebuilt =
+          RI.build ~s ~n
+            ~fingerprint:(Scliques_core.Neighborhood.root_fingerprint ~s g1)
+            out_path
+        in
+        let entry_equal (a : RI.entry) (b : RI.entry) =
+          a.fingerprint = b.fingerprint && a.offset = b.offset && a.extent = b.extent
+          && a.count = b.count
+        in
+        let saved = RI.load (RI.path_for out_path) in
+        if
+          not
+            (saved.RI.stream_len = rebuilt.RI.stream_len
+            && Array.length saved.RI.entries = Array.length rebuilt.RI.entries
+            && Array.for_all2 entry_equal saved.RI.entries rebuilt.RI.entries)
+        then failwith (op ^ ": spliced sidecar differs from one built over the stream");
         let speedup = t_full /. Float.max 1e-9 t_inc in
         if speedup < 1. then
           Printf.printf

@@ -22,9 +22,9 @@ type t
     {!ball} lookups go through the store.
 
     Lookups use double-checked locking: the probe and the insert each
-    take the lock, but a missing ball's BFS runs {e outside} it
-    ([Sgraph.Bfs.ball] is pure), so a slow miss never serializes sibling
-    queries. Both sides are epoch-guarded: once the store's epoch moved
+    take the lock, but a missing ball's BFS runs {e outside} it, on the
+    querying oracle's own traversal scratch, so a slow miss never
+    serializes sibling queries. Both sides are epoch-guarded: once the store's epoch moved
     past an oracle's attach point, that oracle neither reads hits (they
     may describe the newer graph) nor writes fills (computed against the
     older one) — it keeps answering for its birth graph from its own
@@ -132,7 +132,9 @@ val invalidate : t -> after:Sgraph.Graph.t -> touched:int list -> unit
 
 val ball : t -> int -> Sgraph.Node_set.t
 (** [ball t v] is [N^s(v)], {b excluding} [v] itself. Cached; a hit on a
-    {!create}d oracle allocates nothing. *)
+    {!create}d oracle allocates nothing. A miss runs the BFS on the
+    oracle's own {!Sgraph.Bfs.scratch} (private and {!of_shared} oracles
+    alike), so it allocates only the ball it returns. *)
 
 val root_split : t -> int -> Sgraph.Node_set.t * Sgraph.Node_set.t
 (** [root_split t v] is [(P, X)] for the branch on root [v] of the
@@ -220,9 +222,26 @@ val root_fingerprint : s:int -> Sgraph.Graph.t -> int -> int
     imply the branch's result set is unchanged (up to a CRC-32 collision,
     [~2^-32] — the same trust the result stream places in CRC-32), which
     is what lets {!Enumerate.refresh} skip re-running the root. O(ball +
-    incident edges); uncached — refresh calls it on balls the churn just
-    invalidated anyway.
-    @raise Invalid_argument when [s < 1] or [r] is out of range. *)
+    incident edges).
+
+    Staged: [root_fingerprint ~s g] is a fingerprinter for [g]. Its
+    first call takes the ball with the one-off {!Sgraph.Bfs.ball}, so a
+    fully applied call allocates nothing of size n; from the second call
+    on, every root is digested on one {!Sgraph.Bfs.scratch} the
+    fingerprinter allocates then. Apply it once per graph
+    ({!Result_io.Index.build} callers pass it as [~fingerprint]). The
+    returned function is {b not reentrant}: one call at a time, on one
+    thread.
+    @raise Invalid_argument when [s < 1] (at staging) or [r] is out of
+    range. *)
+
+val fingerprint : t -> int -> int
+(** [fingerprint t r] is [root_fingerprint ~s:(s t) (graph t) r],
+    computed through the oracle: {!Enumerate.refresh}'s gate. At
+    [s <= 2], where [rho_s = s], it digests [ball t r], so a miss fills
+    the cache the re-run reads; above, it runs the radius-[rho_s]
+    traversal on the oracle's scratch.
+    @raise Invalid_argument when [r] is out of range. *)
 
 val sync_obs : t -> unit
 (** Publish the ball cache's cumulative hit/miss/eviction counts into the

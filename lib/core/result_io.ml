@@ -137,21 +137,85 @@ module Stream = struct
           close_out w.oc)
     end
 
-  let encode_set set = String.concat " " (List.map string_of_int (Node_set.to_list set))
+  (* decimal digits of a non-negative int *)
+  let rec width v = if v < 10 then 1 else 1 + width (v / 10)
+
+  (* The members' decimal ids joined by single spaces, written straight
+     into one buffer of the exact length: the bytes of
+     [String.concat " " (List.map string_of_int (Node_set.to_list set))]. *)
+  let encode_set set =
+    let field v = if v >= 0 then width v else String.length (string_of_int v) in
+    let len = Node_set.fold (fun v acc -> acc + 1 + field v) set 0 - 1 in
+    if len < 0 then ""
+    else begin
+      let b = Bytes.create len in
+      let pos = ref 0 in
+      Node_set.iter
+        (fun v ->
+          if !pos > 0 then begin
+            Bytes.set b !pos ' ';
+            incr pos
+          end;
+          let w = field v in
+          if v < 0 then Bytes.blit_string (string_of_int v) 0 b !pos w
+          else begin
+            let x = ref v in
+            for i = !pos + w - 1 downto !pos do
+              Bytes.set b i (Char.chr (48 + (!x mod 10)));
+              x := !x / 10
+            done
+          end;
+          pos := !pos + w)
+        set;
+      Bytes.to_string b
+    end
+
+  (* The number of ids in a payload [encode_set] could have written:
+     ASCII digits in tokens of at most 18 (so none overflows), separated
+     by single spaces, with none at either end. [-1] for anything else. *)
+  let rec plain_count payload i tokens digits =
+    if i = String.length payload then if digits > 0 then tokens else -1
+    else
+      match payload.[i] with
+      | '0' .. '9' when digits < 18 -> plain_count payload (i + 1) tokens (digits + 1)
+      | ' ' when digits > 0 -> plain_count payload (i + 1) (tokens + 1) 0
+      | _ -> -1
+
+  (* the ids of such a payload, in order *)
+  let plain_ids payload tokens =
+    let ids = Array.make tokens 0 in
+    let k = ref 0 in
+    for i = 0 to String.length payload - 1 do
+      match payload.[i] with
+      | ' ' -> incr k
+      | c -> ids.(!k) <- (10 * ids.(!k)) + (Char.code c - 48)
+    done;
+    ids
+
+  let rec ascending (a : int array) i =
+    i >= Array.length a || (a.(i - 1) < a.(i) && ascending a (i + 1))
 
   let decode_set ?(file = "<string>") payload =
     (* the CRC already vouched for the bytes; a malformed payload means a
        foreign or buggy writer, which is a hard error, not a torn tail *)
-    let id tok =
-      match int_of_string_opt tok with
-      | Some v when v >= 0 -> v
-      | Some _ -> Sgraph.Io_error.failf ~file ~line:0 "negative node id %S" tok
-      | None -> Sgraph.Io_error.failf ~file ~line:0 "expected a node id, got %S" tok
-    in
-    Node_set.of_list
-      (List.filter_map
-         (fun tok -> if String.length tok = 0 then None else Some (id tok))
-         (String.split_on_char ' ' payload))
+    let tokens = if String.length payload = 0 then 0 else plain_count payload 0 1 0 in
+    if tokens >= 0 then
+      let ids = plain_ids payload tokens in
+      if ascending ids 1 then Node_set.of_sorted_array_unchecked ids else Node_set.of_array ids
+    else
+      (* everything else takes the general tokenizer: any token
+         [int_of_string_opt] reads ([+5], [007], [0x1f], [1_0], [-0]),
+         runs of spaces, and the typed refusals *)
+      let id tok =
+        match int_of_string_opt tok with
+        | Some v when v >= 0 -> v
+        | Some _ -> Sgraph.Io_error.failf ~file ~line:0 "negative node id %S" tok
+        | None -> Sgraph.Io_error.failf ~file ~line:0 "expected a node id, got %S" tok
+      in
+      Node_set.of_list
+        (List.filter_map
+           (fun tok -> if String.length tok = 0 then None else Some (id tok))
+           (String.split_on_char ' ' payload))
 
   let write_set w set = write_record w (encode_set set)
 

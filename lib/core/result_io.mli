@@ -100,13 +100,21 @@ module Stream : sig
       errors. *)
 
   val encode_set : Sgraph.Node_set.t -> string
+  (** The members' decimal ids, ascending, joined by single spaces. The
+      digits are written straight into one buffer; no token list is
+      built. *)
 
   val decode_set : ?file:string -> string -> Sgraph.Node_set.t
-  (** @raise Sgraph.Io_error.Parse_error naming [file] (default
-      ["<string>"]) on a payload {!encode_set} could not have produced —
-      a token that is not a non-negative integer. Possible only for
-      hand-built files: CRC-validated records from this writer always
-      decode. *)
+  (** The set a payload names. A payload {!encode_set} could have
+      written (ASCII digits and single spaces) is parsed in one pass
+      with no token list; anything else goes through the general
+      tokenizer, which splits on spaces, skips empty tokens, reads each
+      token with [int_of_string_opt] (so [+5], [007], [0x1f] and [1_0]
+      are ids) and sorts and deduplicates the ids.
+      @raise Sgraph.Io_error.Parse_error naming [file] (default
+      ["<string>"]) on a token that is not a non-negative integer.
+      Possible only for hand-built files: CRC-validated records from
+      this writer always decode. *)
 
   val read_results : string -> Sgraph.Node_set.t list * [ `Clean | `Torn ]
   (** {!read_records} + {!decode_set}.

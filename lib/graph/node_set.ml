@@ -65,6 +65,9 @@ let rec merge_sort (a : t) (tmp : t) lo hi =
     end
   end
 
+let sort_ints (a : t) ~(tmp : t) lo hi =
+  if hi - lo <= 16 then insertion_sort a lo hi else merge_sort a tmp lo hi
+
 let of_array arr =
   let copy = Array.copy arr in
   let n = Array.length copy in

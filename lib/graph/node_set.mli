@@ -21,6 +21,13 @@ val of_list : int list -> t
 val of_array : int array -> t
 (** Sorts and deduplicates; the argument is not modified. *)
 
+val sort_ints : int array -> tmp:int array -> int -> int -> unit
+(** [sort_ints a ~tmp lo hi] sorts [a.(lo) .. a.(hi-1)] ascending in
+    place (duplicates kept): the int merge sort behind {!of_array}, for
+    callers that own their buffers. It writes only [tmp.(lo) ..
+    tmp.(hi-1)], and none of [tmp] when [hi - lo <= 16].
+    @raise Invalid_argument when a range does not fit its array. *)
+
 val of_sorted_array_unchecked : int array -> t
 (** O(1) adoption of an array the caller promises is sorted and duplicate
     free. The caller must not mutate it afterwards. *)

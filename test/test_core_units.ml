@@ -46,6 +46,64 @@ let fingerprint_matches_buffered =
            (fun r -> Int.equal (buffered_fingerprint ~s g r) (Nh.root_fingerprint ~s g r))
            (List.init (G.n g) Fun.id)))
 
+(* the same property through one partially applied fingerprinter: its
+   scratch serves every root, ascending then descending *)
+let staged_fingerprint_matches_buffered =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:60 ~name:"staged root_fingerprint = buffered, every root"
+       ~print:Test_differential.print_case
+       QCheck2.Gen.(
+         oneofl [ `Er; `Sf ] >>= fun family ->
+         int_range 1 3 >>= fun s ->
+         int_range 2 120 >>= fun n ->
+         int_range 0 (3 * n) >>= fun m ->
+         int_range 0 1_000_000 >>= fun seed -> return (family, n, m, s, seed))
+       (fun (family, n, m, s, seed) ->
+         let g = Test_differential.graph_of_case (family, n, m, seed) in
+         let fp = Nh.root_fingerprint ~s g in
+         let roots = List.init (G.n g) Fun.id in
+         List.for_all
+           (fun r -> Int.equal (buffered_fingerprint ~s g r) (fp r))
+           (roots @ List.rev roots)))
+
+(* refresh's gate digest: through a cold oracle, a warm one and a shared
+   one it equals the standalone digest; at s <= 2 it leaves every ball
+   it digested cached *)
+let oracle_fingerprint_matches =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:40 ~name:"oracle fingerprint = root_fingerprint, s=1..4"
+       ~print:Test_differential.print_case
+       QCheck2.Gen.(
+         oneofl [ `Er; `Sf ] >>= fun family ->
+         int_range 1 4 >>= fun s ->
+         int_range 2 100 >>= fun n ->
+         int_range 0 (3 * n) >>= fun m ->
+         int_range 0 1_000_000 >>= fun seed -> return (family, n, m, s, seed))
+       (fun (family, n, m, s, seed) ->
+         let g = Test_differential.graph_of_case (family, n, m, seed) in
+         let want = Array.init (G.n g) (Nh.root_fingerprint ~s g) in
+         let agrees what nh =
+           G.iter_nodes
+             (fun r ->
+               if Nh.fingerprint nh r <> want.(r) then
+                 QCheck2.Test.fail_reportf "%s oracle, s=%d, root %d" what s r)
+             g
+         in
+         let cold = Nh.create ~s g in
+         agrees "cold" cold;
+         if s = 2 then begin
+           let misses = (Nh.cache_stats cold).Scoll.Lri_cache.misses in
+           G.iter_nodes (fun v -> ignore (Nh.ball cold v)) g;
+           if (Nh.cache_stats cold).Scoll.Lri_cache.misses <> misses then
+             QCheck2.Test.fail_report "the gate's balls were not cached"
+         end;
+         agrees "warm" cold;
+         let warm = Nh.create ~s g in
+         G.iter_nodes (fun v -> ignore (Nh.ball warm v)) g;
+         agrees "pre-warmed" warm;
+         agrees "shared" (Nh.of_shared (Nh.Shared.create ~s g));
+         true))
+
 let neighborhood_tests =
   [
     Alcotest.test_case "ball equals Bfs.ball" `Quick (fun () ->
@@ -143,6 +201,8 @@ let neighborhood_tests =
             ("ER n=200, s=2, root 17", er, 2, 17, 2299109874);
           ]);
     fingerprint_matches_buffered;
+    staged_fingerprint_matches_buffered;
+    oracle_fingerprint_matches;
   ]
 
 let extend_max_tests =

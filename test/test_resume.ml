@@ -594,6 +594,86 @@ let test_sink_failure_keeps_root_uncommitted () =
     expected
     (canonical (!streamed @ recover g ~s !retired))
 
+(* ---------- record codec against the list-built one ---------- *)
+
+(* [Stream.encode_set] and [decode_set] as first written: through lists
+   of tokens. The codec must keep their bytes and their verdicts. *)
+let list_encode set = String.concat " " (List.map string_of_int (NS.to_list set))
+
+let list_decode ?(file = "<string>") payload =
+  let id tok =
+    match int_of_string_opt tok with
+    | Some v when v >= 0 -> v
+    | Some _ -> Sgraph.Io_error.failf ~file ~line:0 "negative node id %S" tok
+    | None -> Sgraph.Io_error.failf ~file ~line:0 "expected a node id, got %S" tok
+  in
+  NS.of_list
+    (List.filter_map
+       (fun tok -> if String.length tok = 0 then None else Some (id tok))
+       (String.split_on_char ' ' payload))
+
+let prop_encode_matches_list =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~name:"record encoder = list-built encoder"
+       ~print:QCheck2.Print.(list int)
+       QCheck2.Gen.(
+         list_size (int_range 0 30)
+           (oneof
+              [
+                int_range 0 9; int_range 0 100_000; int_range 0 max_int; int_range (-1000) (-1);
+                oneofl [ 0; 9; 10; 99; 100; max_int; min_int; -1 ];
+              ]))
+       (fun ids ->
+         let set = NS.of_list ids in
+         String.equal (list_encode set) (Stream.encode_set set)))
+
+let prop_decode_matches_list =
+  let token =
+    QCheck2.Gen.(
+      oneof
+        [
+          map string_of_int (int_range 0 100_000);
+          map string_of_int (int_range 0 max_int);
+          oneofl
+            [
+              "+5"; "007"; "0x1f"; "0b101"; "0o17"; "1_0"; "-0"; "-3"; "x"; ""; "1e3"; "5x";
+              "123456789012345678"; "999999999999999999"; "1234567890123456789";
+              "4611686018427387903"; "4611686018427387904"; "99999999999999999999";
+              "00000000000000000000001"; "\xc2\xb3";
+            ];
+        ])
+  in
+  let sep = QCheck2.Gen.oneofl [ " "; " "; " "; "  "; "\t"; ","; "" ] in
+  let payload =
+    QCheck2.Gen.(
+      oneof
+        [
+          (* what the encoder writes, in and out of order *)
+          map
+            (fun ids -> String.concat " " (List.map string_of_int ids))
+            (list_size (int_range 0 20) (int_range 0 5_000));
+          (* anything else a foreign writer might *)
+          pair (oneofl [ ""; " "; "  " ]) (list_size (int_range 0 8) (pair token sep))
+          >|= fun (lead, parts) ->
+          lead ^ String.concat "" (List.map (fun (t, s) -> t ^ s) parts);
+        ])
+  in
+  let outcome f =
+    match f () with
+    | set -> Ok set
+    | exception Sgraph.Io_error.Parse_error { file; line; msg } -> Error (file, line, msg)
+  in
+  QCheck2.Test.make ~count:3000 ~name:"record decoder = list-built decoder"
+    ~print:(Printf.sprintf "%S") payload (fun p ->
+      match
+        ( outcome (fun () -> list_decode ~file:"f" p),
+          outcome (fun () -> Stream.decode_set ~file:"f" p) )
+      with
+      | Ok want, Ok got -> NS.equal want got
+      | Error want, Error got -> want = got
+      | _ -> false)
+  |> QCheck_alcotest.to_alcotest
+
 let suites =
   [
     ( "resume",
@@ -629,5 +709,7 @@ let suites =
         Alcotest.test_case "stream fsync fault" `Quick test_stream_fsync_fault;
         Alcotest.test_case "stream resumes at vouched records" `Quick
           test_stream_open_resume;
+        prop_encode_matches_list;
+        prop_decode_matches_list;
       ] );
   ]
