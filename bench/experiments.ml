@@ -4,6 +4,9 @@
 
 module E = Scliques_core.Enumerate
 module Budget = Scliques_core.Budget
+module Cs2 = Scliques_core.Cs_cliques2
+module Pd = Scliques_core.Poly_delay
+module Nh = Scliques_core.Neighborhood
 module G = Sgraph.Graph
 module NS = Sgraph.Node_set
 
@@ -266,16 +269,15 @@ let abl_cache () =
     let nh = ref None in
     let outcome =
       Harness.time_first_n ~quota:1000 (fun budget yield ->
-          let n = Scliques_core.Neighborhood.create ~cache_capacity:capacity ~s:2 g in
+          let n = Nh.create ~cache_capacity:capacity ~s:2 g in
           nh := Some n;
-          Scliques_core.Cs_cliques2.iter ~pivot:true
-            ~should_continue:(Budget.checker budget) n yield)
+          E.run ~nh:n ~budget E.Cs2_p g ~s:2 yield)
     in
     let hit_rate =
       match !nh with
       | None -> Harness.Note "-"
       | Some n ->
-          let s = Scliques_core.Neighborhood.cache_stats n in
+          let s = Nh.cache_stats n in
           let total = s.Scoll.Lri_cache.hits + s.Scoll.Lri_cache.misses in
           if total = 0 then Harness.Note "-"
           else
@@ -295,22 +297,22 @@ let abl_cache () =
 
 let abl_index () =
   let g = Workloads.er ~n:Workloads.n_index ~avg_degree:10. in
-  let nh () = Scliques_core.Neighborhood.create ~s:2 g in
   let row (label, index_mode) =
     let stats = ref None in
     let outcome =
       Harness.timed (fun budget ->
-          stats :=
-            Some
-              (Scliques_core.Poly_delay.iter_with_stats ~index_mode
-                 ~should_continue:(Budget.checker budget) (nh ()) (fun _ -> ()));
+          let st, (_ : Pd.frontier) =
+            Pd.run ~index_mode ~should_continue:(Budget.checker budget) (Nh.create ~s:2 g)
+              (fun _ -> ())
+          in
+          stats := Some st;
           Budget.poll budget)
     in
     let extras =
       match !stats with
       | Some s ->
-          [ Harness.Note (string_of_int s.Scliques_core.Poly_delay.generated);
-            Harness.Note (string_of_int s.Scliques_core.Poly_delay.index_height) ]
+          [ Harness.Note (string_of_int s.Pd.generated);
+            Harness.Note (string_of_int s.Pd.index_height) ]
       | None -> [ Harness.Note "-"; Harness.Note "-" ]
     in
     (label, outcome :: extras)
@@ -322,8 +324,7 @@ let abl_index () =
     ~columns:[ "time"; "generated"; "height" ]
     ~rows:
       (List.map row
-         [ ("B-tree (paper)", Scliques_core.Poly_delay.Btree);
-           ("hashtable", Scliques_core.Poly_delay.Hashtable) ])
+         [ ("B-tree (paper)", Pd.Btree); ("hashtable", Pd.Hashtable) ])
 
 let abl_pivot () =
   (* full enumeration: the pivot rule's value is the recursion-tree size it
@@ -331,10 +332,18 @@ let abl_pivot () =
   let n = if Harness.fast then 300 else 1000 in
   let cell rule g =
     Harness.timed (fun budget ->
-        Scliques_core.Cs_cliques2.iter ~pivot:true ~pivot_rule:rule
-          ~should_continue:(Budget.checker budget)
-          (Scliques_core.Neighborhood.create ~s:2 g)
-          (fun _ -> ());
+        (* the ascending root tasks [E.run] runs, on a runner with the
+           rule under test *)
+        let nh = Nh.create ~s:2 g in
+        let rn =
+          Cs2.make_runner ~pivot:true ~pivot_rule:rule
+            ~should_continue:(Budget.checker budget) nh (fun _ -> ())
+        in
+        let v = ref 0 in
+        while !v < G.n g && Budget.poll budget do
+          Cs2.run_task rn (Cs2.root_task nh !v);
+          incr v
+        done;
         Budget.poll budget)
   in
   Harness.print_table
@@ -346,18 +355,16 @@ let abl_pivot () =
            ( label,
              [ cell rule (Workloads.er ~n ~avg_degree:10.);
                cell rule (Workloads.sf ~n ~avg_degree:10.) ] ))
-         [ ("min |P - N^s(u)| (paper)", Scliques_core.Cs_cliques2.Min_uncovered);
-           ("first candidate", Scliques_core.Cs_cliques2.First_candidate) ])
+         [ ("min |P - N^s(u)| (paper)", Cs2.Min_uncovered);
+           ("first candidate", Cs2.First_candidate) ])
 
 let abl_queue () =
   let g = Workloads.sf ~n:Workloads.n_sf ~avg_degree:10. in
   let ks = [ 10; 20; 30 ] in
   let cell queue_mode k =
     Harness.time_first_n ~quota (fun budget yield ->
-        Scliques_core.Poly_delay.iter ~queue_mode ~min_size:k
-          ~should_continue:(Budget.checker budget)
-          (Scliques_core.Neighborhood.create ~s:2 g)
-          yield)
+        Pd.run ~queue_mode ~min_size:k ~should_continue:(Budget.checker budget)
+          (Nh.create ~s:2 g) yield)
   in
   Harness.print_table
     ~title:
@@ -368,21 +375,26 @@ let abl_queue () =
     ~rows:
       (List.map
          (fun (label, queue_mode) -> (label, List.map (cell queue_mode) ks))
-         [ ("FIFO (Fig 4)", Scliques_core.Poly_delay.Fifo);
-           ("largest-first (§6)", Scliques_core.Poly_delay.Largest_first) ])
+         [ ("FIFO (Fig 4)", Pd.Fifo); ("largest-first (§6)", Pd.Largest_first) ])
 
 let abl_degeneracy () =
   (* footnote 1: degeneracy-ordered root branching vs the plain ascending
      root, full enumeration (the ordering's value is bounded root P sets;
      its cost is building G^s first) *)
   let n = if Harness.fast then 300 else 1000 in
-  let cell root_order g =
+  let cell run g =
     Harness.timed (fun budget ->
-        Scliques_core.Cs_cliques2.iter ~pivot:true ~root_order
-          ~should_continue:(Budget.checker budget)
-          (Scliques_core.Neighborhood.create ~s:2 g)
-          (fun _ -> ());
+        run budget g;
         Budget.poll budget)
+  in
+  let ascending budget g =
+    let (_ : E.run_report) = E.run ~budget E.Cs2_p g ~s:2 (fun _ -> ()) in
+    ()
+  in
+  let degeneracy budget g =
+    Cs2.run_degeneracy
+      (Cs2.make_runner ~pivot:true ~should_continue:(Budget.checker budget)
+         (Nh.create ~s:2 g) (fun _ -> ()))
   in
   Harness.print_table
     ~title:
@@ -390,12 +402,12 @@ let abl_degeneracy () =
     ~columns:[ "ER"; "SF" ]
     ~rows:
       (List.map
-         (fun (label, root_order) ->
+         (fun (label, run) ->
            ( label,
-             [ cell root_order (Workloads.er ~n ~avg_degree:10.);
-               cell root_order (Workloads.sf ~n ~avg_degree:10.) ] ))
-         [ ("ascending ids (Fig 7)", Scliques_core.Cs_cliques2.Ascending);
-           ("G^s degeneracy (footnote 1)", Scliques_core.Cs_cliques2.Power_degeneracy) ])
+             [ cell run (Workloads.er ~n ~avg_degree:10.);
+               cell run (Workloads.sf ~n ~avg_degree:10.) ] ))
+         [ ("ascending ids (Fig 7)", ascending);
+           ("G^s degeneracy (footnote 1)", degeneracy) ])
 
 let delays () =
   (* Theorem 4.2 made visible: per-result delay quantiles over the first
@@ -448,11 +460,15 @@ let abl_generic () =
      specialized PolyDelayEnum on the same s-clique instance *)
   let n = if Harness.fast then 200 else 500 in
   let g = Workloads.er ~n ~avg_degree:8. in
+  let enumerate alg budget yield =
+    let (_ : E.run_report) = E.run ~budget alg g ~s:2 yield in
+    ()
+  in
   let row (label, run) =
     let count = ref 0 in
     let outcome =
       Harness.timed (fun budget ->
-          run ~should_continue:(Budget.checker budget) (fun _ -> incr count);
+          run budget (fun _ -> incr count);
           Budget.poll budget)
     in
     (label, [ outcome; Harness.Note (string_of_int !count) ])
@@ -466,24 +482,14 @@ let abl_generic () =
     ~columns:[ "time"; "results" ]
     ~rows:
       [
-        row
-          ( "PolyDelayEnum (specialized)",
-            fun ~should_continue yield ->
-              Scliques_core.Poly_delay.iter ~should_continue
-                (Scliques_core.Neighborhood.create ~s:2 g)
-                yield );
+        row ("PolyDelayEnum (specialized)", enumerate E.Poly_delay);
         row
           ( "Hereditary engine (generic)",
-            fun ~should_continue yield ->
-              Scliques_core.Hereditary.iter ~should_continue g
+            fun budget yield ->
+              Scliques_core.Hereditary.iter ~should_continue:(Budget.checker budget) g
                 (Scliques_core.Hereditary.s_clique ~s:2)
                 yield );
-        row
-          ( "CSCliques2P (for scale)",
-            fun ~should_continue yield ->
-              Scliques_core.Cs_cliques2.iter ~pivot:true ~should_continue
-                (Scliques_core.Neighborhood.create ~s:2 g)
-                yield );
+        row ("CSCliques2P (for scale)", enumerate E.Cs2_p);
       ]
 
 (* One observed work-stealing run over every root: the canonical
@@ -564,9 +570,9 @@ let scaling () =
         let t0 = Harness.now () in
         let baseline = ref [] in
         let obs = Scliques_obs.Obs.create () in
-        Scliques_core.Cs_cliques2.iter ~pivot:true ~obs
-          (Scliques_core.Neighborhood.create ~obs ~s:2 g)
-          (fun c -> baseline := c :: !baseline);
+        let (_ : E.run_report) =
+          E.run ~obs E.Cs2_p g ~s:2 (fun c -> baseline := c :: !baseline)
+        in
         let t_seq = Harness.now () -. t0 in
         let expected = List.sort NS.compare !baseline in
         (* over-splitting check: the minimum-subtree threshold must cut

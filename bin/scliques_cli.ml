@@ -27,20 +27,23 @@ let format_arg =
     & opt (enum [ ("edgelist", `Edgelist); ("metis", `Metis); ("bin", `Bin) ]) `Edgelist
     & info [ "format" ] ~docv:"FMT" ~doc)
 
-(* the one-line-diagnostic contract of Io_error: a malformed input exits 1
-   with "file:line: msg", never cmdliner's uncaught-exception report *)
-let or_parse_error f =
+(* The one-line-diagnostic contract: a malformed input ("file:line:
+   msg"), an unreadable file, a refused checkpoint or a bound the
+   library or the wire cannot carry exits 1 with "scliques: WHO: msg",
+   never cmdliner's uncaught-exception report. *)
+let refusing ~who f =
+  let refuse msg =
+    Printf.eprintf "scliques: %s: %s\n%!" who msg;
+    Stdlib.exit 1
+  in
   match f () with
   | v -> v
+  | exception (Failure msg | Invalid_argument msg | Sys_error msg) -> refuse msg
   | exception Sgraph.Io_error.Parse_error { file; line; msg } ->
-      Printf.eprintf "scliques: error: %s\n%!" (Sgraph.Io_error.to_string ~file ~line msg);
-      Stdlib.exit 1
-  | exception Sys_error msg ->
-      Printf.eprintf "scliques: error: %s\n%!" msg;
-      Stdlib.exit 1
+      refuse (Sgraph.Io_error.to_string ~file ~line msg)
 
 let load_graph format path =
-  or_parse_error (fun () ->
+  refusing ~who:"error" (fun () ->
       match format with
       | `Edgelist -> Sgraph.Edge_list_io.load path
       | `Metis -> Sgraph.Metis_io.load path
@@ -49,6 +52,37 @@ let load_graph format path =
 let s_arg =
   let doc = "The distance bound $(i,s) of the s-clique definition." in
   Arg.(value & opt int 2 & info [ "s" ] ~docv:"S" ~doc)
+
+(* The budget flags, declared once for enum, refresh and client (each
+   passes its own doc). A negative or NaN bound is refused the way
+   --limit=-1 is: one error line and exit 1, before any work. *)
+let at_least_zero flag ok v =
+  if ok v then v
+  else begin
+    Printf.eprintf "scliques: error: %s must be >= 0\n%!" flag;
+    Stdlib.exit 1
+  end
+
+let min_size_arg ~doc =
+  Term.(
+    const (at_least_zero "--min-size" (fun k -> k >= 0))
+    $ Arg.(value & opt int 0 & info [ "min-size" ] ~docv:"K" ~doc))
+
+let deadline_arg ~doc =
+  Term.(
+    const (Option.map (at_least_zero "--deadline" (fun d -> d >= 0.)))
+    $ Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SEC" ~doc))
+
+let max_results_arg ~doc =
+  Term.(
+    const (Option.map (at_least_zero "--max-results" (fun k -> k >= 0)))
+    $ Arg.(value & opt (some int) None & info [ "max-results" ] ~docv:"N" ~doc))
+
+let checkpoint_arg ~doc =
+  Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
+
+let resume_arg ~doc =
+  Arg.(value & opt (some non_dir_file) None & info [ "resume" ] ~docv:"FILE" ~doc)
 
 let seed_arg =
   let doc = "Random seed (runs are deterministic for a fixed seed)." in
@@ -175,45 +209,31 @@ let print_set c =
 
 (* The [--deadline]/[--max-results]/[--checkpoint]/[--resume] path: stream
    results as they are emitted, and on truncation (exit 3) leave behind a
-   checkpoint a later run can [--resume]. Results are mirrored into the
-   crash-safe record stream [CKPT.results], fsynced before the checkpoint
-   is saved; a resume keeps exactly the records the checkpoint counts and
-   cuts off whatever a crash left after them. *)
+   checkpoint a later run can [--resume] ({!Session}). Results are
+   mirrored into the crash-safe record stream [CKPT.results], fsynced
+   before the checkpoint is saved; a resume keeps exactly the records the
+   checkpoint counts and cuts off whatever a crash left after them. *)
 let budgeted_run g ~s ~algorithm ~workers ~min_size ~deadline ~max_results
     ~ckpt_path ~resume_path ~sigint_after =
-  let alg_label = engine_label algorithm in
   let alg, workers = engine algorithm workers in
   let family = E.checkpoint_family alg in
-  let n = Sgraph.Graph.n g and m = Sgraph.Graph.m g in
-  (* checkpoints land in --checkpoint, defaulting to the file resumed from *)
-  let ckpt_out = if ckpt_path <> None then ckpt_path else resume_path in
-  let prior =
-    match resume_path with
-    | None -> None
-    | Some p ->
-        let c = Ckpt.load p in
-        Ckpt.check_compat c ~s ~n ~m ~min_size;
-        if Ckpt.family c.Ckpt.state <> family then
-          failwith
-            (Printf.sprintf
-               "checkpoint %s holds a %S state; algorithm %s needs %S" p
-               (Ckpt.family c.Ckpt.state) alg_label family);
-        Some (p, c)
+  let n = Sgraph.Graph.n g in
+  let session =
+    Session.start ~algorithm:(engine_label algorithm) ~family ~s ~n
+      ~m:(Sgraph.Graph.m g) ~min_size ~checkpoint:ckpt_path ~resume:resume_path
   in
   let budget =
     (* with the SIGINT self-test hook armed, poll every iteration so the
        pending signal is observed promptly *)
-    Budget.create ?deadline_s:deadline ?max_results
+    Budget.create ?deadline_s:deadline
+      ?max_results:(Session.remaining session max_results)
       ?poll_every:(if sigint_after = None then None else Some 1)
       ()
   in
-  (match prior with
-  | Some (_, c) -> Budget.preload_results budget c.Ckpt.emitted
-  | None -> ());
   Sys.set_signal Sys.sigint
     (Sys.Signal_handle (fun _ -> Budget.request_cancel budget));
   let stream =
-    match (ckpt_out, prior) with
+    match (session.Session.out, session.Session.resumed) with
     | None, _ -> None
     | Some p, None -> Some (Stream.open_writer (p ^ ".results"))
     | Some p, Some (resumed, c) ->
@@ -233,57 +253,21 @@ let budgeted_run g ~s ~algorithm ~workers ~min_size ~deadline ~max_results
       if !to_kill = 0 then Unix.kill (Unix.getpid ()) Sys.sigint
     end
   in
-  let finish outcome state_thunk =
-    (match stream with Some w -> Stream.close w | None -> ());
-    match outcome with
-    | Budget.Complete ->
-        (* a whole root-decomposed run gets the SCLQIDX1 sidecar: per-root
-           fingerprints plus byte extents, so a later [refresh] can skip
-           unchanged branches and splice the stream without decoding it *)
-        (match ckpt_out with
-        | Some p when String.equal family "roots" ->
-            let path = p ^ ".results" in
-            let idx =
-              Ridx.build ~s ~n
-                ~fingerprint:(Nh.root_fingerprint ~s g)
-                path
-            in
-            Ridx.save idx (Ridx.path_for path)
-        | _ -> ());
-        (* the run is whole: a leftover checkpoint would make a later
-           --resume skip work that belongs in a fresh run *)
-        (match ckpt_out with
-        | Some p when Sys.file_exists p -> Sys.remove p
-        | _ -> ());
-        0
-    | Budget.Truncated reason -> (
-        match ckpt_out with
-        | Some p ->
-            Ckpt.save
-              {
-                Ckpt.algorithm = alg_label;
-                s;
-                n;
-                m;
-                min_size;
-                emitted = Budget.results budget;
-                state = state_thunk ();
-              }
-              p;
-            Printf.eprintf
-              "scliques: truncated (%s); checkpoint written to %s\n%!"
-              (Budget.reason_to_string reason)
-              p;
-            3
-        | None ->
-            Printf.eprintf
-              "scliques: truncated (%s); no --checkpoint, progress lost\n%!"
-              (Budget.reason_to_string reason);
-            3)
+  let report =
+    E.run ~min_size ~budget ?resume:(Session.state session) ?workers alg g ~s emit
   in
-  let resume = Option.map (fun (_, c) -> c.Ckpt.state) prior in
-  let report = E.run ~min_size ~budget ?resume ?workers alg g ~s emit in
-  finish report.E.outcome (fun () -> Option.get report.E.resumable)
+  (match stream with Some w -> Stream.close w | None -> ());
+  (* a whole root-decomposed run gets the SCLQIDX1 sidecar: per-root
+     fingerprints plus byte extents, so a later [refresh] can skip
+     unchanged branches and splice the stream without decoding it *)
+  (match (report.E.outcome, session.Session.out) with
+  | Budget.Complete, Some p when String.equal family "roots" ->
+      let path = p ^ ".results" in
+      let idx = Ridx.build ~s ~n ~fingerprint:(Nh.root_fingerprint ~s g) path in
+      Ridx.save idx (Ridx.path_for path)
+  | _ -> ());
+  Session.finish session report.E.outcome ~emitted:report.E.emitted
+    ~resumable:report.E.resumable
 
 (* ---------- enum ---------- *)
 
@@ -305,10 +289,7 @@ let enum_cmd =
       & info [ "limit" ] ~docv:"N" ~doc:"Stop after the first $(docv) results.")
   in
   let min_size_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "min-size" ] ~docv:"K"
-          ~doc:"Only report maximal connected s-cliques of at least $(docv) nodes.")
+    min_size_arg ~doc:"Only report maximal connected s-cliques of at least $(docv) nodes."
   in
   let count_arg =
     Arg.(value & flag & info [ "count" ] ~doc:"Print only the number of results.")
@@ -326,47 +307,32 @@ let enum_cmd =
       & info [ "stats" ] ~docv:"FMT" ~doc)
   in
   let deadline_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline" ] ~docv:"SEC"
-          ~doc:
-            "Stop after $(docv) wall-clock seconds (monotonic clock). A \
-             truncated run exits with code 3 and, with $(b,--checkpoint), \
-             leaves a resumable checkpoint.")
+    deadline_arg
+      ~doc:
+        "Stop after $(docv) wall-clock seconds (monotonic clock). A truncated \
+         run exits with code 3 and, with $(b,--checkpoint), leaves a \
+         resumable checkpoint."
   in
   let max_results_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-results" ] ~docv:"N"
-          ~doc:
-            "Stop once $(docv) results were emitted, counted across \
-             $(b,--resume) continuations. Exits with code 3 when the cap \
-             fires.")
+    max_results_arg
+      ~doc:
+        "Stop once $(docv) results were emitted, counted across $(b,--resume) \
+         continuations. Exits with code 3 when the cap fires."
   in
   let checkpoint_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "checkpoint" ] ~docv:"FILE"
-          ~doc:
-            "On truncation, write a resumable checkpoint to $(docv) \
-             (atomically). Results are also streamed crash-safely to \
-             $(docv).results as they are found. A run that completes \
-             removes $(docv).")
+    checkpoint_arg
+      ~doc:
+        "On truncation, write a resumable checkpoint to $(docv) (atomically). \
+         Results are also streamed crash-safely to $(docv).results as they \
+         are found. A run that completes removes $(docv)."
   in
   let resume_arg =
-    Arg.(
-      value
-      & opt (some non_dir_file) None
-      & info [ "resume" ] ~docv:"FILE"
-          ~doc:
-            "Resume from a checkpoint written by an earlier truncated run \
-             on the $(i,same) graph with the same $(b,-s)/$(b,--min-size); \
-             only results not already streamed are produced. Further \
-             checkpoints go to $(docv) unless $(b,--checkpoint) says \
-             otherwise.")
+    resume_arg
+      ~doc:
+        "Resume from a checkpoint written by an earlier truncated run on the \
+         $(i,same) graph with the same $(b,-s)/$(b,--min-size); only results \
+         not already streamed are produced. Further checkpoints go to \
+         $(docv) unless $(b,--checkpoint) says otherwise."
   in
   let sigint_after_arg =
     Arg.(
@@ -392,25 +358,10 @@ let enum_cmd =
     else if budgeted then begin
       (* exit codes per the budget protocol: 0 complete, 3 truncated,
          1 error (bad checkpoint, unreadable graph, ...) *)
-      match
-        let g = load_graph format file in
-        budgeted_run g ~s ~algorithm ~workers ~min_size ~deadline ~max_results
-          ~ckpt_path:ckpt ~resume_path:resume ~sigint_after
-      with
-      | code -> Stdlib.exit code
-      | exception Failure msg ->
-          Printf.eprintf "scliques: error: %s\n%!" msg;
-          Stdlib.exit 1
-      | exception Invalid_argument msg ->
-          Printf.eprintf "scliques: error: %s\n%!" msg;
-          Stdlib.exit 1
-      | exception Sys_error msg ->
-          Printf.eprintf "scliques: error: %s\n%!" msg;
-          Stdlib.exit 1
-      | exception Sgraph.Io_error.Parse_error { file; line; msg } ->
-          Printf.eprintf "scliques: error: %s\n%!"
-            (Sgraph.Io_error.to_string ~file ~line msg);
-          Stdlib.exit 1
+      Stdlib.exit
+        (refusing ~who:"error" (fun () ->
+             budgeted_run (load_graph format file) ~s ~algorithm ~workers ~min_size
+               ~deadline ~max_results ~ckpt_path:ckpt ~resume_path:resume ~sigint_after))
     end
     else begin
       (match limit with
@@ -553,7 +504,9 @@ let verify_cmd =
     if s < 1 then `Error (false, "s must be >= 1")
     else begin
       let g = load_graph format file in
-      let results = or_parse_error (fun () -> Scliques_core.Result_io.load results_file) in
+      let results =
+        refusing ~who:"error" (fun () -> Scliques_core.Result_io.load results_file)
+      in
       match Scliques_core.Verify.certify g ~s results with
       | Error msg -> `Error (false, "certification failed: " ^ msg)
       | Ok () ->
@@ -660,7 +613,7 @@ let diff_file_arg =
     & info [ "diff" ] ~docv:"FILE" ~doc)
 
 let load_diff_for g path =
-  or_parse_error (fun () ->
+  refusing ~who:"error" (fun () ->
       let header, edits = Sgraph.Diff.load path in
       Sgraph.Diff.check_base ~file:path header g;
       edits)
@@ -780,12 +733,8 @@ let refresh_cmd =
       ()
   in
   let min_size_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "min-size" ] ~docv:"K"
-          ~doc:
-            "Size bound the prior run used; the refreshed answer keeps the \
-             same bound.")
+    min_size_arg
+      ~doc:"Size bound the prior run used; the refreshed answer keeps the same bound."
   in
   let run file format diff_file results_file s engine workers min_size output =
     if s < 1 then `Error (false, "s must be >= 1")
@@ -801,10 +750,10 @@ let refresh_cmd =
       in
       let prior, prior_len =
         match
-          or_parse_error (fun () -> Stream.read_records results_file)
+          refusing ~who:"error" (fun () -> Stream.read_records results_file)
         with
         | payloads, clean_len, `Clean ->
-            ( or_parse_error (fun () ->
+            ( refusing ~who:"error" (fun () ->
                   List.map (Stream.decode_set ~file:results_file) payloads),
               clean_len )
         | _, _, `Torn ->
@@ -886,7 +835,7 @@ let refresh_cmd =
                   rerun []
               in
               let (_ : Ridx.t), st =
-                or_parse_error (fun () ->
+                refusing ~who:"error" (fun () ->
                     Ridx.splice ~old_stream:results_file ~index:idx ~patched
                       ~out:path)
               in
@@ -1043,41 +992,27 @@ let client_query_term =
   let algorithm_arg =
     algorithm_arg ~doc:"Engine the daemon runs: the $(b,enum) names, or $(b,par)." ()
   in
-  let min_size_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "min-size" ] ~docv:"K" ~doc:"Only results with at least $(docv) nodes.")
-  in
+  let min_size_arg = min_size_arg ~doc:"Only results with at least $(docv) nodes." in
   let deadline_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline" ] ~docv:"SECONDS"
-          ~doc:"Per-query budget; a truncated query exits 3 and is resumable.")
+    deadline_arg ~doc:"Per-query budget; a truncated query exits 3 and is resumable."
   in
   let max_results_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-results" ] ~docv:"N"
-          ~doc:"Stop the query after $(docv) results (counted across \
-                $(b,--resume) continuations).")
+    max_results_arg
+      ~doc:
+        "Stop the query after $(docv) results (counted across $(b,--resume) \
+         continuations)."
   in
   let checkpoint_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "checkpoint" ] ~docv:"FILE"
-          ~doc:"On truncation, write the daemon's resume token to $(docv); \
-                a complete query removes it.")
+    checkpoint_arg
+      ~doc:
+        "On truncation, write the daemon's resume token to $(docv); a complete \
+         query removes it."
   in
   let resume_arg =
-    Arg.(
-      value
-      & opt (some non_dir_file) None
-      & info [ "resume" ] ~docv:"FILE"
-          ~doc:"Resume from a token written by an earlier truncated query \
-                against the same graph/s/min-size.")
+    resume_arg
+      ~doc:
+        "Resume from a token written by an earlier truncated query against the \
+         same graph/s/min-size."
   in
   let ping_arg =
     Arg.(value & flag & info [ "ping" ] ~doc:"Just check the daemon is alive.")
@@ -1112,6 +1047,9 @@ let client_query_term =
   in
   let run socket tcp token graph algorithm s min_size deadline max_results
       ckpt resume id retry ping list corrupt busy_drill =
+    (* a refused checkpoint, or a request the wire cannot carry (an id
+       outside u32), is one error line before anything is sent *)
+    refusing ~who:"client" @@ fun () ->
     (* the wire names [par] itself: the daemon picks its worker count *)
     let engine =
       match algorithm with alg, false -> Dproto.Alg alg | _, true -> Dproto.Par
@@ -1160,6 +1098,19 @@ let client_query_term =
     else begin
       let graph = match graph with Some g -> g | None -> die "GRAPH name required" in
       if s < 1 then die "s must be >= 1";
+      (* every query this command sends; the busy drill's carry no budget *)
+      let query ~id ?deadline ?max_results ?resume () =
+        {
+          Dproto.q_id = id;
+          q_engine = engine;
+          q_graph = graph;
+          q_s = s;
+          q_min_size = min_size;
+          q_deadline_s = deadline;
+          q_max_results = max_results;
+          q_resume = resume;
+        }
+      in
       if busy_drill then begin
         (* conn A streams; only after its first result is the daemon
            provably running=1, so conn B's refusal is deterministic *)
@@ -1172,35 +1123,14 @@ let client_query_term =
               if !first then begin
                 first := false;
                 let b = connect addr in
-                (match
-                   Dclient.run_query b
-                     {
-                       Dproto.q_id = id + 1;
-                       q_engine = engine;
-                       q_graph = graph;
-                       q_s = s;
-                       q_min_size = min_size;
-                       q_deadline_s = None;
-                       q_max_results = None;
-                       q_resume = None;
-                     }
-                 with
+                (match Dclient.run_query b (query ~id:(id + 1) ()) with
                 | Dclient.Refused { running; queued } ->
                     refusal := Some (running, queued)
                 | _ -> ());
                 Dclient.close b;
                 Dclient.cancel a id
               end)
-            {
-              Dproto.q_id = id;
-              q_engine = engine;
-              q_graph = graph;
-              q_s = s;
-              q_min_size = min_size;
-              q_deadline_s = None;
-              q_max_results = None;
-              q_resume = None;
-            }
+            (query ~id ())
         in
         Dclient.close a;
         match (!refusal, outcome) with
@@ -1215,31 +1145,15 @@ let client_query_term =
       else begin
         let c = connect addr in
         let n, m = graph_meta c graph in
-        let prior =
-          match resume with
-          | None -> None
-          | Some p ->
-              let ck =
-                match Ckpt.load p with
-                | ck -> ck
-                | exception Sgraph.Io_error.Parse_error { file; line; msg } ->
-                    die "%s" (Sgraph.Io_error.to_string ~file ~line msg)
-              in
-              Ckpt.check_compat ck ~s ~n ~m ~min_size;
-              Some ck
+        let session =
+          Session.start ~algorithm:(engine_label algorithm)
+            ~family:(E.checkpoint_family (fst algorithm))
+            ~s ~n ~m ~min_size ~checkpoint:ckpt ~resume
         in
-        let ckpt_out = if ckpt <> None then ckpt else resume in
         let q =
-          {
-            Dproto.q_id = id;
-            q_engine = engine;
-            q_graph = graph;
-            q_s = s;
-            q_min_size = min_size;
-            q_deadline_s = deadline;
-            q_max_results = max_results;
-            q_resume = Option.map (fun ck -> ck.Ckpt.state) prior;
-          }
+          query ~id ?deadline
+            ?max_results:(Session.remaining session max_results)
+            ?resume:(Session.state session) ()
         in
         let rec attempt tries =
           match Dclient.run_query c ~on_result:print_endline q with
@@ -1254,41 +1168,10 @@ let client_query_term =
         Dclient.close c;
         match outcome with
         | Dclient.Throttled _ -> assert false (* [attempt] never returns it *)
-        | Dclient.Finished d -> (
-            match d.Dproto.d_outcome with
-            | Budget.Complete ->
-                (match ckpt_out with
-                | Some p when Sys.file_exists p -> Sys.remove p
-                | _ -> ());
-                Stdlib.exit 0
-            | Budget.Truncated reason -> (
-                let prior_emitted =
-                  match prior with Some ck -> ck.Ckpt.emitted | None -> 0
-                in
-                match (ckpt_out, d.Dproto.d_resume) with
-                | Some p, Some state ->
-                    Ckpt.save
-                      {
-                        Ckpt.algorithm = engine_label algorithm;
-                        s;
-                        n;
-                        m;
-                        min_size;
-                        emitted = prior_emitted + d.Dproto.d_emitted;
-                        state;
-                      }
-                      p;
-                    Printf.eprintf
-                      "scliques: truncated (%s); checkpoint written to %s\n%!"
-                      (Budget.reason_to_string reason)
-                      p;
-                    Stdlib.exit 3
-                | _ ->
-                    Printf.eprintf
-                      "scliques: truncated (%s); no --checkpoint, progress \
-                       lost\n%!"
-                      (Budget.reason_to_string reason);
-                    Stdlib.exit 3))
+        | Dclient.Finished d ->
+            Stdlib.exit
+              (Session.finish session d.Dproto.d_outcome ~emitted:d.Dproto.d_emitted
+                 ~resumable:d.Dproto.d_resume)
         | Dclient.Refused { running; queued } ->
             Printf.eprintf "scliques: busy (running=%d queued=%d)\n%!" running
               queued;
@@ -1316,6 +1199,7 @@ let client_mutate_cmd =
     Arg.(required & pos 1 (some non_dir_file) None & info [] ~docv:"FILE" ~doc)
   in
   let run socket tcp token graph script_file id retry =
+    refusing ~who:"client" @@ fun () ->
     let addr = client_addr socket tcp in
     let script =
       let ic = open_in_bin script_file in
@@ -1326,10 +1210,9 @@ let client_mutate_cmd =
     (* validate locally with the daemon's own decoder, so a corrupt file
        dies with a byte-precise diagnostic before any bytes hit the wire
        (the daemon revalidates regardless) *)
-    (match Sgraph.Diff.of_string ~file:script_file script with
-    | (_ : Sgraph.Diff.header * Sgraph.Overlay.edit list) -> ()
-    | exception Sgraph.Io_error.Parse_error { file; line; msg } ->
-        cdie "%s" (Sgraph.Io_error.to_string ~file ~line msg));
+    ignore
+      (Sgraph.Diff.of_string ~file:script_file script
+        : Sgraph.Diff.header * Sgraph.Overlay.edit list);
     let c = client_connect ?token addr in
     let rec attempt tries =
       match Dclient.mutate c ~id ~graph ~script with
@@ -1370,6 +1253,7 @@ let client_reload_cmd =
       & info [] ~docv:"GRAPH" ~doc:"Name of a graph preloaded by the daemon.")
   in
   let run socket tcp graph id =
+    refusing ~who:"client" @@ fun () ->
     let addr = client_addr socket tcp in
     let c = client_connect addr in
     match Dclient.reload c ~id ~graph with

@@ -28,8 +28,10 @@ let create ?deadline_s ?max_results ?max_cache_bytes
     | Some v -> v
     | None -> max_int
   in
+  (* [not (d >= 0.)] also refuses NaN, which every comparison with the
+     clock would treat as "not yet": an unbounded run *)
   (match deadline_s with
-  | Some d when d < 0. -> invalid_arg "Budget.create: negative deadline_s"
+  | Some d when not (d >= 0.) -> invalid_arg "Budget.create: negative or NaN deadline_s"
   | _ -> ());
   {
     deadline =
@@ -96,10 +98,3 @@ let checker t =
 let note_result t =
   let n = Atomic.fetch_and_add t.results 1 + 1 in
   if n >= t.max_results then trip t Max_results
-
-let preload_results t n =
-  if n < 0 then invalid_arg "Budget.preload_results: negative count";
-  let total = Atomic.fetch_and_add t.results n + n in
-  if total >= t.max_results then trip t Max_results
-
-let results t = Atomic.get t.results

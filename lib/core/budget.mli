@@ -58,7 +58,8 @@ val create :
     [poll_every] (default [1024]) is how many {!checker} calls elapse
     between expensive polls. Omitted limits never fire; [create ()] is a
     budget that never trips on its own but can still be cancelled.
-    @raise Invalid_argument on a negative limit or [poll_every < 1]. *)
+    @raise Invalid_argument on a negative limit, a NaN deadline or
+    [poll_every < 1]. *)
 
 val unlimited : unit -> t
 (** [create ()] — fresh each call because a budget is single-run state. *)
@@ -92,12 +93,3 @@ val note_result : t -> unit
 (** Record one emitted result; trips [Max_results] the moment the count
     reaches the cap (the capping result itself is kept). Call after the
     sink has accepted the result. *)
-
-val preload_results : t -> int -> unit
-(** Seed the result count with results streamed by an earlier,
-    interrupted run — so [max_results] counts the {e total} across
-    resumes, not per process.
-    @raise Invalid_argument on a negative count. *)
-
-val results : t -> int
-(** Results noted so far (including any preload). *)

@@ -90,8 +90,6 @@ let root_task nh v = make_root nh v ~in_p:(fun u -> u > v)
 
 type pivot_rule = Min_uncovered | First_candidate
 
-type root_order = Ascending | Power_degeneracy
-
 let c_incr = function None -> () | Some c -> Scliques_obs.Counters.incr c
 
 let c_add c n = match c with None -> () | Some c -> Scliques_obs.Counters.add c n
@@ -575,33 +573,16 @@ let connected rn t set =
     set;
   connected_in rn bits (Node_set.cardinal set)
 
-let iter ?pivot ?pivot_rule ?feasibility ?(root_order = Ascending) ?min_size
-    ?should_continue ?obs nh yield =
-  let rn = make_runner ?pivot ?pivot_rule ?feasibility ?min_size ?should_continue ?obs nh
-      yield
-  in
-  let g = Neighborhood.graph nh in
-  (match root_order with
-  | Ascending ->
-      (* the branch on each root in turn, as [Enumerate.run] runs them;
-         a root's task costs a ball, so none is built once told to stop *)
-      let v = ref 0 in
-      while !v < Graph.n g && rn.should_continue () do
-        run_task rn (root_task nh !v);
-        incr v
-      done
-  | Power_degeneracy ->
-      (* branch the root in a degeneracy order of G^s: each root call's P
-         is v's later s-neighbors, X its earlier ones — exactly the state
-         the ascending root loop would reach, but with |P| bounded by the
-         s-degeneracy instead of the max ball size *)
-      let gs = Sgraph.Power.power g ~s:(Neighborhood.s nh) in
-      let order = Sgraph.Degeneracy.ordering gs in
-      let position = Array.make (Graph.n g) 0 in
-      Array.iteri (fun i v -> position.(v) <- i) order;
-      Array.iter
-        (fun v ->
-          if rn.should_continue () then
-            run_task rn (make_root nh v ~in_p:(fun u -> position.(u) > position.(v))))
-        order);
-  match obs with None -> () | Some _ -> Neighborhood.sync_obs nh
+(* footnote 1's root order; a root's task costs a ball, so none is
+   built once [should_continue] says stop *)
+let run_degeneracy rn =
+  let g = Neighborhood.graph rn.nh in
+  let gs = Sgraph.Power.power g ~s:(Neighborhood.s rn.nh) in
+  let order = Sgraph.Degeneracy.ordering gs in
+  let position = Array.make (Graph.n g) 0 in
+  Array.iteri (fun i v -> position.(v) <- i) order;
+  Array.iter
+    (fun v ->
+      if rn.should_continue () then
+        run_task rn (make_root rn.nh v ~in_p:(fun u -> position.(u) > position.(v))))
+    order

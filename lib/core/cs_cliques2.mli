@@ -51,62 +51,26 @@ type pivot_rule =
       (** take the smallest-id candidate without scoring — a cheaper but
           weaker choice, exposed for the pivot ablation benchmark *)
 
-type root_order =
-  | Ascending  (** Fig. 7 verbatim: the root loop scans node ids upward *)
-  | Power_degeneracy
-      (** footnote 1's Eppstein–Löffler–Strash adaptation: the root
-          branches in a degeneracy ordering of the power graph [G^s], so
-          each root call's candidate set is bounded by the s-degeneracy.
-          Costs building [G^s] up front — the trade-off the
-          [abl_degeneracy] benchmark measures. *)
+(** {2 Runners and tasks}
 
-val iter :
-  ?pivot:bool ->
-  ?pivot_rule:pivot_rule ->
-  ?feasibility:bool ->
-  ?root_order:root_order ->
-  ?min_size:int ->
-  ?should_continue:(unit -> bool) ->
-  ?obs:Scliques_obs.Obs.t ->
-  Neighborhood.t ->
-  (Sgraph.Node_set.t -> unit) ->
-  unit
-(** Call the function on every maximal connected s-clique exactly once.
-    Defaults: [pivot = false], [pivot_rule = Min_uncovered],
-    [feasibility = false]. [min_size] enables the §6 pruning and filters
-    the output; [should_continue] is polled before each root (no root
-    branch is built once it returns [false]) and at every recursion
-    entry.
-
-    With [obs], the delay recorder ticks per emission and the counters
-    [cs2.calls], [cs2.max_depth], [cs2.emits], [cs2.pivot_prunes]
-    (candidates removed from branching by the §5.3 pivot) and
-    [cs2.feasibility_prunes] (nodes dropped by the §5.3 feasibility
-    check) are maintained; without it the search is uninstrumented.
-
-    With [root_order = Ascending] it runs {!root_task} for every node in
-    ascending order — the branches [Enumerate.run] runs. *)
-
-(** {2 Explicit task interface}
-
-    The work-stealing {!Parallel} scheduler needs the recursion as
-    first-class subproblems it can move between workers. A {!task} is one
+    The engine has no loop of its own over the roots: a {!task} is one
     node of the recursion tree — the state [(depth, R, P, X)] over its
     root's universe, with [R] never empty — and a {!runner} bundles a
     search configuration with its output sink and its dense working
-    state. {!run_task} explores a subtree depth-first exactly as {!iter}
-    would; {!expand_task} performs ONE visit step (emitting [R] if it is
-    a maximal connected s-clique) and returns the child subproblems in
-    branch order. Both paths execute the same shared visit code, and
-    every child state is fully computed before any child runs, so running
-    the children in any order — or on any worker — explores exactly the
-    subtree [run_task] would: the emitted multiset is
-    schedule-independent. A task is immutable and shares its universe
+    state. {!run_task} explores a subtree depth-first; {!expand_task}
+    performs ONE visit step (emitting [R] if it is a maximal connected
+    s-clique) and returns the child subproblems in branch order. Both
+    paths execute the same shared visit code, and every child state is
+    fully computed before any child runs, so running the children in any
+    order — or on any worker — explores exactly the subtree [run_task]
+    would: the emitted multiset is schedule-independent. A task is
+    immutable and shares its universe
     with the other tasks of its root; a runner handed a task of another
     root switches to that root's universe (same numbering) and forgets
     its rows, so a stolen task runs on the thief's own state.
-    [Enumerate.run]'s rooted loop runs one {!root_task} per root on a
-    single runner; {!Parallel} moves tasks between workers. *)
+    [Enumerate.run]'s rooted loop runs one {!root_task} per root, in
+    ascending order, on a single runner; {!Parallel} moves tasks between
+    workers; {!run_degeneracy} takes the roots in footnote 1's order. *)
 
 type task
 
@@ -136,12 +100,20 @@ val make_runner :
   Neighborhood.t ->
   (Sgraph.Node_set.t -> unit) ->
   runner
-(** Same configuration surface as {!iter}. Emissions go to the given
-    sink; counters (when [obs] is set) use the same [cs2.*] vocabulary,
-    and the delay clock starts when the runner is built.
-    The runner is only as thread-safe as its neighborhood oracle and
-    sink: give each worker its own. The caller is responsible for
-    {!Neighborhood.sync_obs} when a run ends. *)
+(** A search configuration with its sink. Defaults: [pivot = false],
+    [pivot_rule = Min_uncovered], [feasibility = false]. [min_size]
+    enables the §6 pruning and filters the output; [should_continue] is
+    polled at every recursion entry (and by {!run_degeneracy} before
+    each root).
+
+    With [obs], the delay recorder ticks per emission, from when the
+    runner is built, and the counters [cs2.calls], [cs2.max_depth],
+    [cs2.emits], [cs2.pivot_prunes] (candidates removed from branching
+    by the §5.3 pivot) and [cs2.feasibility_prunes] (nodes dropped by
+    the §5.3 feasibility check) are maintained; without it the search
+    is uninstrumented. The runner is only as thread-safe as its
+    neighborhood oracle and sink: give each worker its own. The caller
+    is responsible for {!Neighborhood.sync_obs} when a run ends. *)
 
 val root_task : Neighborhood.t -> int -> task
 (** [root_task nh v] is the state the ascending root loop reaches at
@@ -155,6 +127,16 @@ val run_task : runner -> task -> unit
 val expand_task : runner -> task -> task list
 (** One visit step: emit [R] if maximal, return the children. An empty
     list means the subtree is exhausted. *)
+
+val run_degeneracy : runner -> unit
+(** Every root's branch, in footnote 1's Eppstein–Löffler–Strash order:
+    a degeneracy ordering of the power graph [G^s], where each root's
+    [P] is its later s-neighbors and [X] its earlier ones, so [|P|] is
+    bounded by the s-degeneracy instead of the largest ball. The same
+    results as the ascending {!root_task}s, in another order; building
+    [G^s] first is its cost, which the [abl_degeneracy] benchmark
+    measures. The runner's [should_continue] is polled before each root
+    is built. *)
 
 (** {2 The row store} *)
 

@@ -13,7 +13,14 @@
     yields exactly the results whose smallest member is [v]. {!run}
     drives that decomposition — one root after another in the calling
     domain, or on the work-stealing {!Parallel} engine with [workers] —
-    which is what resume, refresh and the daemon build on. *)
+    which is what resume, refresh and the daemon build on.
+
+    The engines keep no loops of their own: each exports one primitive
+    ([Cs_cliques2]'s runner and root tasks, [Cs_cliques1.root_runner],
+    [Poly_delay.run]), and {!run} is the one driver over them. A caller
+    that varies an engine-internal choice {!run} does not name (the
+    pivot rule, footnote 1's root order, PD's queue or index) drives the
+    primitive directly, as the ablation benchmarks do. *)
 
 type algorithm =
   | Poly_delay  (** paper "PD" *)
@@ -83,11 +90,11 @@ val run :
     Bron–Kerbosch variants, a largest-first queue in PolyDelayEnum.
 
     [budget] defaults to {!Budget.unlimited}; each emission is counted
-    with {!Budget.note_result} — do not count again in the callback. On
-    resume, seed the budget with {!Budget.preload_results} if the result
-    cap should span the whole logical run. [Max_results] is exact for
-    [Poly_delay]/[Brute] and root-atomic for the others (the capping
-    root's results are all delivered, a bounded overshoot). A resumed
+    with {!Budget.note_result} — do not count again in the callback. A
+    result cap counts this call only: for one that spans the whole
+    logical run, give a resume what is left of it. [Max_results] is
+    exact for [Poly_delay]/[Brute] and root-atomic for the others (the
+    capping root's results are all delivered, a bounded overshoot). A resumed
     ["roots"] checkpoint's retired roots are skipped, and the
     [resumable] state of a truncated run lists them together with the
     roots this call retired.

@@ -71,8 +71,8 @@ val run :
     every task pickup, where the budget is polled in full; once tripped,
     remaining queued work drains as pure bookkeeping — no root-ball BFS,
     no visits. [Max_results] is root-atomic: the capping root's results
-    are all delivered. On a resume, seed the budget with
-    {!Budget.preload_results}.
+    are all delivered. On a resume, cap the budget at what is left of
+    the run's result cap.
 
     The sink runs {b in a worker domain}, serialized under the commit
     lock. If it raises, the root stays uncommitted and the exception

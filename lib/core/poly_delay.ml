@@ -181,11 +181,3 @@ let run ?(queue_mode = Fifo) ?(index_mode = Btree) ?(min_size = 0)
     }
   in
   (stats, frontier)
-
-let iter_with_stats ?queue_mode ?index_mode ?min_size ?should_continue ?obs nh yield =
-  fst (run ?queue_mode ?index_mode ?min_size ?should_continue ?obs nh yield)
-
-let iter ?queue_mode ?index_mode ?min_size ?should_continue ?obs nh yield =
-  ignore
-    (iter_with_stats ?queue_mode ?index_mode ?min_size ?should_continue ?obs nh yield
-      : run_stats)

@@ -17,7 +17,11 @@
     §6 large-results mode: with [~queue_mode:Largest_first] the FIFO is
     replaced by a max-size priority queue, and with [~min_size:k] only
     results of size ≥ k are reported (everything is still explored —
-    smaller sets may lead to large undiscovered ones). *)
+    smaller sets may lead to large undiscovered ones).
+
+    {!run} is the engine's one entry point. [Enumerate.run] drives it
+    with a budget and a checkpoint; the queue and index ablations call
+    it directly to pick a discipline. *)
 
 type queue_mode =
   | Fifo  (** paper Fig. 4: breadth-first over the solution graph *)
@@ -30,44 +34,13 @@ type index_mode =
           worst-case delay guarantee for hashing. Exposed for the index
           ablation benchmark. *)
 
-val iter :
-  ?queue_mode:queue_mode ->
-  ?index_mode:index_mode ->
-  ?min_size:int ->
-  ?should_continue:(unit -> bool) ->
-  ?obs:Scliques_obs.Obs.t ->
-  Neighborhood.t ->
-  (Sgraph.Node_set.t -> unit) ->
-  unit
-(** Call the function on each maximal connected s-clique, exactly once.
-    [should_continue] is polled once per dequeue; returning [false]
-    abandons the remaining work (used by time-budgeted benchmarks).
-
-    With [obs], the run is instrumented: the delay recorder ticks on each
-    emission (the paper's per-result delay), and the counters
-    [pd.dequeues], [pd.emits], [pd.extend_max_calls], [pd.index_inserts],
-    [pd.index_duplicates], [pd.queue_high_water] and the deterministic
-    delay proxy [pd.max_extend_calls_between_emits] (most ExtendMax
-    invocations between two consecutive emissions) are maintained.
-    Without [obs] the loop is unchanged — no clock reads, no counters. *)
-
 type run_stats = {
   results : int;  (** sets reported *)
   generated : int;  (** sets inserted into the index *)
   index_height : int;  (** final B-tree height *)
 }
-
-val iter_with_stats :
-  ?queue_mode:queue_mode ->
-  ?index_mode:index_mode ->
-  ?min_size:int ->
-  ?should_continue:(unit -> bool) ->
-  ?obs:Scliques_obs.Obs.t ->
-  Neighborhood.t ->
-  (Sgraph.Node_set.t -> unit) ->
-  run_stats
-(** Same, returning counters about the run (exposed for the index
-    ablation benchmark and the memory discussion of §7). *)
+(** Counters about one run (for the index ablation benchmark and the
+    memory discussion of §7). *)
 
 type frontier = {
   f_index : Sgraph.Node_set.t list;  (** every set registered, in order *)
@@ -88,10 +61,23 @@ val run :
   Neighborhood.t ->
   (Sgraph.Node_set.t -> unit) ->
   run_stats * frontier
-(** {!iter_with_stats} that can start from — and always reports — a
-    {!frontier}. Without [init] it seeds per component as usual; the
-    returned frontier has an empty [f_queue] iff the run exhausted the
-    solution graph (it is only worth persisting otherwise). [run_stats]
-    counts this call's work only, but an [init] index's sets do count
-    into [generated]. Resuming under a different [queue_mode]/[index_mode]
-    is sound — the disciplines change order, never the result set. *)
+(** Call the function on each maximal connected s-clique, exactly once,
+    and report the run's {!run_stats} and its {!frontier}.
+    [should_continue] is polled once per dequeue; returning [false]
+    abandons the remaining work (a budget's {!Budget.checker}).
+
+    Without [init] it seeds one set per component; with it, it resumes
+    that frontier. The returned frontier has an empty [f_queue] iff the
+    run exhausted the solution graph (it is only worth persisting
+    otherwise). [run_stats] counts this call's work only, but an
+    [init] index's sets do count into [generated]. Resuming under a
+    different [queue_mode]/[index_mode] is sound — the disciplines
+    change order, never the result set.
+
+    With [obs], the run is instrumented: the delay recorder ticks on each
+    emission (the paper's per-result delay), and the counters
+    [pd.dequeues], [pd.emits], [pd.extend_max_calls], [pd.index_inserts],
+    [pd.index_duplicates], [pd.queue_high_water] and the deterministic
+    delay proxy [pd.max_extend_calls_between_emits] (most ExtendMax
+    invocations between two consecutive emissions) are maintained.
+    Without [obs] the loop is unchanged — no clock reads, no counters. *)

@@ -90,7 +90,12 @@ let add_u8 b v = Buffer.add_char b (Char.chr (v land 0xFF))
 
 let add_u16 b v = Buffer.add_uint16_le b v
 
-let add_u32 b v = Buffer.add_int32_le b (Int32.of_int v)
+(* refused, not wrapped: -1 sent as 4294967295 is another request id,
+   so the reply to it would never be recognised *)
+let add_u32 b v =
+  if v < 0 || v > 0xFFFF_FFFF then
+    invalid_arg (Printf.sprintf "Protocol: %d does not fit a u32 field" v);
+  Buffer.add_int32_le b (Int32.of_int v)
 
 let add_u64 b v = Buffer.add_int64_le b (Int64.of_int v)
 

@@ -127,6 +127,8 @@ type response =
 
 val encode_request : request -> string
 val encode_response : response -> string
+(** @raise Invalid_argument on an integer field outside its wire range
+    (a u32 below 0 or at least 2{^32}), before anything is sent. *)
 
 val decode_request : string -> request
 (** @raise Error on any malformed payload — and nothing else. *)

@@ -10,6 +10,7 @@
    always one of the twelve voters. *)
 
 module NS = Sgraph.Node_set
+module E = Scliques_core.Enumerate
 module C2 = Scliques_core.Cs_cliques2
 module PD = Scliques_core.Poly_delay
 
@@ -21,18 +22,22 @@ let collect iter_fn =
   List.sort NS.compare !acc
 
 let variants =
-  let cs2 ~pivot ~feasibility g s = collect (C2.iter ~pivot ~feasibility (nh ~s g)) in
+  let run alg g s = E.sorted_results alg g ~s in
   let pd ~queue_mode ~index_mode g s =
-    collect (PD.iter ~queue_mode ~index_mode (nh ~s g))
+    collect (fun yield ->
+        ignore
+          (PD.run ~queue_mode ~index_mode (nh ~s g) yield : PD.run_stats * PD.frontier))
   in
   [
-    ("cs1", fun g s -> collect (Scliques_core.Cs_cliques1.iter (nh ~s g)));
-    ("cs2", cs2 ~pivot:false ~feasibility:false);
-    ("cs2-p", cs2 ~pivot:true ~feasibility:false);
-    ("cs2-f", cs2 ~pivot:false ~feasibility:true);
-    ("cs2-pf", cs2 ~pivot:true ~feasibility:true);
+    ("cs1", run E.Cs1);
+    ("cs2", run E.Cs2);
+    ("cs2-p", run E.Cs2_p);
+    ("cs2-f", run E.Cs2_f);
+    ("cs2-pf", run E.Cs2_pf);
     ( "cs2-p-deg",
-      fun g s -> collect (C2.iter ~pivot:true ~root_order:C2.Power_degeneracy (nh ~s g))
+      fun g s ->
+        collect (fun yield ->
+            C2.run_degeneracy (C2.make_runner ~pivot:true (nh ~s g) yield))
     );
     ("pd-fifo-btree", pd ~queue_mode:PD.Fifo ~index_mode:PD.Btree);
     ("pd-fifo-hash", pd ~queue_mode:PD.Fifo ~index_mode:PD.Hashtable);
@@ -56,7 +61,6 @@ let variants =
    uninterrupted reference. Prints nothing on success (the .expected
    files are untouched); disagreement fails the build like a variant
    mismatch. *)
-module E = Scliques_core.Enumerate
 module Budget = Scliques_core.Budget
 
 let check_resume fixture g s reference =
@@ -157,9 +161,7 @@ let () =
           end)
         variants;
       (* enumeration must be bit-identical on the snapshot-reloaded graph *)
-      let via_snapshot =
-        collect (C2.iter ~pivot:true ~feasibility:true (nh ~s reloaded))
-      in
+      let via_snapshot = E.sorted_results E.Cs2_pf reloaded ~s in
       if not (List.equal NS.equal reference via_snapshot) then begin
         Printf.eprintf
           "gen_golden: snapshot-reloaded %s disagrees at s=%d (%d sets vs %d)\n" name

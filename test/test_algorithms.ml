@@ -166,48 +166,54 @@ let connected_tests =
 
 let poly_delay_tests =
   let module Pd = Scliques_core.Poly_delay in
+  let module Cs2 = Scliques_core.Cs_cliques2 in
+  (* a run's results; its stats and frontier are not looked at *)
+  let run ?queue_mode ?index_mode ?min_size ?should_continue nh yield =
+    ignore
+      (Pd.run ?queue_mode ?index_mode ?min_size ?should_continue nh yield
+        : Pd.run_stats * Pd.frontier)
+  in
   [
     Alcotest.test_case "largest_first yields in non-increasing size" `Quick (fun () ->
         let g = Sgraph.Gen.erdos_renyi (Scoll.Rng.create 12) ~n:60 ~avg_degree:4. in
         let nh = Nh.create ~s:2 g in
         let sizes = ref [] in
-        Pd.iter ~queue_mode:Pd.Largest_first nh (fun c -> sizes := NS.cardinal c :: !sizes);
+        run ~queue_mode:Pd.Largest_first nh (fun c -> sizes := NS.cardinal c :: !sizes);
         (* the priority queue orders the *frontier*, so sizes are not
            globally sorted; but the first result must be a largest seed and
            the stream must match the FIFO stream as a set *)
         let fifo = ref [] in
-        Pd.iter nh (fun c -> fifo := c :: !fifo);
+        run nh (fun c -> fifo := c :: !fifo);
         check int "same count" (List.length !fifo) (List.length !sizes));
     Alcotest.test_case "min_size filters but still explores" `Quick (fun () ->
         let g = fig1 () in
         let nh = Nh.create ~s:2 g in
         let got = ref [] in
-        Pd.iter ~min_size:5 nh (fun c -> got := c :: !got);
+        run ~min_size:5 nh (fun c -> got := c :: !got);
         check Test_support.ns_list "two big communities"
           [ of_l [ 1; 2; 3; 4; 5; 6 ]; of_l [ 3; 4; 5; 6; 7 ] ]
           (sorted !got));
     Alcotest.test_case "run stats count index inserts" `Quick (fun () ->
         let nh = Nh.create ~s:2 (fig1 ()) in
-        let stats = Pd.iter_with_stats nh (fun _ -> ()) in
+        let stats, (_ : Pd.frontier) = Pd.run nh (fun _ -> ()) in
         check int "3 results" 3 stats.Pd.results;
         check int "3 generated" 3 stats.Pd.generated);
     Alcotest.test_case "should_continue stops the queue loop" `Quick (fun () ->
         let g = Sgraph.Gen.erdos_renyi (Scoll.Rng.create 14) ~n:80 ~avg_degree:4. in
         let nh = Nh.create ~s:2 g in
         let seen = ref 0 in
-        Pd.iter ~should_continue:(fun () -> !seen < 3) nh (fun _ -> incr seen);
+        run ~should_continue:(fun () -> !seen < 3) nh (fun _ -> incr seen);
         check bool "stopped early" true (!seen <= 3));
     Alcotest.test_case "hashtable index enumerates the same family" `Quick (fun () ->
         let g = Test_support.random_graph 21 ~n:30 ~m:70 in
         let collect index_mode =
           let nh = Nh.create ~s:2 g in
           let acc = ref [] in
-          Scliques_core.Poly_delay.iter ~index_mode nh (fun c -> acc := c :: !acc);
+          run ~index_mode nh (fun c -> acc := c :: !acc);
           sorted !acc
         in
         check Test_support.ns_list "btree = hashtable"
-          (collect Scliques_core.Poly_delay.Btree)
-          (collect Scliques_core.Poly_delay.Hashtable));
+          (collect Pd.Btree) (collect Pd.Hashtable));
     Alcotest.test_case "first-candidate pivot rule stays correct" `Quick (fun () ->
         let rng = Scoll.Rng.create 22 in
         for _ = 1 to 10 do
@@ -217,9 +223,13 @@ let poly_delay_tests =
           let s = 1 + Scoll.Rng.int rng 2 in
           let nh = Nh.create ~s g in
           let acc = ref [] in
-          Scliques_core.Cs_cliques2.iter ~pivot:true
-            ~pivot_rule:Scliques_core.Cs_cliques2.First_candidate nh (fun c ->
-              acc := c :: !acc);
+          let rn =
+            Cs2.make_runner ~pivot:true ~pivot_rule:Cs2.First_candidate nh (fun c ->
+                acc := c :: !acc)
+          in
+          for v = 0 to G.n g - 1 do
+            Cs2.run_task rn (Cs2.root_task nh v)
+          done;
           check Test_support.ns_list "matches oracle"
             (Scliques_core.Brute_force.maximal_connected_s_cliques g ~s)
             (sorted !acc)
@@ -232,23 +242,30 @@ let poly_delay_tests =
         let g = Sgraph.Gen.exponential_gadget 6 in
         let first = E.first_n E.Poly_delay g ~s:2 5 in
         check int "5 results" 5 (List.length first));
-    Alcotest.test_case "CS2 iter told to stop builds no root" `Quick (fun () ->
-        (* a root's task costs its ball; a checker that is false from the
-           start must stop the ascending loop before the first one *)
+    Alcotest.test_case "CS2 told to stop builds no root" `Quick (fun () ->
+        (* a root's task costs its ball: a run whose budget is spent from
+           the start, in ascending order or footnote 1's, must stop before
+           the first one *)
         let g = Sgraph.Gen.erdos_renyi (Scoll.Rng.create 23) ~n:200 ~avg_degree:6. in
-        List.iter
-          (fun root_order ->
-            let obs = Scliques_obs.Obs.create () in
-            let nh = Nh.create ~obs ~s:2 g in
-            let emitted = ref 0 in
-            Scliques_core.Cs_cliques2.iter ~pivot:true ~root_order
-              ~should_continue:(fun () -> false)
-              ~obs nh
-              (fun _ -> incr emitted);
-            check int "results" 0 !emitted;
-            let bfs = Scliques_obs.Obs.counter obs "nh.bfs_expansions" in
-            check int "nh.bfs_expansions" 0 (Scliques_obs.Counters.value bfs))
-          [ Scliques_core.Cs_cliques2.Ascending; Scliques_core.Cs_cliques2.Power_degeneracy ]);
+        let emitted = ref 0 in
+        let no_balls obs =
+          check int "results" 0 !emitted;
+          let bfs = Scliques_obs.Obs.counter obs "nh.bfs_expansions" in
+          check int "nh.bfs_expansions" 0 (Scliques_obs.Counters.value bfs)
+        in
+        let obs = Scliques_obs.Obs.create () in
+        let budget = Scliques_core.Budget.create ~max_results:0 () in
+        let (_ : E.run_report) =
+          E.run ~obs ~budget E.Cs2_p g ~s:2 (fun _ -> incr emitted)
+        in
+        no_balls obs;
+        let obs = Scliques_obs.Obs.create () in
+        let nh = Nh.create ~obs ~s:2 g in
+        Cs2.run_degeneracy
+          (Cs2.make_runner ~pivot:true ~should_continue:(fun () -> false) ~obs nh
+             (fun _ -> incr emitted));
+        Nh.sync_obs nh;
+        no_balls obs);
   ]
 
 let enumerate_tests =

@@ -11,6 +11,7 @@ module NS = Sgraph.Node_set
 module G = Sgraph.Graph
 module Nh = Scliques_core.Neighborhood
 module Cs2 = Scliques_core.Cs_cliques2
+module E = Scliques_core.Enumerate
 
 module Reference = struct
   let feasible nh r v p_cap_ball =
@@ -270,7 +271,7 @@ let test_row_store_flush () =
       Alcotest.failf "s=%d: row store of %d words, cap %d" s (Cs2.row_store_words rn)
         Cs2.row_cap;
     let got = ref [] in
-    Cs2.iter ~pivot:true ~feasibility:true nh (fun c -> got := c :: !got);
+    let (_ : E.run_report) = E.run ~nh E.Cs2_pf g ~s (fun c -> got := c :: !got) in
     Alcotest.check Test_support.ns_list
       (Printf.sprintf "s=%d answer" s)
       (List.sort NS.compare expected) (List.sort NS.compare !got)

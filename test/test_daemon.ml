@@ -1458,6 +1458,57 @@ let test_skip_roots_drain_is_free () =
   Alcotest.(check int) "skipped roots cost zero visits" 0
     (counter_value obs "cs2.calls")
 
+(* ---------- encoder ranges ---------- *)
+
+(* A u32 field outside [0, 2^32) would wrap: id -1 would go out as
+   4294967295, and the client would wait forever for a reply with id
+   -1. The encoder refuses it before a byte is sent, so the connection
+   stays usable. *)
+let test_u32_out_of_range_refused () =
+  let refused what f =
+    match f () with
+    | (_ : string) -> Alcotest.failf "%s was encoded" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun id ->
+      refused "query id" (fun () ->
+          P.encode_request (P.Query (query ~id ~graph:"gadget" ~s:2 ())));
+      refused "mutation id" (fun () ->
+          P.encode_request (P.Mutate { P.m_id = id; m_graph = "gadget"; m_script = "" }));
+      refused "cancel id" (fun () -> P.encode_request (P.Cancel id));
+      refused "result id" (fun () -> P.encode_response (P.Result (id, "0 1"))))
+    [ -1; 1 lsl 32 ];
+  (* the largest u32 still round-trips *)
+  let top = P.Cancel 0xFFFF_FFFF in
+  Alcotest.(check string) "2^32 - 1 round-trips" (P.encode_request top)
+    (P.encode_request (P.decode_request (P.encode_request top)));
+  with_server corpus (fun addr srv ->
+      with_client addr (fun c ->
+          (match Client.run_query c (query ~id:(-1) ~graph:"gadget" ~s:2 ()) with
+          | _ -> Alcotest.fail "a query with id -1 was sent"
+          | exception Invalid_argument _ -> ());
+          let outcome, got = collect_query c (query ~graph:"gadget" ~s:2 ()) in
+          (match outcome with
+          | Client.Finished _ -> ()
+          | _ -> Alcotest.fail "the next query on the connection did not finish");
+          Alcotest.(check int) "full answer" 20 (List.length got));
+      wait_idle srv)
+
+(* Budget.create refuses a NaN deadline (every comparison with the clock
+   would read "not yet"), and the daemon types that as a bad request *)
+let test_nan_deadline_refused () =
+  with_server corpus (fun addr srv ->
+      with_client addr (fun c ->
+          let q = query ~deadline:Float.nan ~graph:"gadget" ~s:2 () in
+          (match Client.run_query c q with
+          | Client.Failed { code = P.Bad_request; msg } ->
+              if not (Astring_contains.contains msg "deadline") then
+                Alcotest.failf "refusal %S does not name the deadline" msg
+          | _ -> Alcotest.fail "expected a Bad_request for a NaN deadline");
+          Alcotest.(check bool) "still answers" true (Client.ping c));
+      wait_idle srv)
+
 (* ---------- registration ---------- *)
 
 let suites =
@@ -1522,5 +1573,9 @@ let suites =
         Alcotest.test_case "cancel stops paying within the poll bound" `Quick
           test_cancel_stops_paying;
         Alcotest.test_case "skip-roots drain is free" `Quick test_skip_roots_drain_is_free;
+        Alcotest.test_case "u32 fields outside the wire range refused" `Quick
+          test_u32_out_of_range_refused;
+        Alcotest.test_case "NaN deadline refused as a bad request" `Quick
+          test_nan_deadline_refused;
       ] );
   ]

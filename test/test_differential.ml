@@ -22,21 +22,23 @@ let collect iter_fn =
    the point: a bug hiding behind (say) pivoting without feasibility
    shows up as a mismatch against the other eleven. *)
 let variants =
-  let cs2 ~pivot ~feasibility g s =
-    collect (C2.iter ~pivot ~feasibility (nh ~s g))
-  in
+  let run alg g s = E.sorted_results alg g ~s in
   let pd ~queue_mode ~index_mode g s =
-    collect (PD.iter ~queue_mode ~index_mode (nh ~s g))
+    collect (fun yield ->
+        ignore
+          (PD.run ~queue_mode ~index_mode (nh ~s g) yield : PD.run_stats * PD.frontier))
   in
   [
-    ("cs1", fun g s -> collect (Scliques_core.Cs_cliques1.iter (nh ~s g)));
-    ("cs2", cs2 ~pivot:false ~feasibility:false);
-    ("cs2-p", cs2 ~pivot:true ~feasibility:false);
-    ("cs2-f", cs2 ~pivot:false ~feasibility:true);
-    ("cs2-pf", cs2 ~pivot:true ~feasibility:true);
+    ("cs1", run E.Cs1);
+    ("cs2", run E.Cs2);
+    ("cs2-p", run E.Cs2_p);
+    ("cs2-f", run E.Cs2_f);
+    ("cs2-pf", run E.Cs2_pf);
     ( "cs2-p-deg",
       fun g s ->
-        collect (C2.iter ~pivot:true ~root_order:C2.Power_degeneracy (nh ~s g)) );
+        collect (fun yield ->
+            C2.run_degeneracy (C2.make_runner ~pivot:true (nh ~s g) yield))
+    );
     ("pd-fifo-btree", pd ~queue_mode:PD.Fifo ~index_mode:PD.Btree);
     ("pd-fifo-hash", pd ~queue_mode:PD.Fifo ~index_mode:PD.Hashtable);
     ("pd-lf-btree", pd ~queue_mode:PD.Largest_first ~index_mode:PD.Btree);

@@ -114,8 +114,10 @@ let invariant_tests =
         let _, _, s, _ = params in
         let nh = Scliques_core.Neighborhood.create ~s g in
         let acc = ref [] in
-        Scliques_core.Poly_delay.iter ~queue_mode:Scliques_core.Poly_delay.Largest_first
-          nh (fun c -> acc := c :: !acc);
+        ignore
+          (Scliques_core.Poly_delay.run ~queue_mode:Scliques_core.Poly_delay.Largest_first
+             nh (fun c -> acc := c :: !acc)
+            : Scliques_core.Poly_delay.run_stats * Scliques_core.Poly_delay.frontier);
         let expected = Scliques_core.Brute_force.maximal_connected_s_cliques g ~s in
         let actual = List.sort NS.compare !acc in
         List.length expected = List.length actual && List.for_all2 NS.equal expected actual);

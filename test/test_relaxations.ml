@@ -214,10 +214,13 @@ let delay_tests =
   ]
 
 let degeneracy_root_tests =
-  let collect ?(root_order = Scliques_core.Cs_cliques2.Ascending) ?(pivot = false) g s =
+  (* every root's branch, in a degeneracy order of G^s *)
+  let collect ?pivot ?feasibility ?min_size g s =
     let nh = Scliques_core.Neighborhood.create ~s g in
     let acc = ref [] in
-    Scliques_core.Cs_cliques2.iter ~pivot ~root_order nh (fun c -> acc := c :: !acc);
+    Scliques_core.Cs_cliques2.run_degeneracy
+      (Scliques_core.Cs_cliques2.make_runner ?pivot ?feasibility ?min_size nh (fun c ->
+           acc := c :: !acc));
     sorted !acc
   in
   [
@@ -227,8 +230,8 @@ let degeneracy_root_tests =
           (fun s ->
             check Test_support.ns_list
               (Printf.sprintf "s=%d" s)
-              (collect g s)
-              (collect ~root_order:Scliques_core.Cs_cliques2.Power_degeneracy g s))
+              (E.sorted_results E.Cs2 g ~s)
+              (collect g s))
           [ 1; 2; 3 ]);
     Alcotest.test_case "matches the oracle on random graphs (with pivoting)" `Quick
       (fun () ->
@@ -240,14 +243,14 @@ let degeneracy_root_tests =
           let s = 1 + Scoll.Rng.int rng 3 in
           check Test_support.ns_list "oracle"
             (Scliques_core.Brute_force.maximal_connected_s_cliques g ~s)
-            (collect ~root_order:Scliques_core.Cs_cliques2.Power_degeneracy ~pivot:true g s)
+            (collect ~pivot:true g s)
         done);
     Alcotest.test_case "handles disconnected graphs and isolated nodes" `Quick
       (fun () ->
         let g = G.of_edges ~n:5 [ (0, 1); (1, 2) ] in
         check Test_support.ns_list "components + singletons"
           [ of_l [ 0; 1; 2 ]; of_l [ 3 ]; of_l [ 4 ] ]
-          (collect ~root_order:Scliques_core.Cs_cliques2.Power_degeneracy g 2));
+          (collect g 2));
     Alcotest.test_case "all options stacked: degeneracy + pivot + feasibility + k"
       `Quick (fun () ->
         let rng = Scoll.Rng.create 72 in
@@ -255,17 +258,13 @@ let degeneracy_root_tests =
           let n = 5 + Scoll.Rng.int rng 6 in
           let m = Scoll.Rng.int rng ((n * (n - 1) / 2) + 1) in
           let g = Sgraph.Gen.erdos_renyi_gnm rng ~n ~m in
-          let nh = Scliques_core.Neighborhood.create ~s:2 g in
-          let acc = ref [] in
-          Scliques_core.Cs_cliques2.iter ~pivot:true ~feasibility:true
-            ~root_order:Scliques_core.Cs_cliques2.Power_degeneracy ~min_size:3 nh
-            (fun c -> acc := c :: !acc);
           let expected =
             List.filter
               (fun c -> NS.cardinal c >= 3)
               (Scliques_core.Brute_force.maximal_connected_s_cliques g ~s:2)
           in
-          check Test_support.ns_list "oracle (filtered)" expected (sorted !acc)
+          check Test_support.ns_list "oracle (filtered)" expected
+            (collect ~pivot:true ~feasibility:true ~min_size:3 g 2)
         done);
   ]
 

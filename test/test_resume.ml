@@ -59,9 +59,6 @@ let test_budget_trips () =
   (match Budget.status b with
   | Budget.Truncated Budget.Max_results -> ()
   | _ -> Alcotest.fail "expected Truncated Max_results");
-  let b = Budget.create ~max_results:5 () in
-  Budget.preload_results b 5;
-  Alcotest.(check bool) "preload reaching the cap trips" false (Budget.live b);
   let b = Budget.create () in
   Budget.request_cancel b;
   Alcotest.(check bool) "cancel is observed at the next poll" false (Budget.poll b);
@@ -76,6 +73,23 @@ let test_budget_trips () =
   (match Budget.status b with
   | Budget.Truncated Budget.Max_cache_bytes -> ()
   | _ -> Alcotest.fail "expected Truncated Max_cache_bytes")
+
+(* a bound that compares as "not yet" against every clock reading (NaN)
+   would run unbounded: refused like a negative one *)
+let test_budget_refuses_bad_limits () =
+  List.iter
+    (fun (what, mk) ->
+      match mk () with
+      | (_ : Budget.t) -> Alcotest.failf "%s accepted" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("deadline nan", fun () -> Budget.create ~deadline_s:Float.nan ());
+      ("deadline -1", fun () -> Budget.create ~deadline_s:(-1.) ());
+      ("deadline -inf", fun () -> Budget.create ~deadline_s:Float.neg_infinity ());
+      ("max_results -1", fun () -> Budget.create ~max_results:(-1) ());
+    ];
+  let b = Budget.create ~deadline_s:Float.infinity () in
+  Alcotest.(check bool) "an infinite deadline never trips" true (Budget.poll b)
 
 let test_budget_first_trip_wins () =
   let b = Budget.create ~max_results:1 () in
@@ -711,5 +725,7 @@ let suites =
           test_stream_open_resume;
         prop_encode_matches_list;
         prop_decode_matches_list;
+        Alcotest.test_case "budget refuses negative and NaN limits" `Quick
+          test_budget_refuses_bad_limits;
       ] );
   ]
