@@ -32,21 +32,19 @@ let kernel_tests () =
   let module NH = Scliques_core.Neighborhood in
   let g = Workloads.er ~n:1000 ~avg_degree:12. in
   let nh = NH.create ~s:2 g in
-  let p = NH.ball nh 0 and x = NH.ball nh 1 and b = NH.ball nh 2 in
+  let p = NH.ball nh 0 and b = NH.ball nh 2 in
   (* a C set shaped like a real carve set: ball members, so neighbor rows
      overlap heavily *)
   let take k s = NS.of_list (List.filteri (fun i _ -> i < k) (NS.to_list s)) in
   let c_big = take 32 p in
-  (* pivot scoring scans every candidate ball once; balls are
-     materialized outside the staged closures so the pair measures the
-     counting kernels, not the shared ball-cache lookups. The list
-     baseline is the seed's non-allocating merge count. *)
-  let cand_balls = List.map (NH.ball nh) (NS.to_list (take 20 b)) in
   (* feasibility checks from real CSCliques2PF visits (the first 64
      states with |R| >= 2 under root 0's branch), each with every branch
      node v of P and its P ∩ N^s(v) *)
   let module Cs2 = Scliques_core.Cs_cliques2 in
-  let rn = Cs2.make_runner ~pivot:true ~feasibility:true nh ignore in
+  let rn =
+    Cs2.make_runner ~rule:(Cs2.Cs2 { pivot = Some Cs2.Min_uncovered; feasibility = true }) nh
+      ignore
+  in
   let feasibility_calls =
     let calls = ref [] and states = ref 0 in
     let rec walk t =
@@ -124,29 +122,6 @@ let kernel_tests () =
       (Staged.stage (fun () ->
            Scoll.Bitset.diff_into ~into:scratch bb;
            Scoll.Bitset.union_into ~into:scratch bp));
-    (* branch-loop shape: one ball filters both P and X *)
-    Test.make ~name:"kernel:px-filter-list"
-      (Staged.stage (fun () ->
-           ignore (NS.inter p b);
-           ignore (NS.inter x b)));
-    Test.make ~name:"kernel:px-filter-bitset"
-      (Staged.stage (fun () ->
-           let m = NH.load_mask nh b in
-           ignore (NS.inter_bitset p m);
-           ignore (NS.inter_bitset x m)));
-    (* pivot shape: |P \ ball(u)| for every candidate u *)
-    Test.make ~name:"kernel:pivot-scan-list"
-      (Staged.stage (fun () ->
-           List.iter (fun b -> ignore (NS.diff_cardinal p b)) cand_balls));
-    Test.make ~name:"kernel:pivot-scan-bitset"
-      (Staged.stage (fun () ->
-           (* the shape select_pivot uses: P loaded once, candidate balls
-              scanned against it — |P \ ball(u)| = |P| − |ball(u) ∩ P| *)
-           let pm = NH.load_mask nh p in
-           let psz = NS.cardinal p in
-           List.iter
-             (fun b -> ignore (psz - NS.inter_bitset_cardinal b pm))
-             cand_balls));
     (* feasibility (§5.3): the set-algebra check the visit step used —
        build the universe, BFS all of it, test R's inclusion — vs the
        dense BFS over the root universe's adjacency rows that stops once

@@ -336,7 +336,8 @@ let abl_pivot () =
            rule under test *)
         let nh = Nh.create ~s:2 g in
         let rn =
-          Cs2.make_runner ~pivot:true ~pivot_rule:rule
+          Cs2.make_runner
+            ~rule:(Cs2.Cs2 { pivot = Some rule; feasibility = false })
             ~should_continue:(Budget.checker budget) nh (fun _ -> ())
         in
         let v = ref 0 in
@@ -393,8 +394,9 @@ let abl_degeneracy () =
   in
   let degeneracy budget g =
     Cs2.run_degeneracy
-      (Cs2.make_runner ~pivot:true ~should_continue:(Budget.checker budget)
-         (Nh.create ~s:2 g) (fun _ -> ()))
+      (Cs2.make_runner
+         ~rule:(Cs2.Cs2 { pivot = Some Cs2.Min_uncovered; feasibility = false })
+         ~should_continue:(Budget.checker budget) (Nh.create ~s:2 g) (fun _ -> ()))
   in
   Harness.print_table
     ~title:

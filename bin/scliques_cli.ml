@@ -54,28 +54,29 @@ let s_arg =
   Arg.(value & opt int 2 & info [ "s" ] ~docv:"S" ~doc)
 
 (* The budget flags, declared once for enum, refresh and client (each
-   passes its own doc). A negative or NaN bound is refused the way
-   --limit=-1 is: one error line and exit 1, before any work. *)
-let at_least_zero flag ok v =
+   passes its own doc), and --workers. A bound out of range (negative,
+   NaN, no worker) is refused the way --limit=-1 is: one error line and
+   exit 1, before any work. *)
+let at_least ~least flag ok v =
   if ok v then v
   else begin
-    Printf.eprintf "scliques: error: %s must be >= 0\n%!" flag;
+    Printf.eprintf "scliques: error: %s must be >= %d\n%!" flag least;
     Stdlib.exit 1
   end
 
 let min_size_arg ~doc =
   Term.(
-    const (at_least_zero "--min-size" (fun k -> k >= 0))
+    const (at_least ~least:0 "--min-size" (fun k -> k >= 0))
     $ Arg.(value & opt int 0 & info [ "min-size" ] ~docv:"K" ~doc))
 
 let deadline_arg ~doc =
   Term.(
-    const (Option.map (at_least_zero "--deadline" (fun d -> d >= 0.)))
+    const (Option.map (at_least ~least:0 "--deadline" (fun d -> d >= 0.)))
     $ Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SEC" ~doc))
 
 let max_results_arg ~doc =
   Term.(
-    const (Option.map (at_least_zero "--max-results" (fun k -> k >= 0)))
+    const (Option.map (at_least ~least:0 "--max-results" (fun k -> k >= 0)))
     $ Arg.(value & opt (some int) None & info [ "max-results" ] ~docv:"N" ~doc))
 
 let checkpoint_arg ~doc =
@@ -119,11 +120,13 @@ let algorithm_arg ?(rooted = false) ~doc () =
     & info [ "a"; "algorithm" ] ~docv:"ALG" ~doc)
 
 let workers_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "workers" ] ~docv:"W"
-        ~doc:"Worker domains for $(b,-a par) (default: all cores).")
+  Term.(
+    const (Option.map (at_least ~least:1 "--workers" (fun w -> w >= 1)))
+    $ Arg.(
+        value
+        & opt (some int) None
+        & info [ "workers" ] ~docv:"W"
+            ~doc:"Worker domains for $(b,-a par) (default: all cores)."))
 
 (* the algorithm and, for [par] only, its worker count *)
 let engine (alg, par) workers =

@@ -90,6 +90,8 @@ let root_task nh v = make_root nh v ~in_p:(fun u -> u > v)
 
 type pivot_rule = Min_uncovered | First_candidate
 
+type rule = Cs1 | Cs2 of { pivot : pivot_rule option; feasibility : bool }
+
 let c_incr = function None -> () | Some c -> Scliques_obs.Counters.incr c
 
 let c_add c n = match c with None -> () | Some c -> Scliques_obs.Counters.add c n
@@ -109,6 +111,7 @@ let c_set_max c n = match c with None -> () | Some c -> Scliques_obs.Counters.se
    level l + 1 and the depth-first search allocates none of them. *)
 type runner = {
   nh : Neighborhood.t;
+  cs1 : bool;
   pivot : bool;
   pivot_rule : pivot_rule;
   feasibility : bool;
@@ -138,23 +141,31 @@ type runner = {
   mutable kids : task list; (* the children [expand_task] collects *)
 }
 
-let make_runner ?(pivot = false) ?(pivot_rule = Min_uncovered) ?(feasibility = false)
-    ?(min_size = 0) ?(should_continue = fun () -> true) ?obs nh yield =
+let make_runner ?(rule = Cs2 { pivot = None; feasibility = false }) ?(min_size = 0)
+    ?(should_continue = fun () -> true) ?obs nh yield =
+  let cs1, pivot, feasibility =
+    match rule with
+    | Cs1 -> (true, None, false)
+    | Cs2 { pivot; feasibility } -> (false, pivot, feasibility)
+  in
   let ctr name = Option.map (fun o -> Scliques_obs.Obs.counter o name) obs in
+  let family = if cs1 then "cs1." else "cs2." in
   (match obs with None -> () | Some o -> Scliques_obs.Obs.reset_clock o);
   {
     nh;
-    pivot;
-    pivot_rule;
+    cs1;
+    pivot = Option.is_some pivot;
+    pivot_rule = Option.value pivot ~default:Min_uncovered;
     feasibility;
     min_size;
     should_continue;
     obs;
-    c_calls = ctr "cs2.calls";
-    c_depth = ctr "cs2.max_depth";
-    c_emits = ctr "cs2.emits";
-    c_pivot_prunes = ctr "cs2.pivot_prunes";
-    c_feas_prunes = ctr "cs2.feasibility_prunes";
+    c_calls = ctr (family ^ "calls");
+    c_depth = ctr (family ^ "max_depth");
+    c_emits = ctr (family ^ "emits");
+    (* CS1 neither pivots nor checks feasibility: it registers no prune counter *)
+    c_pivot_prunes = (if cs1 then None else ctr "cs2.pivot_prunes");
+    c_feas_prunes = (if cs1 then None else ctr "cs2.feasibility_prunes");
     yield;
     cur = no_universe;
     local_of = Array.make (Graph.n (Neighborhood.graph nh)) (-1);
@@ -431,19 +442,22 @@ let select_pivot rn rule (p : int array) (x : int array) np =
    or leaves, so the set of children — and hence the emitted multiset —
    does not depend on when or where the children run. The visit's state
    is frame level [l], whose P and X it consumes: each branch leaves P,
-   and each one that has a child joins X. *)
+   and each one that has a child joins X. The rule sets the branch set:
+   P, P minus the pivot's ball, or under CS1 P ∩ N^{∃,1}(R). *)
 let rec visit rn ~expand l depth =
   c_incr rn.c_calls;
-  c_set_max rn.c_depth depth;
+  (* CS1 counts its root call at depth 1, a root task's depth is 0 *)
+  c_set_max rn.c_depth (if rn.cs1 then depth + 1 else depth);
   if rn.should_continue () then begin
     let u = rn.cur in
     let w = u.words in
     let r = rn.fr.(l) and p = rn.fp.(l) and x = rn.fx.(l) in
     let nr = card r w and np = card p w in
     if nr + np >= rn.min_size then begin
-      (* R is maximal when no node of P ∪ X touches it *)
+      (* R is maximal when no node of P ∪ X touches it; a CS1 R is
+         connected by construction *)
       let ncand = load_frontier rn r p x in
-      if ncand = 0 && nr >= rn.min_size && connected_in rn r nr then begin
+      if ncand = 0 && nr >= rn.min_size && (rn.cs1 || connected_in rn r nr) then begin
         c_incr rn.c_emits;
         (match rn.obs with None -> () | Some o -> Scliques_obs.Obs.tick o);
         rn.yield (to_set u r)
@@ -454,8 +468,7 @@ let rec visit rn ~expand l depth =
         c_add rn.c_pivot_prunes np
       else begin
         let branchable =
-          if not rn.pivot then p
-          else begin
+          if rn.pivot then begin
             let off = ball_row rn (select_pivot rn rn.pivot_rule p x np) in
             let rows = rn.rows and b = rn.fb.(l) in
             for k = 0 to w - 1 do
@@ -464,6 +477,16 @@ let rec visit rn ~expand l depth =
             c_add rn.c_pivot_prunes (np - card b w);
             b
           end
+          else if rn.cs1 then begin
+            (* CS1 branches on P ∩ N^{∃,1}(R) only, so R stays connected.
+               A child's visit overwrites [nbr]: the level keeps a copy *)
+            let nbr = rn.nbr and b = rn.fb.(l) in
+            for k = 0 to w - 1 do
+              b.(k) <- p.(k) land nbr.(k)
+            done;
+            b
+          end
+          else p
         in
         level rn (l + 1);
         let cr = rn.fr.(l + 1) and cp = rn.fp.(l + 1) and cx = rn.fx.(l + 1) in

@@ -1,19 +1,29 @@
-(** CsCliques2 (paper Fig. 7): Bron–Kerbosch adaptation in which the
-    growing set [R] is an s-clique that may be temporarily disconnected;
-    connectivity is only required at print time.
+(** The rooted Bron–Kerbosch engines of the paper, CsCliques1 (Fig. 6)
+    and CsCliques2 (Fig. 7): one recursion over [(R, P, X)] with the
+    invariant [P ∪ X = N^{∀,s}(R)] (nodes within distance s of all of
+    [R]). The two differ only in the branch set and the print test, and
+    a {!rule} picks them.
 
-    Allowing a disconnected [R] costs exploration of branches that can
-    never print, but unlocks the two optimizations of the paper's §5.3:
+    {b CsCliques1} ({!Cs1}) keeps [R] a {e connected} s-clique at every
+    step: it branches only on [P ∩ N^{∃,1}(R)] and prints [R] when no
+    node of [P ∪ X] touches it, with no connectivity check. The paper
+    shows (§5.3) that neither pivoting nor the feasibility check can be
+    combined with it, so its rule carries neither.
 
-    - {b pivoting} ([~pivot:true], "P" in the paper's plots): choose
+    {b CsCliques2} ({!Cs2}) lets [R] be temporarily disconnected and
+    requires connectivity only at print time. Allowing a disconnected
+    [R] costs exploration of branches that can never print, but unlocks
+    the two optimizations of the paper's §5.3:
+
+    - {b pivoting} ([pivot = Some _], "P" in the paper's plots): choose
       [u ∈ (P ∪ X) ∩ N^{∃,1}(R)] minimizing [|P − N^s(u)|] and branch only
       on [P − N^s(u)]. The pivot must be adjacent to [R] (Prop. 5.5's
       third case), so no pivot is applied while [R = ∅]. If no candidate
       pivot exists, no extension of [R] can be connected-maximal through
       new adjacent nodes and the branch only needs its print check.
-    - {b feasibility} ([~feasibility:true], "F"): before branching on [v],
-      require [R ∪ {v}] to lie inside a single connected component of
-      [G[R ∪ {v} ∪ (P ∩ N^s(v))]]; infeasible [v] are dropped from [P]
+    - {b feasibility} ([feasibility = true], "F"): before branching on
+      [v], require [R ∪ {v}] to lie inside a single connected component
+      of [G[R ∪ {v} ∪ (P ∩ N^s(v))]]; infeasible [v] are dropped from [P]
       outright (they can never complete to a connected s-clique with [R],
       so they are not needed in [X] either). Complete pruning is
       NP-complete (Thm. 5.6); this check is the paper's sound
@@ -29,20 +39,23 @@
     use within the universe it fills a node's ball row [N^s(u) ∩ U] (from
     {!Neighborhood.ball}) and its adjacency row [N(u) ∩ U] (from the CSR
     row) as bitsets, so every set operation of a visit is a loop over a
-    few words — the filters [P ∩ N^s(v)] and [X ∩ N^s(v)], the pivot
-    cost [|P| − popcount(P ∧ N^s(u))], [P − N^s(u)], [N^{∃,1}(R)] as the
-    union of [R]'s adjacency rows, and the feasibility and print-time
-    connectivity BFS. The store holds at most {!row_cap} words: when it
-    is full it forgets every row and refills on demand. The depth-first
-    search keeps each level's [R], [P] and [X] in runner-owned frames,
-    so {!run_task} allocates nothing per visit but the emitted sets.
+    few words — the filters [P ∩ N^s(v)] and [X ∩ N^s(v)], [N^{∃,1}(R)]
+    as the union of [R]'s adjacency rows (and CsCliques1's branch set
+    [P ∩ N^{∃,1}(R)] from it), the pivot cost
+    [|P| − popcount(P ∧ N^s(u))], [P − N^s(u)], and the feasibility and
+    print-time connectivity BFS. The store holds at most {!row_cap}
+    words: when it is full it forgets every row and refills on demand.
+    The depth-first search keeps each level's [R], [P], [X] and branch
+    set in runner-owned frames, so {!run_task} allocates nothing per
+    visit but the emitted sets.
 
     The kernels compute the same sets as the set-algebra formulation and
     the visit makes the same choices in the same order, so results,
-    emission order and the [cs2.*] counters do not depend on them. Each
-    ball is read from the oracle once per root rather than once per use:
-    [nh.cache_misses] and [nh.bfs_expansions] are unchanged (as long as
-    the oracle's cache evicts nothing), [nh.cache_hits] is lower. *)
+    emission order and the [cs1.*] and [cs2.*] counters do not depend on
+    them. Each ball is read from the oracle once per root rather than
+    once per use: [nh.cache_misses] and [nh.bfs_expansions] are
+    unchanged (as long as the oracle's cache evicts nothing),
+    [nh.cache_hits] is lower. *)
 
 type pivot_rule =
   | Min_uncovered
@@ -50,6 +63,15 @@ type pivot_rule =
   | First_candidate
       (** take the smallest-id candidate without scoring — a cheaper but
           weaker choice, exposed for the pivot ablation benchmark *)
+
+type rule =
+  | Cs1
+      (** CsCliques1: branch on [P ∩ N^{∃,1}(R)], print without a
+          connectivity check *)
+  | Cs2 of { pivot : pivot_rule option; feasibility : bool }
+      (** CsCliques2: branch on [P], or with [pivot] on [P − N^s(u)]
+          around the pivot [u] it picks; with [feasibility], drop every
+          branch node that fails the §5.3 check *)
 
 (** {2 Runners and tasks}
 
@@ -91,27 +113,27 @@ val task_x : task -> Sgraph.Node_set.t
 type runner
 
 val make_runner :
-  ?pivot:bool ->
-  ?pivot_rule:pivot_rule ->
-  ?feasibility:bool ->
+  ?rule:rule ->
   ?min_size:int ->
   ?should_continue:(unit -> bool) ->
   ?obs:Scliques_obs.Obs.t ->
   Neighborhood.t ->
   (Sgraph.Node_set.t -> unit) ->
   runner
-(** A search configuration with its sink. Defaults: [pivot = false],
-    [pivot_rule = Min_uncovered], [feasibility = false]. [min_size]
-    enables the §6 pruning and filters the output; [should_continue] is
-    polled at every recursion entry (and by {!run_degeneracy} before
-    each root).
+(** A search configuration with its sink. [rule] defaults to plain
+    CsCliques2, [Cs2 { pivot = None; feasibility = false }]. [min_size]
+    enables the §6 pruning ([|R| + |P| < k] branches are cut) and
+    filters the output; [should_continue] is polled at every recursion
+    entry (and by {!run_degeneracy} before each root).
 
     With [obs], the delay recorder ticks per emission, from when the
-    runner is built, and the counters [cs2.calls], [cs2.max_depth],
+    runner is built, and the rule's own counters are maintained; without
+    it the search is uninstrumented. Under {!Cs1}: [cs1.calls],
+    [cs1.max_depth] (the root call at depth 1) and [cs1.emits]. Under
+    {!Cs2}: [cs2.calls], [cs2.max_depth] (the root call at depth 0),
     [cs2.emits], [cs2.pivot_prunes] (candidates removed from branching
     by the §5.3 pivot) and [cs2.feasibility_prunes] (nodes dropped by
-    the §5.3 feasibility check) are maintained; without it the search
-    is uninstrumented. The runner is only as thread-safe as its
+    the §5.3 feasibility check). The runner is only as thread-safe as its
     neighborhood oracle and sink: give each worker its own. The caller
     is responsible for {!Neighborhood.sync_obs} when a run ends. *)
 

@@ -35,27 +35,16 @@ let checkpoint_family = function
   | Brute -> "brute"
   | Cs1 | Cs2 | Cs2_f | Cs2_p | Cs2_pf -> "roots"
 
-(* pivot and feasibility of a CsCliques2 variant *)
-let cs2_flags = function
-  | Cs2 -> Some (false, false)
-  | Cs2_f -> Some (false, true)
-  | Cs2_p -> Some (true, false)
-  | Cs2_pf -> Some (true, true)
-  | Poly_delay | Cs1 | Brute -> None
-
-(* The root dispatch: one runner per run, returning the function that
-   runs a single root's branch — the results whose smallest member is
-   that root. *)
-let root_runner alg ~min_size ~should_continue ?obs nh sink =
-  match (alg, cs2_flags alg) with
-  | _, Some (pivot, feasibility) ->
-      let rn =
-        Cs_cliques2.make_runner ~pivot ~feasibility ~min_size ~should_continue ?obs nh
-          sink
-      in
-      fun root -> Cs_cliques2.run_task rn (Cs_cliques2.root_task nh root)
-  | Cs1, None -> Cs_cliques1.root_runner ~min_size ~should_continue ?obs nh sink
-  | _, None -> invalid_arg "Enumerate.root_runner: no rooted decomposition"
+(* the search rule of a rooted algorithm; [None]: no rooted decomposition *)
+let rule =
+  let pivot = Some Cs_cliques2.Min_uncovered in
+  function
+  | Cs1 -> Some Cs_cliques2.Cs1
+  | Cs2 -> Some (Cs_cliques2.Cs2 { pivot = None; feasibility = false })
+  | Cs2_f -> Some (Cs_cliques2.Cs2 { pivot = None; feasibility = true })
+  | Cs2_p -> Some (Cs_cliques2.Cs2 { pivot; feasibility = false })
+  | Cs2_pf -> Some (Cs_cliques2.Cs2 { pivot; feasibility = true })
+  | Poly_delay | Brute -> None
 
 let default_workers () = Domain.recommended_domain_count ()
 
@@ -66,18 +55,18 @@ let default_workers () = Domain.recommended_domain_count ()
 let run_with ~stream ?(min_size = 0) ?cache_capacity ?obs ?nh ?budget ?resume
     ?workers ?roots algorithm g ~s yield =
   if s < 1 then invalid_arg "Enumerate.run: s must be >= 1";
-  let rooted = String.equal (checkpoint_family algorithm) "roots" in
+  let rule = rule algorithm in
   let n = Sgraph.Graph.n g in
-  (match (workers, cs2_flags algorithm) with
+  (match (workers, rule) with
   | Some _, None ->
       invalid_arg
         (Printf.sprintf
-           "Enumerate.run: %s has no parallel engine (workers need a CSCliques2 variant)"
+           "Enumerate.run: %s has no parallel engine (workers need a rooted algorithm)"
            (name algorithm))
   | Some w, Some _ when w < 1 -> invalid_arg "Enumerate.run: workers must be >= 1"
   | _ -> ());
   (match roots with
-  | Some _ when not rooted ->
+  | Some _ when Option.is_none rule ->
       invalid_arg
         (Printf.sprintf
            "Enumerate.run: %s has no rooted decomposition to select roots from"
@@ -178,23 +167,24 @@ let run_with ~stream ?(min_size = 0) ?cache_capacity ?obs ?nh ?budget ?resume
         Option.iter (List.iter (fun v -> todo.(v) <- true)) roots;
         List.iter (fun v -> if v >= 0 && v < n then todo.(v) <- false) prior;
         let todo = List.filter (fun v -> todo.(v)) (List.init n Fun.id) in
+        (* [rule] is [Some] here: every rooted algorithm has one *)
         let retired =
-          match (workers, cs2_flags algorithm) with
-          | Some workers, Some (pivot, feasibility) ->
+          match workers with
+          | Some workers ->
               let (_ : Budget.outcome), retired =
-                Parallel.run ~pivot ~feasibility ~min_size ?cache_capacity ?obs
-                  ~roots:todo ~workers ~budget g ~s (fun _root rs ->
-                    List.iter deliver rs)
+                Parallel.run ?rule ~min_size ?cache_capacity ?obs ~roots:todo ~workers
+                  ~budget g ~s (fun _root rs -> List.iter deliver rs)
               in
               retired
-          | _ ->
+          | None ->
               let nh = oracle () in
               let buffer = ref [] in
-              let run_root =
-                root_runner algorithm ~min_size ~should_continue:(Budget.checker budget)
-                  ?obs nh
+              let rn =
+                Cs_cliques2.make_runner ?rule ~min_size
+                  ~should_continue:(Budget.checker budget) ?obs nh
                   (if stream then commit else fun c -> buffer := c :: !buffer)
               in
+              let run_root v = Cs_cliques2.run_task rn (Cs_cliques2.root_task nh v) in
               (* roots are explored one at a time with their results held
                  back (unless [stream]); a root COMMITS — streams its
                  buffer and joins the retired set — only if the budget is

@@ -16,10 +16,12 @@
     which is what resume, refresh and the daemon build on.
 
     The engines keep no loops of their own: each exports one primitive
-    ([Cs_cliques2]'s runner and root tasks, [Cs_cliques1.root_runner],
-    [Poly_delay.run]), and {!run} is the one driver over them. A caller
-    that varies an engine-internal choice {!run} does not name (the
-    pivot rule, footnote 1's root order, PD's queue or index) drives the
+    ([Cs_cliques2]'s runner and root tasks, [Poly_delay.run]), and {!run}
+    alone loops over them. Every rooted algorithm is a
+    {!Cs_cliques2.rule} of the same runner: [Cs1] is CsCliques1, and the
+    four CsCliques2 variants set its pivot and feasibility. A caller that
+    varies an engine-internal choice {!run} does not name (the pivot
+    rule, footnote 1's root order, PD's queue or index) drives the
     primitive directly, as the ablation benchmarks do. *)
 
 type algorithm =
@@ -99,12 +101,12 @@ val run :
     [resumable] state of a truncated run lists them together with the
     roots this call retired.
 
-    [workers] runs a CS2 variant on the work-stealing {!Parallel} engine
-    with that many domains (the calling domain is one; {!default_workers}
-    is all cores); results then reach the callback {b in worker
-    domains}, one committed root at a time (with or without a budget),
-    in no fixed order. Without it the run stays a plain loop in the
-    calling domain.
+    [workers] runs a rooted algorithm (CS1, CS2 and its variants) on the
+    work-stealing {!Parallel} engine with that many domains (the calling
+    domain is one; {!default_workers} is all cores); results then reach
+    the callback {b in worker domains}, one committed root at a time
+    (with or without a budget), in no fixed order. Without it the run
+    stays a plain loop in the calling domain.
 
     [roots] runs only those root branches of a rooted algorithm
     (duplicates are fine): exactly the results whose smallest member is
@@ -126,9 +128,9 @@ val run :
 
     @raise Invalid_argument when [s < 1], on an oversized [Brute] graph,
     when [nh] disagrees with [g]/[s] (different [s], different node
-    count), when [workers] is given to an algorithm other than a CS2
-    variant or is below 1, or when [roots] is given to [Poly_delay] or
-    [Brute] or holds an id outside [0 .. n-1].
+    count), when [workers] is given to [Poly_delay] or [Brute] or is
+    below 1, or when [roots] is given to [Poly_delay] or [Brute] or
+    holds an id outside [0 .. n-1].
     @raise Failure when [resume] belongs to a different
     {!checkpoint_family} than [algorithm]. *)
 

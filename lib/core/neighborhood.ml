@@ -129,9 +129,9 @@ type t = {
   c_bfs : Scliques_obs.Counters.counter option;
       (* resolved once at creation so each cached-miss BFS costs one add *)
   mask : Scoll.Bitset.t;
-      (* scratch membership mask over the node ids, loaded with one set at
-         a time (a ball, a frontier) and filtered against with O(1)
-         word-indexed tests; invalidated by the next load *)
+      (* scratch membership mask over the node ids, loaded with one ball
+         at a time and filtered against with O(1) word-indexed tests;
+         invalidated by the next load *)
   mutable mask_loaded : Node_set.t; (* current mask contents, for O(|prev|) clears *)
   acc : Scoll.Bitset.t; (* scratch accumulator for unions (adjacent_any) *)
   scratch : scratch; (* ExtendMax's working state, see the mli *)
@@ -244,12 +244,6 @@ let load_mask t set =
   Node_set.load_bitset t.mask ~prev:t.mask_loaded set;
   t.mask_loaded <- set;
   t.mask
-
-let ball_mask t v = load_mask t (ball t v)
-
-let root_split t v =
-  let b = ball t v in
-  (Node_set.filter (fun u -> u > v) b, Node_set.filter (fun u -> u < v) b)
 
 let ball_forall t c =
   if Node_set.is_empty c then Graph.nodes t.graph

@@ -136,13 +136,6 @@ val ball : t -> int -> Sgraph.Node_set.t
     oracle's own {!Sgraph.Bfs.scratch} (private and {!of_shared} oracles
     alike), so it allocates only the ball it returns. *)
 
-val root_split : t -> int -> Sgraph.Node_set.t * Sgraph.Node_set.t
-(** [root_split t v] is [(P, X)] for the branch on root [v] of the
-    Bron–Kerbosch adaptations' ascending root loop: the members of
-    [ball t v] above [v], and those below it. The branches of all roots
-    partition the output, each yielding the results whose smallest member
-    is its root. *)
-
 val ball_forall : t -> Sgraph.Node_set.t -> Sgraph.Node_set.t
 (** [ball_forall t c] is [N^{∀,s}(c)]: nodes (outside [c]) at distance at
     most [s] in the whole graph from every node of [c]. For an empty [c]
@@ -154,15 +147,11 @@ val adjacent_any : t -> Sgraph.Node_set.t -> Sgraph.Node_set.t
 
 val load_mask : t -> Sgraph.Node_set.t -> Scoll.Bitset.t
 (** [load_mask t c] loads [c] into the oracle's scratch membership bitset
-    and returns it, so several sorted sets can be filtered against [c]
-    with {!Sgraph.Node_set.inter_bitset} / [diff_bitset] at O(1) per
-    element. Clearing is O(|previous load|), not O(n). The returned
-    bitset is only valid until the next [load_mask] / {!ball_mask} call
-    on [t] — do not hold on to it across other oracle operations. *)
-
-val ball_mask : t -> int -> Scoll.Bitset.t
-(** [ball_mask t v] is [load_mask t (ball t v)] — the ball of [v] as a
-    scratch bitset, with the same single-load validity rule. *)
+    and returns it, so members of [c] can be tested at O(1) each, as
+    {!Extend_max}'s candidate filter does on a ball's words. Clearing is
+    O(|previous load|), not O(n). The returned bitset is only valid
+    until the next [load_mask] call on [t] — do not hold on to it across
+    other oracle operations. *)
 
 (** The working state of ExtendMax ({!Extend_max}), owned by the oracle
     so that every oracle — each daemon query's, each PD run's — has its

@@ -77,8 +77,8 @@ type worker_result = {
   w_obs : Scliques_obs.Obs.t option;
 }
 
-let run_worker ~id ~g ~s ~pivot ~feasibility ~min_size ~cache_capacity ~observed
-    ~split_depth ~split_width ~split_min_subtree ~shared ~rooted () =
+let run_worker ~id ~g ~s ~rule ~min_size ~cache_capacity ~observed ~split_depth
+    ~split_width ~split_min_subtree ~shared ~rooted () =
   (* per-worker observer, oracle and sink: domains share only the
      immutable graph and the scheduler state *)
   let obs = if observed then Some (Scliques_obs.Obs.create ()) else None in
@@ -95,7 +95,7 @@ let run_worker ~id ~g ~s ~pivot ~feasibility ~min_size ~cache_capacity ~observed
   in
   let rn =
     (* each worker gets its own checker: the countdown is local *)
-    Cs_cliques2.make_runner ~pivot ~feasibility ~min_size
+    Cs_cliques2.make_runner ~rule ~min_size
       ~should_continue:(Budget.checker rooted.budget) ?obs nh yield
   in
   let tasks = ref 0 and steals = ref 0 and splits = ref 0 in
@@ -237,9 +237,9 @@ let run_worker ~id ~g ~s ~pivot ~feasibility ~min_size ~cache_capacity ~observed
   }
 
 let run ?(split_depth = 3) ?(split_width = 8) ?(split_min_subtree = 8)
-    ?(pivot = true) ?(feasibility = false) ?(min_size = 0)
-    ?(cache_capacity = 65536) ?obs ?(fault = Scoll.Fault.none) ?roots ~workers
-    ~budget g ~s sink =
+    ?(rule = Cs_cliques2.(Cs2 { pivot = Some Min_uncovered; feasibility = false }))
+    ?(min_size = 0) ?(cache_capacity = 65536) ?obs ?(fault = Scoll.Fault.none) ?roots
+    ~workers ~budget g ~s sink =
   if workers < 1 then invalid_arg "Parallel.run: workers must be >= 1";
   let observed = Option.is_some obs in
   let n = Graph.n g in
@@ -280,8 +280,8 @@ let run ?(split_depth = 3) ?(split_width = 8) ?(split_min_subtree = 8)
     }
   in
   let worker id () =
-    run_worker ~id ~g ~s ~pivot ~feasibility ~min_size ~cache_capacity ~observed
-      ~split_depth ~split_width ~split_min_subtree ~shared ~rooted ()
+    run_worker ~id ~g ~s ~rule ~min_size ~cache_capacity ~observed ~split_depth
+      ~split_width ~split_min_subtree ~shared ~rooted ()
   in
   let helpers = List.init (workers - 1) (fun i -> Domain.spawn (worker (i + 1))) in
   (* worker 0 runs in the calling domain *)
@@ -326,13 +326,13 @@ let run ?(split_depth = 3) ?(split_width = 8) ?(split_min_subtree = 8)
   (* SAFETY: as above, read after every domain joined *)
   (Budget.status budget, List.sort Int.compare (rooted.retired [@lint.allow "atomicity"]))
 
-let enumerate ~workers ?split_depth ?split_width ?split_min_subtree ?pivot
-    ?feasibility ?min_size ?cache_capacity ?obs g ~s =
+let enumerate ~workers ?split_depth ?split_width ?split_min_subtree ?rule ?min_size
+    ?cache_capacity ?obs g ~s =
   (* the sink runs under the commit lock, one root at a time *)
   let acc = ref [] in
   let (_ : Budget.outcome), (_ : int list) =
-    run ?split_depth ?split_width ?split_min_subtree ?pivot ?feasibility ?min_size
-      ?cache_capacity ?obs ~workers ~budget:(Budget.unlimited ()) g ~s
+    run ?split_depth ?split_width ?split_min_subtree ?rule ?min_size ?cache_capacity ?obs
+      ~workers ~budget:(Budget.unlimited ()) g ~s
       (fun _root rs -> acc := List.rev_append rs !acc)
   in
   (* canonical output: sorted by Node_set.compare, so the result list is

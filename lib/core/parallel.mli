@@ -2,13 +2,13 @@
     paper's future-work direction ("adapting the algorithms to a
     distributed environment", §8).
 
-    The root level of CsCliques2 is embarrassingly parallel: branch [v]
-    explores exactly the maximal connected s-cliques whose smallest node
-    is [v], so distinct root branches never produce the same result. A
-    static deal of roots balances badly, though — on a scale-free graph
-    the hub-rooted branches dwarf the rest, and whichever worker drew
-    them runs long after the others go idle. This module therefore
-    schedules dynamically:
+    The root level of CsCliques1 and CsCliques2 is embarrassingly
+    parallel: branch [v] explores exactly the maximal connected
+    s-cliques whose smallest node is [v], so distinct root branches
+    never produce the same result. A static deal of roots balances
+    badly, though — on a scale-free graph the hub-rooted branches dwarf
+    the rest, and whichever worker drew them runs long after the others
+    go idle. This module therefore schedules dynamically:
 
     - every worker owns a mutex-sharded deque of subproblems, seeded with
       the root branches round-robin;
@@ -37,8 +37,7 @@ val run :
   ?split_depth:int ->
   ?split_width:int ->
   ?split_min_subtree:int ->
-  ?pivot:bool ->
-  ?feasibility:bool ->
+  ?rule:Cs_cliques2.rule ->
   ?min_size:int ->
   ?cache_capacity:int ->
   ?obs:Scliques_obs.Obs.t ->
@@ -52,10 +51,12 @@ val run :
   Budget.outcome * int list
 (** [run ~workers ~budget g ~s sink] runs the root branches [roots]
     (default: every node; duplicates are fine; ids must lie in
-    [0 .. n-1], which [Enumerate.run] checks) of CsCliques2 ([pivot]
-    defaults to [true], [feasibility] to [false]) on [workers] domains,
-    the calling domain being worker 0. It returns the budget's verdict
-    and the sorted ids of the roots this call {e committed}.
+    [0 .. n-1], which [Enumerate.run] checks) under the search [rule]
+    (default CsCliques2P:
+    [Cs2 { pivot = Some Min_uncovered; feasibility = false }]) on
+    [workers] domains, the calling domain being worker 0. It returns the
+    budget's verdict and the sorted ids of the roots this call
+    {e committed}.
 
     A root commits when its whole branch has executed and the budget is
     still live at that moment: [sink root results] then receives all of
@@ -110,8 +111,7 @@ val enumerate :
   ?split_depth:int ->
   ?split_width:int ->
   ?split_min_subtree:int ->
-  ?pivot:bool ->
-  ?feasibility:bool ->
+  ?rule:Cs_cliques2.rule ->
   ?min_size:int ->
   ?cache_capacity:int ->
   ?obs:Scliques_obs.Obs.t ->

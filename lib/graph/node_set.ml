@@ -394,59 +394,6 @@ let load_bitset mask ~prev s =
   Scoll.Bitset.unsafe_zero_words mask prev;
   Scoll.Bitset.unsafe_load_sorted mask s
 
-(* The scans below read the mask's word array directly: without flambda
-   a cross-module [Bitset.unsafe_mem] call per element costs about as
-   much as the bit test itself (measured ~2x on the pivot scan). *)
-
-(* SAFETY: i < n bounds the reads of s; members are below the mask's
-   capacity (caller invariant) so the word reads are in bounds; !k <= i
-   bounds the writes into out, which has length n *)
-let inter_bitset (s : t) mask =
-  let words = Scoll.Bitset.unsafe_words mask in
-  let n = Array.length s in
-  let out = Array.make n 0 in
-  let k = ref 0 in
-  for i = 0 to n - 1 do
-    let v = Array.unsafe_get s i in
-    if Array.unsafe_get words (v lsr 5) land (1 lsl (v land 31)) <> 0 then begin
-      Array.unsafe_set out !k v;
-      incr k
-    end
-  done;
-  if !k = n then s else Array.sub out 0 !k
-
-(* SAFETY: same bounds argument as inter_bitset *)
-let diff_bitset (s : t) mask =
-  let words = Scoll.Bitset.unsafe_words mask in
-  let n = Array.length s in
-  let out = Array.make n 0 in
-  let k = ref 0 in
-  for i = 0 to n - 1 do
-    let v = Array.unsafe_get s i in
-    if Array.unsafe_get words (v lsr 5) land (1 lsl (v land 31)) = 0 then begin
-      Array.unsafe_set out !k v;
-      incr k
-    end
-  done;
-  if !k = n then s else Array.sub out 0 !k
-
-let inter_bitset_cardinal (s : t) mask =
-  (* branch-free: the 0/1 membership bit is added straight into the
-     accumulator, which the tail recursion keeps in a register.
-     SAFETY: i < n bounds the reads of s; members are below the mask's
-     capacity (caller invariant), bounding the word reads *)
-  let words = Scoll.Bitset.unsafe_words mask in
-  let n = Array.length s in
-  let rec go i acc =
-    if i >= n then acc
-    else
-      let v = Array.unsafe_get s i in
-      go (i + 1) (acc + (Array.unsafe_get words (v lsr 5) lsr (v land 31) land 1))
-  in
-  go 0 0
-
-let diff_bitset_cardinal s mask = Array.length s - inter_bitset_cardinal s mask
-
 (* one direct loop over the members: per element, a cross-module call
    would cost more than the renumbering and the bit store together *)
 let scatter_ranks (s : t) ~(rank : int array) ~(into : int array) ~off =

@@ -101,13 +101,11 @@ val range : int -> int -> t
 
 (** {2 Bitset bridge}
 
-    Word-indexed kernels for the enumeration hot paths: load a mask (a
-    ball, a frontier) into a {!Scoll.Bitset.t} once, then filter several
-    sorted sets against it with O(1) membership per element — cheaper
-    than one merge per pair when the mask is reused. The sorted-array
-    representation remains the module boundary; every kernel takes and
-    returns [t]. The mask's capacity must exceed every element of the
-    filtered set (membership tests are unchecked). *)
+    Sorted sets into and out of word bitsets, for the hot paths that
+    test membership one word at a time: a scratch mask reloaded with
+    one set after another ({!load_bitset}), or a set seen through a
+    renumbering ({!scatter_ranks}). The sorted-array representation
+    remains the module boundary. *)
 
 val to_bitset : t -> capacity:int -> Scoll.Bitset.t
 (** Fresh bitset of the given capacity holding exactly the members.
@@ -122,19 +120,6 @@ val load_bitset : Scoll.Bitset.t -> prev:t -> t -> unit
     O(|prev| + |s|) closure-free stores (word-zeroing [prev]'s footprint,
     then setting [s]). Undefined if the mask holds anything besides
     [prev]. *)
-
-val inter_bitset : t -> Scoll.Bitset.t -> t
-(** [inter_bitset s mask] keeps the elements of [s] whose bit is set:
-    [s ∩ mask] in O(|s|). *)
-
-val diff_bitset : t -> Scoll.Bitset.t -> t
-(** [diff_bitset s mask] is [s − mask] in O(|s|). *)
-
-val inter_bitset_cardinal : t -> Scoll.Bitset.t -> int
-(** [cardinal (inter_bitset s mask)] without allocating. *)
-
-val diff_bitset_cardinal : t -> Scoll.Bitset.t -> int
-(** [cardinal (diff_bitset s mask)] without allocating. *)
 
 val scatter_ranks : t -> rank:int array -> into:int array -> off:int -> unit
 (** [scatter_ranks s ~rank ~into ~off] sets bit [rank.(x)] of the bitset

@@ -15,9 +15,12 @@
     - [pd.dequeues], [pd.emits], [pd.extend_max_calls],
       [pd.index_inserts], [pd.index_duplicates], [pd.queue_high_water],
       [pd.max_extend_calls_between_emits] — PolyDelayEnum (Fig. 4);
-    - [cs1.calls], [cs1.max_depth], [cs1.emits] — CsCliques1 (Fig. 6);
+    - [cs1.calls], [cs1.max_depth], [cs1.emits] — CsCliques1 (Fig. 6),
+      the [Cs_cliques2] runner under its [Cs1] rule, which counts the
+      root call at depth 1 and registers no [cs2.*] counter;
     - [cs2.calls], [cs2.max_depth], [cs2.emits], [cs2.pivot_prunes],
-      [cs2.feasibility_prunes] — CsCliques2 (Fig. 7, §5.3);
+      [cs2.feasibility_prunes] — CsCliques2 (Fig. 7, §5.3), the same
+      runner under a [Cs2] rule, root call at depth 0;
     - [brute.emits] — the oracle;
     - [par.workers], [par.results], [par.tasks], [par.steals],
       [par.splits], [par.worker<i>.results], [par.worker<i>.tasks],

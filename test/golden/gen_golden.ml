@@ -37,7 +37,10 @@ let variants =
     ( "cs2-p-deg",
       fun g s ->
         collect (fun yield ->
-            C2.run_degeneracy (C2.make_runner ~pivot:true (nh ~s g) yield))
+            C2.run_degeneracy
+              (C2.make_runner
+                 ~rule:(C2.Cs2 { pivot = Some C2.Min_uncovered; feasibility = false })
+                 (nh ~s g) yield))
     );
     ("pd-fifo-btree", pd ~queue_mode:PD.Fifo ~index_mode:PD.Btree);
     ("pd-fifo-hash", pd ~queue_mode:PD.Fifo ~index_mode:PD.Hashtable);

@@ -224,8 +224,9 @@ let poly_delay_tests =
           let nh = Nh.create ~s g in
           let acc = ref [] in
           let rn =
-            Cs2.make_runner ~pivot:true ~pivot_rule:Cs2.First_candidate nh (fun c ->
-                acc := c :: !acc)
+            Cs2.make_runner
+              ~rule:(Cs2.Cs2 { pivot = Some Cs2.First_candidate; feasibility = false })
+              nh (fun c -> acc := c :: !acc)
           in
           for v = 0 to G.n g - 1 do
             Cs2.run_task rn (Cs2.root_task nh v)
@@ -262,7 +263,9 @@ let poly_delay_tests =
         let obs = Scliques_obs.Obs.create () in
         let nh = Nh.create ~obs ~s:2 g in
         Cs2.run_degeneracy
-          (Cs2.make_runner ~pivot:true ~should_continue:(fun () -> false) ~obs nh
+          (Cs2.make_runner
+             ~rule:(Cs2.Cs2 { pivot = Some Cs2.Min_uncovered; feasibility = false })
+             ~should_continue:(fun () -> false) ~obs nh
              (fun _ -> incr emitted));
         Nh.sync_obs nh;
         no_balls obs);

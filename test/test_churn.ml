@@ -3,9 +3,9 @@
    Sgraph.Overlay, with Enumerate.refresh checked bit-identical to a full
    re-enumeration at EVERY script prefix, across engines (CS2PF warm and
    cold, PolyDelayEnum, the parallel runner). The satellites ride along:
-   Overlay m/compact bookkeeping, Components/Union_find vs BFS
-   reachability under deletions, Lri_cache invalidation accounting, and
-   SGRDIFF1 torn-tail refusal. *)
+   Overlay m/compact bookkeeping, Components vs BFS reachability under
+   deletions, Lri_cache invalidation accounting, and SGRDIFF1 torn-tail
+   refusal. *)
 
 module NS = Sgraph.Node_set
 module G = Sgraph.Graph
@@ -184,14 +184,12 @@ let prop_refresh_matches_full =
          done;
          true))
 
-(* Satellite: Components and Union_find agree with BFS reachability at
-   every prefix of a delete-heavy script (deletions split components —
-   union-find is grow-only, so it must be rebuilt per prefix and still
-   agree). *)
+(* Components agrees with BFS reachability at every prefix of a
+   delete-heavy script (deletions split components). *)
 let prop_components_track_churn =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:12
-       ~name:"Components/Union_find match BFS reachability under churn"
+       ~name:"Components match BFS reachability under churn"
        ~print:print_case arb_churn_case
        (fun (family, n, m, _s, seed) ->
          let g0 = graph_of_case (family, n, m, seed) in
@@ -205,23 +203,22 @@ let prop_components_track_churn =
            O.apply o [ e ];
            let g1 = O.compact o in
            let labels, ncomp = Sgraph.Components.labels g1 in
-           let uf = Scoll.Union_find.create n in
-           G.iter_edges (fun u v -> ignore (Scoll.Union_find.union uf u v)) g1;
-           if Scoll.Union_find.count uf <> ncomp then
-             QCheck2.Test.fail_reportf
-               "step %d: union-find sees %d components, labels %d" step
-               (Scoll.Union_find.count uf) ncomp;
+           (* a node that no smaller node reaches starts a component *)
+           let starts = Array.make n true in
            for u = 0 to n - 1 do
              for v = u + 1 to n - 1 do
                let by_labels = labels.(u) = labels.(v) in
-               let by_uf = Scoll.Union_find.same uf u v in
                let by_bfs = Sgraph.Bfs.distance g1 u v >= 0 in
-               if by_labels <> by_bfs || by_uf <> by_bfs then
-                 QCheck2.Test.fail_reportf
-                   "step %d: %d~%d labels=%b uf=%b bfs=%b" step u v by_labels
-                   by_uf by_bfs
+               if by_bfs then starts.(v) <- false;
+               if by_labels <> by_bfs then
+                 QCheck2.Test.fail_reportf "step %d: %d~%d labels=%b bfs=%b" step u v
+                   by_labels by_bfs
              done
-           done
+           done;
+           let by_bfs = Array.fold_left (fun k s -> if s then k + 1 else k) 0 starts in
+           if by_bfs <> ncomp then
+             QCheck2.Test.fail_reportf "step %d: BFS sees %d components, labels %d" step
+               by_bfs ncomp
          done;
          true))
 

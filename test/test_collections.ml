@@ -1,6 +1,5 @@
 (* Suites for Scoll: Rng, Bitset (unit + word-parallel kernel
-   properties), Deque, Fifo_queue, Binary_heap, Btree, Lri_cache,
-   Union_find. *)
+   properties), Deque, Fifo_queue, Binary_heap, Btree, Lri_cache. *)
 
 open Scoll
 
@@ -260,15 +259,6 @@ let kernel_tests =
         let s = Sgraph.Node_set.of_list a in
         Sgraph.Node_set.equal s
           (Sgraph.Node_set.of_bitset (Sgraph.Node_set.to_bitset s ~capacity:cap)));
-    qtest "inter_bitset/diff_bitset = inter/diff" gen_two_sets print_two_sets
-      (fun (cap, a, b) ->
-        let module NS = Sgraph.Node_set in
-        let sa = NS.of_list a and sb = NS.of_list b in
-        let mask = NS.to_bitset sb ~capacity:cap in
-        NS.equal (NS.inter_bitset sa mask) (NS.inter sa sb)
-        && NS.equal (NS.diff_bitset sa mask) (NS.diff sa sb)
-        && NS.inter_bitset_cardinal sa mask = NS.cardinal (NS.inter sa sb)
-        && NS.diff_bitset_cardinal sa mask = NS.cardinal (NS.diff sa sb));
     qtest "load_bitset swaps mask contents exactly" gen_two_sets print_two_sets
       (fun (cap, a, b) ->
         let module NS = Sgraph.Node_set in
@@ -632,44 +622,6 @@ let lri_tests =
             ignore (Lri_cache.create ~capacity:(-1) ())));
   ]
 
-(* ---------- Union_find ---------- *)
-
-let uf_tests =
-  [
-    Alcotest.test_case "initially all separate" `Quick (fun () ->
-        let u = Union_find.create 5 in
-        check int "5 sets" 5 (Union_find.count u);
-        check bool "0 /~ 1" false (Union_find.same u 0 1));
-    Alcotest.test_case "union merges" `Quick (fun () ->
-        let u = Union_find.create 5 in
-        check bool "fresh union" true (Union_find.union u 0 1);
-        check bool "same" true (Union_find.same u 0 1);
-        check int "4 sets" 4 (Union_find.count u);
-        check bool "repeat union" false (Union_find.union u 1 0));
-    Alcotest.test_case "transitivity" `Quick (fun () ->
-        let u = Union_find.create 6 in
-        ignore (Union_find.union u 0 1);
-        ignore (Union_find.union u 1 2);
-        ignore (Union_find.union u 4 5);
-        check bool "0 ~ 2" true (Union_find.same u 0 2);
-        check bool "0 /~ 4" false (Union_find.same u 0 4);
-        check int "3 sets" 3 (Union_find.count u));
-    Alcotest.test_case "find returns canonical representative" `Quick (fun () ->
-        let u = Union_find.create 4 in
-        ignore (Union_find.union u 0 1);
-        ignore (Union_find.union u 2 3);
-        ignore (Union_find.union u 0 3);
-        let r = Union_find.find u 0 in
-        List.iter (fun v -> check int "same root" r (Union_find.find u v)) [ 1; 2; 3 ]);
-    Alcotest.test_case "chain of 1000 unions" `Quick (fun () ->
-        let u = Union_find.create 1000 in
-        for i = 0 to 998 do
-          ignore (Union_find.union u i (i + 1))
-        done;
-        check int "single set" 1 (Union_find.count u);
-        check bool "ends connected" true (Union_find.same u 0 999));
-  ]
-
 let crc32_tests =
   let open Alcotest in
   [
@@ -787,5 +739,4 @@ let suites =
     ("binary_heap", heap_tests);
     ("btree", btree_tests);
     ("lri_cache", lri_tests);
-    ("union_find", uf_tests);
   ]

@@ -1,11 +1,14 @@
-(* CSCliques2 visit-step differential: the dense kernels of [Cs_cliques2]
-   (the feasibility BFS, the connectivity check on the same BFS, the
-   pivot candidates (P ∪ X) ∩ N^{∃,1}(R), pivot scoring, and the children
-   a visit hands out) against the set-algebra formulation they replaced,
-   kept here as the reference. The reference reads only the public oracle
-   operators and allocates fresh sets, so it has no universe or row store
-   to get wrong. The states are real visits: each case walks the
-   recursion tree with [expand_task]. *)
+(* Visit-step differential of the rooted engines: the dense kernels of
+   [Cs_cliques2] (the feasibility BFS, the connectivity check on the same
+   BFS, the pivot candidates (P ∪ X) ∩ N^{∃,1}(R), pivot scoring, and the
+   children a visit hands out under each rule, CsCliques1's included)
+   against the set-algebra formulation they replaced, kept here as the
+   reference. The reference reads only the public oracle operators and
+   allocates fresh sets, so it has no universe or row store to get wrong.
+   The states are real visits: each case walks the recursion tree with
+   [expand_task]. The whole CsCliques1 recursion the runner's [Cs1] rule
+   replaced is kept here too, and its emissions and counters are checked
+   against whole runs. *)
 
 module NS = Sgraph.Node_set
 module G = Sgraph.Graph
@@ -25,8 +28,8 @@ module Reference = struct
     NS.fold (fun v acc -> NS.union acc (G.neighbor_set (Nh.graph nh) v)) r NS.empty
 
   let candidates nh (r, p, x) =
-    let m = Nh.load_mask nh (frontier nh r) in
-    NS.union (NS.inter_bitset p m) (NS.inter_bitset x m)
+    let f = frontier nh r in
+    NS.union (NS.inter p f) (NS.inter x f)
 
   let pivot_of nh rule ((_, p, _) as t) =
     let candidates = candidates nh t in
@@ -35,12 +38,10 @@ module Reference = struct
       match rule with
       | Cs2.First_candidate -> Some (NS.min_elt candidates)
       | Cs2.Min_uncovered ->
-          let p_mask = Nh.load_mask nh p in
-          let p_size = NS.cardinal p in
           let best = ref (-1) and best_cost = ref max_int in
           NS.iter
             (fun u ->
-              let cost = p_size - NS.inter_bitset_cardinal (Nh.ball nh u) p_mask in
+              let cost = NS.diff_cardinal p (Nh.ball nh u) in
               if cost < !best_cost then begin
                 best := u;
                 best_cost := cost
@@ -48,18 +49,30 @@ module Reference = struct
             candidates;
           Some !best
 
-  (* what a visit emits and the children it hands out, in branch order *)
-  let visit nh ~pivot ~feasibility ((r, p, x) as t) =
+  (* what a visit under [rule] emits and the children it hands out, in
+     branch order *)
+  let visit nh rule ((r, p, x) as t) =
     let maximal = NS.is_empty (candidates nh t) in
-    let emitted =
-      if maximal && Sgraph.Bfs.is_connected_subset (Nh.graph nh) r then [ r ] else []
-    in
-    let branchable =
-      if not pivot then p
-      else
-        match pivot_of nh Cs2.Min_uncovered t with
-        | None -> NS.empty
-        | Some u -> NS.diff p (Nh.ball nh u)
+    let emitted, branchable, feasibility =
+      match rule with
+      | Cs2.Cs1 ->
+          (* R stays connected: no print-time check, and only the nodes
+             of P that touch R are branched on *)
+          ((if maximal then [ r ] else []), NS.inter p (frontier nh r), false)
+      | Cs2.Cs2 { pivot; feasibility } ->
+          let emitted =
+            if maximal && Sgraph.Bfs.is_connected_subset (Nh.graph nh) r then [ r ]
+            else []
+          in
+          let branchable =
+            match pivot with
+            | None -> p
+            | Some rule -> (
+                match pivot_of nh rule t with
+                | None -> NS.empty
+                | Some u -> NS.diff p (Nh.ball nh u))
+          in
+          (emitted, branchable, feasibility)
     in
     let p = ref p and x = ref x and children = ref [] in
     NS.iter
@@ -73,6 +86,45 @@ module Reference = struct
         p := NS.remove v !p)
       branchable;
     (emitted, List.rev !children)
+
+  (* CsCliques1 (paper Fig. 6) as a whole recursion on set algebra, the
+     reference for the runner's [Cs1] rule: the branch on root [v] puts
+     every node of N^s(v) below [v] in X and the rest in P, and carries
+     the frontier N^{∃,1}(R) as a running union of neighbor rows.
+     [run_root] runs one root's branch; [counters ()] reads cs1.calls,
+     cs1.emits and cs1.max_depth, the root call at depth 1. *)
+  let cs1 ~min_size ~should_continue nh yield =
+    let g = Nh.graph nh in
+    let calls = ref 0 and emits = ref 0 and max_depth = ref 0 in
+    let rec recurse depth r p x frontier =
+      incr calls;
+      max_depth := max !max_depth depth;
+      if should_continue () && NS.cardinal r + NS.cardinal p >= min_size then begin
+        let p_adj = NS.inter p frontier in
+        if NS.is_empty p_adj && NS.is_empty (NS.inter x frontier) && NS.cardinal r >= min_size
+        then begin
+          incr emits;
+          yield r
+        end;
+        let p = ref p and x = ref x in
+        NS.iter
+          (fun v ->
+            let ball = Nh.ball nh v in
+            recurse (depth + 1) (NS.add v r) (NS.inter !p ball) (NS.inter !x ball)
+              (NS.union frontier (G.neighbor_set g v));
+            p := NS.remove v !p;
+            x := NS.add v !x)
+          p_adj
+      end
+    in
+    let run_root v =
+      let ball = Nh.ball nh v in
+      recurse 1 (NS.singleton v)
+        (NS.filter (fun u -> u > v) ball)
+        (NS.filter (fun u -> u < v) ball)
+        (G.neighbor_set g v)
+    in
+    (run_root, fun () -> (!calls, !emits, !max_depth))
 end
 
 let sets t = (Cs2.task_r t, Cs2.task_p t, Cs2.task_x t)
@@ -117,14 +169,14 @@ let check_state ~ref_nh rn t =
 (* A runner whose emissions land in [emitted], and its visit of [t]
    checked against the reference visit: the same emission and the same
    children, in the same order, one level deeper. *)
-let expander ~pivot ~feasibility ~ref_nh nh =
+let expander ~rule ~ref_nh nh =
   let emitted = ref [] in
-  let rn = Cs2.make_runner ~pivot ~feasibility nh (fun c -> emitted := c :: !emitted) in
+  let rn = Cs2.make_runner ~rule nh (fun c -> emitted := c :: !emitted) in
   let expand t =
     let st = sets t in
     emitted := [];
     let children = Cs2.expand_task rn t in
-    let exp_emitted, exp_children = Reference.visit ref_nh ~pivot ~feasibility st in
+    let exp_emitted, exp_children = Reference.visit ref_nh rule st in
     if not (List.equal NS.equal exp_emitted !emitted) then
       QCheck2.Test.fail_reportf "emission at %a differs" pp_state st;
     let same (r, p, x) c =
@@ -182,21 +234,36 @@ let arb_case =
   int_range 1 3 >>= fun s ->
   int_range 2 160 >>= fun n ->
   int_range 0 (3 * n) >>= fun m ->
-  bool >>= fun pivot ->
-  bool >>= fun feasibility ->
-  int_range 0 1_000_000 >>= fun seed -> return (family, n, m, s, seed, pivot, feasibility)
+  (* CS1 and the four CS2 variants, equally likely *)
+  frequency
+    [
+      (1, return Cs2.Cs1);
+      ( 4,
+        bool >>= fun pivot ->
+        bool >>= fun feasibility ->
+        return
+          (Cs2.Cs2 { pivot = (if pivot then Some Cs2.Min_uncovered else None); feasibility })
+      );
+    ]
+  >>= fun rule ->
+  int_range 0 1_000_000 >>= fun seed -> return (family, n, m, s, seed, rule)
 
-let print_case (family, n, m, s, seed, pivot, feasibility) =
-  Printf.sprintf "%s pivot=%b feasibility=%b"
+let print_rule = function
+  | Cs2.Cs1 -> "cs1"
+  | Cs2.Cs2 { pivot; feasibility } ->
+      Printf.sprintf "cs2 pivot=%b feasibility=%b" (Option.is_some pivot) feasibility
+
+let print_case (family, n, m, s, seed, rule) =
+  Printf.sprintf "%s %s"
     (Test_differential.print_case (family, n, m, s, seed))
-    pivot feasibility
+    (print_rule rule)
 
 let property name ~count body =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count ~name ~print:print_case arb_case
-       (fun (family, n, m, s, seed, pivot, feasibility) ->
+       (fun (family, n, m, s, seed, rule) ->
          let g = Test_differential.graph_of_case (family, n, m, seed) in
-         body (Scoll.Rng.create seed) g s ~pivot ~feasibility;
+         body (Scoll.Rng.create seed) g s ~rule;
          true))
 
 let root_tasks rng nh =
@@ -204,19 +271,19 @@ let root_tasks rng nh =
 
 let prop_one_oracle =
   property "scratch = reference, many calls on one oracle" ~count:150
-    (fun rng g s ~pivot ~feasibility ->
+    (fun rng g s ~rule ->
       let nh = Nh.create ~s g and ref_nh = Nh.create ~s g in
-      let rn, expand = expander ~pivot ~feasibility ~ref_nh nh in
+      let rn, expand = expander ~rule ~ref_nh nh in
       walk ~budget:300 (root_tasks rng nh) expand (check_state ~ref_nh rn))
 
 let prop_two_oracles =
   property "scratch = reference, two oracles taking turns" ~count:80
-    (fun rng g s ~pivot ~feasibility ->
+    (fun rng g s ~rule ->
       let store = Nh.Shared.create ~s g in
       let a = Nh.of_shared store and b = Nh.of_shared store in
       let ref_nh = Nh.create ~s g in
-      let rn_a, expand = expander ~pivot ~feasibility ~ref_nh a in
-      let rn_b = Cs2.make_runner ~pivot ~feasibility b ignore in
+      let rn_a, expand = expander ~rule ~ref_nh a in
+      let rn_b = Cs2.make_runner ~rule b ignore in
       let turn = ref 0 in
       (* the states come from [a]'s visits; every other state is checked
          on [b]'s runner — a task of a universe it did not build, as a
@@ -227,9 +294,9 @@ let prop_two_oracles =
 
 let prop_interleaved =
   property "dense = reference, roots interleaved on one runner" ~count:80
-    (fun rng g s ~pivot ~feasibility ->
+    (fun rng g s ~rule ->
       let nh = Nh.create ~s g and ref_nh = Nh.create ~s g in
-      let rn, expand = expander ~pivot ~feasibility ~ref_nh nh in
+      let rn, expand = expander ~rule ~ref_nh nh in
       (* one queue of pending states per root, served round-robin, so
          consecutive visits and kernel calls run in different universes *)
       let queues =
@@ -253,6 +320,90 @@ let prop_interleaved =
           queues
       done)
 
+(* Whole CS1 runs: the runner's [Cs1] rule against the recursion it
+   replaced ([Reference.cs1]), every root in ascending order. Each run
+   must emit the same sets in the same order and count the same
+   cs1.calls, cs1.emits and cs1.max_depth, and register no cs2.* counter:
+   at min_size 0 and 3, unbudgeted through [Enumerate.run], and on a
+   runner whose [should_continue] turns false halfway through the calls
+   of the untripped run, inside some root's branch. *)
+let prop_cs1_runs =
+  let arb =
+    let open QCheck2.Gen in
+    oneofl [ `Er; `Sf ] >>= fun family ->
+    int_range 1 3 >>= fun s ->
+    int_range 2 (match s with 1 -> 60 | 2 -> 40 | _ -> 20) >>= fun n ->
+    int_range 0 (2 * n) >>= fun m ->
+    int_range 0 1_000_000 >>= fun seed -> return (family, n, m, s, seed)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:60 ~name:"cs1 runs = reference recursion"
+       ~print:Test_differential.print_case arb
+       (fun (family, n, m, s, seed) ->
+         let g = Test_differential.graph_of_case (family, n, m, seed) in
+         let countdown k =
+           let left = ref k in
+           fun () ->
+             decr left;
+             !left >= 0
+         in
+         let reference ~min_size ~should_continue =
+           let got = ref [] in
+           let run_root, counters =
+             Reference.cs1 ~min_size ~should_continue (Nh.create ~s g) (fun c ->
+                 got := c :: !got)
+           in
+           for v = 0 to G.n g - 1 do
+             run_root v
+           done;
+           (List.rev !got, counters ())
+         in
+         let read obs =
+           let c = Scliques_obs.Obs.counters obs in
+           let find name = Option.value (Scliques_obs.Counters.find c name) ~default:(-1) in
+           if
+             List.exists
+               (fun (k, _) -> String.starts_with ~prefix:"cs2." k)
+               (Scliques_obs.Counters.to_list c)
+           then QCheck2.Test.fail_report "a CS1 run registered a cs2.* counter";
+           (find "cs1.calls", find "cs1.emits", find "cs1.max_depth")
+         in
+         let agree what (exp_sets, (ec, ee, ed)) (got_sets, (gc, ge, gd)) =
+           if not (List.equal NS.equal exp_sets got_sets) then
+             QCheck2.Test.fail_reportf "%s: emissions differ (%d reference, %d runner)"
+               what (List.length exp_sets) (List.length got_sets);
+           if not (ec = gc && ee = ge && ed = gd) then
+             QCheck2.Test.fail_reportf
+               "%s: calls/emits/max_depth reference %d/%d/%d, runner %d/%d/%d" what ec ee
+               ed gc ge gd
+         in
+         List.iter
+           (fun min_size ->
+             let ((_, (calls, _, _)) as full) =
+               reference ~min_size ~should_continue:(fun () -> true)
+             in
+             let obs = Scliques_obs.Obs.create () and got = ref [] in
+             let (_ : E.run_report) =
+               E.run ~obs ~min_size E.Cs1 g ~s (fun c -> got := c :: !got)
+             in
+             agree (Printf.sprintf "min_size %d" min_size) full (List.rev !got, read obs);
+             let trip = calls / 2 in
+             let expected = reference ~min_size ~should_continue:(countdown trip) in
+             let obs = Scliques_obs.Obs.create () and got = ref [] in
+             let nh = Nh.create ~s g in
+             let rn =
+               Cs2.make_runner ~rule:Cs2.Cs1 ~min_size ~should_continue:(countdown trip)
+                 ~obs nh (fun c -> got := c :: !got)
+             in
+             for v = 0 to G.n g - 1 do
+               Cs2.run_task rn (Cs2.root_task nh v)
+             done;
+             agree
+               (Printf.sprintf "min_size %d, tripped after %d calls" min_size trip)
+               expected (List.rev !got, read obs))
+           [ 0; 3 ];
+         true))
+
 (* Hub graphs whose root universe overflows the row store. s = 1: a star
    with 6,000 leaves, whose hub universe needs one 188-word row per node
    (1.13M words). s = 2: the hub joined to 48 middle nodes with 88
@@ -264,7 +415,9 @@ let prop_interleaved =
 let test_row_store_flush () =
   let check_hub ~s g expected =
     let nh = Nh.create ~s g and ref_nh = Nh.create ~s g in
-    let rn, expand = expander ~pivot:true ~feasibility:true ~ref_nh nh in
+    let rn, expand =
+      expander ~rule:(Cs2.Cs2 { pivot = Some Cs2.Min_uncovered; feasibility = true }) ~ref_nh nh
+    in
     walk ~budget:120 [ Cs2.root_task nh 0 ] expand (check_state ~ref_nh rn);
     if Cs2.row_flushes rn = 0 then Alcotest.failf "s=%d: the row store never flushed" s;
     if Cs2.row_store_words rn > Cs2.row_cap then
@@ -298,7 +451,10 @@ let test_feasible_allocates_nothing () =
      float boxes *)
   let g = Sgraph.Gen.erdos_renyi (Scoll.Rng.create 11) ~n:300 ~avg_degree:6. in
   let nh = Nh.create ~s:2 g in
-  let rn = Cs2.make_runner ~pivot:true nh ignore in
+  let rn =
+    Cs2.make_runner ~rule:(Cs2.Cs2 { pivot = Some Cs2.Min_uncovered; feasibility = false }) nh
+      ignore
+  in
   let found = Hashtbl.create 2 in
   walk ~budget:5_000
     (root_tasks (Scoll.Rng.create 1) nh)
@@ -337,5 +493,6 @@ let suites =
           test_feasible_allocates_nothing;
         prop_interleaved;
         Alcotest.test_case "row store flushes, answers hold" `Quick test_row_store_flush;
+        prop_cs1_runs;
       ] );
   ]

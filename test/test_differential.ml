@@ -37,7 +37,10 @@ let variants =
     ( "cs2-p-deg",
       fun g s ->
         collect (fun yield ->
-            C2.run_degeneracy (C2.make_runner ~pivot:true (nh ~s g) yield))
+            C2.run_degeneracy
+              (C2.make_runner
+                 ~rule:(C2.Cs2 { pivot = Some C2.Min_uncovered; feasibility = false })
+                 (nh ~s g) yield))
     );
     ("pd-fifo-btree", pd ~queue_mode:PD.Fifo ~index_mode:PD.Btree);
     ("pd-fifo-hash", pd ~queue_mode:PD.Fifo ~index_mode:PD.Hashtable);
@@ -300,10 +303,9 @@ let print_roots_case (family, n, m, s, seed, parts) =
   Printf.sprintf "%s parts=%d" (print_case (family, n, m, s, seed)) parts
 
 let rooted_engines =
-  (E.Cs1, None)
-  :: List.concat_map
-       (fun alg -> [ (alg, None); (alg, Some 2) ])
-       [ E.Cs2; E.Cs2_f; E.Cs2_p; E.Cs2_pf ]
+  List.concat_map
+    (fun alg -> [ (alg, None); (alg, Some 2) ])
+    [ E.Cs1; E.Cs2; E.Cs2_f; E.Cs2_p; E.Cs2_pf ]
 
 let prop_root_subsets_partition =
   QCheck_alcotest.to_alcotest
@@ -364,7 +366,7 @@ let test_run_refusals () =
     (fun alg ->
       raises_invalid (E.name alg ^ " with workers") (fun () ->
           E.run ~workers:2 alg g ~s:2 ignore))
-    [ E.Cs1; E.Poly_delay; E.Brute ]
+    [ E.Poly_delay; E.Brute ]
 
 let suites =
   [

@@ -1,8 +1,8 @@
 (* ExtendMax differential: the scratch-state loop of [Extend_max] against
    the plain set-algebra formulation it replaced, kept here as the
    reference. The reference reads only the public oracle operators
-   (ball_forall, adjacent_any, ball_mask) and allocates a fresh set per
-   step, so it has no scratch to get wrong. *)
+   (ball_forall, adjacent_any, ball) and allocates a fresh set per step,
+   so it has no scratch to get wrong. *)
 
 module NS = Sgraph.Node_set
 module G = Sgraph.Graph
@@ -25,7 +25,7 @@ module Reference = struct
         else begin
           let v = NS.min_elt eligible in
           result := NS.add v !result;
-          candidates := NS.remove v (NS.inter_bitset !candidates (Nh.ball_mask nh v));
+          candidates := NS.remove v (NS.inter !candidates (Nh.ball nh v));
           frontier := NS.diff (NS.union !frontier (G.neighbor_set g v)) !result
         end
       done;
@@ -48,7 +48,7 @@ module Reference = struct
       else begin
         let v = NS.min_elt eligible in
         result := NS.add v !result;
-        candidates := NS.remove v (NS.inter_bitset !candidates (Nh.ball_mask nh v));
+        candidates := NS.remove v (NS.inter !candidates (Nh.ball nh v));
         frontier := restrict (NS.diff (NS.union !frontier (G.neighbor_set g v)) !result)
       end
     done;

@@ -4,6 +4,7 @@ module G = Sgraph.Graph
 module NS = Sgraph.Node_set
 module P = Scliques_core.Parallel
 module E = Scliques_core.Enumerate
+module Cs2 = Scliques_core.Cs_cliques2
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -46,7 +47,9 @@ let parallel_tests =
         let g = Test_support.random_graph 82 ~n:20 ~m:45 in
         check Test_support.ns_list "min_size"
           (E.sorted_results ~min_size:4 E.Cs2_pf g ~s:2)
-          (P.enumerate ~workers:3 ~feasibility:true ~min_size:4 g ~s:2));
+          (P.enumerate ~workers:3
+             ~rule:(Cs2.Cs2 { pivot = Some Cs2.Min_uncovered; feasibility = true })
+             ~min_size:4 g ~s:2));
     Alcotest.test_case "stats account for every result" `Quick (fun () ->
         let g = Test_support.random_graph 83 ~n:25 ~m:60 in
         let obs = Scliques_obs.Obs.create () in
@@ -102,7 +105,8 @@ let parallel_tests =
             let obs = Scliques_obs.Obs.create () in
             let got =
               P.enumerate ~workers:2 ~split_depth:64 ~split_width:0 ~split_min_subtree:0
-                ~feasibility ~obs g ~s:2
+                ~rule:(Cs2.Cs2 { pivot = Some Cs2.Min_uncovered; feasibility })
+                ~obs g ~s:2
             in
             check Test_support.ns_list (E.name alg) (E.sorted_results alg g ~s:2) got;
             check bool "split" true

@@ -215,11 +215,13 @@ let delay_tests =
 
 let degeneracy_root_tests =
   (* every root's branch, in a degeneracy order of G^s *)
-  let collect ?pivot ?feasibility ?min_size g s =
+  let collect ?(pivot = false) ?(feasibility = false) ?min_size g s =
+    let module Cs2 = Scliques_core.Cs_cliques2 in
     let nh = Scliques_core.Neighborhood.create ~s g in
     let acc = ref [] in
-    Scliques_core.Cs_cliques2.run_degeneracy
-      (Scliques_core.Cs_cliques2.make_runner ?pivot ?feasibility ?min_size nh (fun c ->
+    let pivot = if pivot then Some Cs2.Min_uncovered else None in
+    Cs2.run_degeneracy
+      (Cs2.make_runner ~rule:(Cs2.Cs2 { pivot; feasibility }) ?min_size nh (fun c ->
            acc := c :: !acc));
     sorted !acc
   in
