@@ -98,6 +98,24 @@ let kernel_tests () =
          (fun tok -> if String.length tok = 0 then None else int_of_string_opt tok)
          (String.split_on_char ' ' payload))
   in
+  (* one s = 2 ball row, N^2(u) ∩ U, for the members of root 0's
+     universe U = N^2[0], as CSCliques2 filled it before (the oracle's
+     ball, a BFS miss on a cache that keeps nothing or a warm hit,
+     scattered by rank) and as it fills it now (u's and its neighbors'
+     CSR rows) *)
+  let universe = NS.add 0 p in
+  let rank = Array.make cap (-1) in
+  Array.iteri (fun i v -> rank.(v) <- i) (NS.to_array universe);
+  let row = Array.make ((NS.cardinal universe + 31) / 32) 0 in
+  let cold = NH.create ~cache_capacity:0 ~s:2 g in
+  NS.iter (fun v -> ignore (NH.ball nh v)) universe;
+  let oracle_rows nh () =
+    NS.iter
+      (fun v ->
+        Array.fill row 0 (Array.length row) 0;
+        NS.scatter_ranks (NH.ball nh v) ~rank ~into:row ~off:0)
+      universe
+  in
   let bp = NS.to_bitset p ~capacity:cap and bb = NS.to_bitset b ~capacity:cap in
   let scratch = Scoll.Bitset.copy bp in
   [
@@ -146,6 +164,15 @@ let kernel_tests () =
       (Staged.stage (fun () -> Array.iter (fun v -> ignore (hashed_fingerprint v)) miss_roots));
     Test.make ~name:"kernel:fingerprint-staged"
       (Staged.stage (fun () -> Array.iter (fun v -> ignore (staged_fingerprint v)) miss_roots));
+    Test.make ~name:"kernel:ballrow-oracle-cold" (Staged.stage (oracle_rows cold));
+    Test.make ~name:"kernel:ballrow-oracle-warm" (Staged.stage (oracle_rows nh));
+    Test.make ~name:"kernel:ballrow-csr"
+      (Staged.stage (fun () ->
+           NS.iter
+             (fun v ->
+               Array.fill row 0 (Array.length row) 0;
+               Sgraph.Csr.scatter_ball2 csr v ~rank ~into:row ~off:0)
+             universe));
     Test.make ~name:"kernel:record-lists"
       (Staged.stage (fun () -> ignore (list_decode (list_encode record))));
     Test.make ~name:"kernel:record-direct"

@@ -284,20 +284,26 @@ let fill_adj rn off node =
       rows.(off + (l lsr 5)) <- rows.(off + (l lsr 5)) lor (1 lsl (l land 31))
   done
 
-(* The offset of local id [i]'s ball row, N^s(i) ∩ U, filled from the
-   oracle's ball on first use. The offset stays valid until the next
-   row is filled (a fill may flush the store), so callers read a row
-   before they ask for another. *)
+(* The offset of local id [i]'s ball row, N^s(i) ∩ U, filled on first
+   use: at s = 1 from the node's CSR row, at s = 2 from its row and its
+   neighbors' rows, above from the oracle's ball. The offset stays valid
+   until the next row is filled (a fill may flush the store), so callers
+   read a row before they ask for another. *)
 let ball_row rn i =
   let off = rn.ball_slot.(i) in
   if off >= 0 then off
   else begin
     let off = reserve_row rn in
     let node = rn.cur.members.(i) in
-    if Neighborhood.s rn.nh = 1 then fill_adj rn off node
-    else
-      Node_set.scatter_ranks (Neighborhood.ball rn.nh node) ~rank:rn.local_of
-        ~into:rn.rows ~off;
+    (match Neighborhood.s rn.nh with
+    | 1 -> fill_adj rn off node
+    | 2 ->
+        Sgraph.Csr.scatter_ball2
+          (Graph.csr (Neighborhood.graph rn.nh))
+          node ~rank:rn.local_of ~into:rn.rows ~off
+    | _ ->
+        Node_set.scatter_ranks (Neighborhood.ball rn.nh node) ~rank:rn.local_of
+          ~into:rn.rows ~off);
     rn.ball_slot.(i) <- off;
     off
   end
@@ -414,7 +420,8 @@ let select_pivot rn rule (p : int array) (x : int array) np =
           (* |P − N^s(u)| = |P| − |P ∩ N^s(u)|, a popcount over u's ball
              row. Once a candidate covers all of P no later one can win,
              so the rest are not scored; their rows are still fetched, so
-             the balls asked of the oracle are those of a full scan *)
+             the balls asked of the oracle (at s >= 3) are those of a full
+             scan *)
           let off = ball_row rn u in
           if !best_cost > 0 then begin
             let rows = rn.rows in
@@ -586,6 +593,10 @@ let feasible rn t v =
     pcap.(j) <- t.p.(j) land rows.(off + j)
   done;
   feasible_in rn t.r i pcap (card t.r t.universe.words)
+
+let universe_ball rn t v =
+  let off = ball_row rn (local_id rn t v) in
+  to_set t.universe (Array.sub rn.rows off t.universe.words)
 
 let connected rn t set =
   let bits = Array.make t.universe.words 0 in

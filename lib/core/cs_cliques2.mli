@@ -36,9 +36,13 @@
     rank, so ascending local ids are ascending nodes, and carries [R],
     [P] and [X] as bitsets of [⌈|U|/32⌉] words over them. A runner works
     in one universe at a time and keeps a row store beside it: on first
-    use within the universe it fills a node's ball row [N^s(u) ∩ U] (from
-    {!Neighborhood.ball}) and its adjacency row [N(u) ∩ U] (from the CSR
-    row) as bitsets, so every set operation of a visit is a loop over a
+    use within the universe it fills a node's ball row [N^s(u) ∩ U] and
+    its adjacency row [N(u) ∩ U] (from the CSR row) as bitsets. The ball
+    row comes from [u]'s CSR row at [s = 1], from [u]'s row and its
+    neighbors' rows at [s = 2] ({!Sgraph.Csr.scatter_ball2}: no oracle
+    lookup, BFS or sort), and from {!Neighborhood.ball} at [s >= 3]; the
+    universe itself is always the oracle's cached ball of the root. So
+    every set operation of a visit is a loop over a
     few words — the filters [P ∩ N^s(v)] and [X ∩ N^s(v)], [N^{∃,1}(R)]
     as the union of [R]'s adjacency rows (and CsCliques1's branch set
     [P ∩ N^{∃,1}(R)] from it), the pivot cost
@@ -52,10 +56,14 @@
     The kernels compute the same sets as the set-algebra formulation and
     the visit makes the same choices in the same order, so results,
     emission order and the [cs1.*] and [cs2.*] counters do not depend on
-    them. Each ball is read from the oracle once per root rather than
-    once per use: [nh.cache_misses] and [nh.bfs_expansions] are
-    unchanged (as long as the oracle's cache evicts nothing),
-    [nh.cache_hits] is lower. *)
+    them. At [s <= 2] the oracle is asked only for root balls, one per
+    root, so a run's [nh.cache_hits] is 0 and its [nh.cache_misses] and
+    [nh.bfs_expansions] count each root's ball once, also when workers
+    share the roots. At [s >= 3] each other ball is read from the oracle
+    once per root rather than once per use: [nh.cache_misses] and
+    [nh.bfs_expansions] are those of one ball per node (as long as the
+    oracle's cache evicts nothing), and a stolen task's balls are taken
+    again by the thief's oracle. *)
 
 type pivot_rule =
   | Min_uncovered
@@ -187,6 +195,11 @@ val feasible : runner -> task -> int -> bool
 (** [feasible rn t v], for [v] in the task's [P]: does a BFS from [v]
     inside [G\[R ∪ {v} ∪ (P ∩ N^s(v))\]] reach every member of [R]?
     @raise Invalid_argument when [v] is not in [P]. *)
+
+val universe_ball : runner -> task -> int -> Sgraph.Node_set.t
+(** [universe_ball rn t v] is [N^s(v) ∩ U], [v] a member of the task's
+    universe [U], read from the runner's ball row for [v] (filled on
+    first use, as a visit fills it). *)
 
 val connected : runner -> task -> Sgraph.Node_set.t -> bool
 (** [Sgraph.Bfs.is_connected_subset] of a subset of the task's universe,

@@ -389,8 +389,9 @@ let refresh ?(min_size = 0) ?cache_capacity ?(engine = `Seq Cs2_pf) ?nh ?edits
               (Sgraph.Bfs.ball_multi after ~srcs:dl ~radius:s)
       in
       (* one oracle on the after-graph serves the gate and the
-         sequential re-run, so the balls the gate takes stay warm (the
-         parallel re-run's workers build their own and never read it) *)
+         sequential re-run, so the root balls the gate takes stay warm
+         (the parallel re-run's workers build their own and never read
+         it) *)
       let nh =
         match nh with
         | Some o -> o
@@ -400,25 +401,35 @@ let refresh ?(min_size = 0) ?cache_capacity ?(engine = `Seq Cs2_pf) ?nh ?edits
          on both endpoint graphs provably re-derives its exact prior
          results, so it neither retracts nor re-runs. (Only the endpoint
          graphs matter — fingerprint equality certifies equal branch
-         output regardless of what the intermediate graphs did.) *)
+         output regardless of what the intermediate graphs did.) A root
+         with no touched node within rho_s in either graph reads only
+         unchanged rows while it takes its digest's ball, so the digest
+         input is bit-identical and the root is skipped undigested; only
+         the roots of R near the edit are digested. *)
       let roots, skipped, root_fingerprints =
         if not fingerprints then (Node_set.to_list r, 0, [])
         else begin
+          let radius = Neighborhood.fingerprint_radius ~s in
+          let near =
+            Node_set.union
+              (Sgraph.Bfs.ball_multi before ~srcs:touched ~radius)
+              (Sgraph.Bfs.ball_multi after ~srcs:touched ~radius)
+          in
           let digest_before = lazy (Neighborhood.root_fingerprint ~s before) in
           let fp_before root =
             match Option.bind prior_fingerprint (fun f -> f root) with
             | Some fp -> fp
             | None -> Lazy.force digest_before root
           in
-          let rerun = ref [] and skipped = ref 0 and fps = ref [] in
+          let rerun = ref [] and fps = ref [] in
           Node_set.iter
             (fun root ->
               let fp_after = Neighborhood.fingerprint nh root in
               fps := (root, fp_after) :: !fps;
-              if fp_after = fp_before root then incr skipped
-              else rerun := root :: !rerun)
-            r;
-          (List.rev !rerun, !skipped, List.rev !fps)
+              if fp_after <> fp_before root then rerun := root :: !rerun)
+            (Node_set.inter r near);
+          let rerun = List.rev !rerun in
+          (rerun, Node_set.cardinal r - List.length rerun, List.rev !fps)
         end
       in
       let rerun_set = Node_set.of_list roots in

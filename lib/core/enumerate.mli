@@ -150,9 +150,13 @@ type refresh_delta = {
       (** affected roots whose branch fingerprint was unchanged, so they
           were neither retracted nor re-run *)
   root_fingerprints : (int * int) list;
-      (** [(root, fingerprint)] on the after-graph for every affected
-          root (re-run and skipped alike), ascending — what a persistent
-          {!Result_io.Index} stores. Empty when [fingerprints:false]. *)
+      (** [(root, fingerprint)] on the after-graph for every digested
+          root, ascending: the affected roots within
+          {!Neighborhood.fingerprint_radius} of a touched node in either
+          graph (re-run and skipped alike). Every root outside this list
+          keeps the fingerprint it had on [before], so a persistent
+          {!Result_io.Index} patches exactly the listed roots whose
+          digest moved. Empty when [fingerprints:false]. *)
 }
 
 val refresh :
@@ -191,14 +195,19 @@ val refresh :
     endpoints; without [edits] the whole-batch bound pays one hop of
     slack (radius-s D around all touched nodes at once).
 
-    Within the affected-root set, each root's branch fingerprint
-    ({!Neighborhood.root_fingerprint}) is compared across the edit and
-    provably-unchanged branches are {e skipped} — neither retracted nor
-    re-run ([roots_skipped]). [prior_fingerprint] supplies stored
-    before-graph fingerprints (e.g. from a {!Result_io.Index} sidecar),
-    eliminating the before-graph digests; absent ones are computed.
-    [fingerprints:false] disables the gate (every affected root re-runs,
-    the pre-fingerprint behavior — the benchmark baseline).
+    Within the affected-root set, provably-unchanged branches are
+    {e skipped} — neither retracted nor re-run ([roots_skipped]). A root
+    with no touched node within [rho_s]
+    ({!Neighborhood.fingerprint_radius}) in either graph reads only
+    unchanged adjacency rows when its branch fingerprint
+    ({!Neighborhood.root_fingerprint}) is taken, so its fingerprint is
+    the same on both graphs: it is skipped without a digest. Each other
+    affected root's fingerprint is compared across the edit.
+    [prior_fingerprint] supplies stored before-graph fingerprints (e.g.
+    from a {!Result_io.Index} sidecar), eliminating the before-graph
+    digests; absent ones are computed. [fingerprints:false] disables the
+    gate (every affected root re-runs, the pre-fingerprint behavior —
+    the benchmark baseline).
 
     The surviving roots re-run on [after] through {!run}'s [roots] —
     sequentially with a rooted algorithm ([`Seq], default [`Seq Cs2_pf])
@@ -207,8 +216,9 @@ val refresh :
     [results] is bit-identical to a full re-enumeration.
 
     One oracle on [after] serves the gate ({!Neighborhood.fingerprint})
-    and the [`Seq] re-run: at [s <= 2] every ball the gate digests is a
-    ball the re-run would otherwise compute again. It is a fresh one
+    and the [`Seq] re-run: at [s = 2] the gate digests each root's own
+    ball, which the re-run's roots read as cache hits, and the re-run
+    asks for no other ball. It is a fresh one
     (with [cache_capacity]) unless the caller supplies [nh]: an oracle
     currently bound to [before], with matching [s], is advanced to
     [after] via {!Neighborhood.invalidate} — dropping only the stale

@@ -10,7 +10,15 @@
     Computing [N^s(v)] (a bounded BFS) is "one of the most costly
     operations in all algorithms" (§7), so the paper memoizes it in a hash
     table with LRI eviction under a memory cap. A [Neighborhood.t] bundles
-    the graph, [s], and that cache; all enumeration algorithms take one. *)
+    the graph, [s], and that cache; all enumeration algorithms take one.
+
+    Who reads the memo: PolyDelayEnum's ExtendMax, on every step; the
+    rooted engines ({!Cs_cliques2}), once per root for the root's
+    universe, and at [s >= 3] once per member row of each universe (at
+    [s <= 2] they read rows straight off the CSR rows); and
+    {!Enumerate.refresh}'s gate at [s = 2], whose digests take the
+    balls the re-run's roots then hit. At [s = 1] a ball is the node's
+    CSR row and nothing is cached. *)
 
 type t
 

@@ -1035,6 +1035,8 @@ let reload_all srv =
 let create ?(workers = 2) ?(max_queue = 16) ?(par_workers = 1)
     ?(cache_capacity = 65536) ?(compact_threshold = 1024) ?quota ?state_dir
     ?(sources = []) ?(fault = Scoll.Fault.none) ~graphs addr =
+  if workers < 1 then invalid_arg "Server.create: workers must be >= 1";
+  if max_queue < 0 then invalid_arg "Server.create: max_queue must be >= 0";
   if par_workers < 1 then
     invalid_arg "Server.create: par_workers must be >= 1";
   if compact_threshold < 1 then

@@ -101,7 +101,9 @@ val create :
     sites listed above.
     @raise Invalid_argument on an empty or duplicate-name graph list, a
     graph name longer than the wire's u16 length field (or not
-    persistable under [state_dir]), or bad limits.
+    persistable under [state_dir]), or bad limits ([workers] or
+    [par_workers] below 1, a negative [max_queue]) — all checked before
+    any state file or socket is made.
     @raise Unix.Unix_error when the socket cannot be bound.
     @raise Sgraph.Io_error.Parse_error when [state_dir] holds a corrupt
     manifest, base snapshot, or journal (a torn journal tail refuses to

@@ -71,6 +71,31 @@ let mem_row t v x =
   in
   go t.off.(v) t.off.(v + 1)
 
+(* N^2(v) = N(v) ∪ the rows of v's neighbors, minus v, which every
+   neighbor's row holds: one loop over the rows, so no per-element call
+   leaves the module *)
+let scatter_ball2 t v ~(rank : int array) ~(into : int array) ~off =
+  let o = t.off and a = t.nbr in
+  let[@inline] set x =
+    let l = rank.(x) in
+    if l >= 0 then begin
+      let j = off + (l lsr 5) in
+      into.(j) <- into.(j) lor (1 lsl (l land 31))
+    end
+  in
+  for i = o.(v) to o.(v + 1) - 1 do
+    let w = a.(i) in
+    set w;
+    for k = o.(w) to o.(w + 1) - 1 do
+      set a.(k)
+    done
+  done;
+  let l = rank.(v) in
+  if l >= 0 then begin
+    let j = off + (l lsr 5) in
+    into.(j) <- into.(j) land lnot (1 lsl (l land 31))
+  end
+
 let int_array_equal (a : int array) (b : int array) =
   let len = Array.length a in
   len = Array.length b

@@ -64,5 +64,17 @@ val mem_row : t -> int -> int -> bool
 (** [mem_row t v x] is true when sorted row [v] contains [x], by binary
     search — O(log degree). Only meaningful when rows are sorted. *)
 
+val scatter_ball2 : t -> int -> rank:int array -> into:int array -> off:int -> unit
+(** [scatter_ball2 t v ~rank ~into ~off] is {!Node_set.scatter_ranks} of
+    [v]'s radius-2 ball (the nodes within distance 2 of [v], [v] itself
+    excluded), read straight off [v]'s row and its neighbors' rows: it
+    sets bit [rank.(x)] of the bitset stored in [into] from word [off]
+    on (32 bits per word, as in {!Scoll.Bitset}) for every such [x] with
+    [rank.(x) >= 0], then clears [v]'s own bit when [rank.(v) >= 0].
+    No traversal state, sort or allocation: it reads [v]'s degree plus
+    its neighbors' degrees in ids.
+    @raise Invalid_argument when a node or a word falls outside [rank]
+    or [into]. *)
+
 val equal : t -> t -> bool
 (** Same offsets and same adjacency, compared as int arrays. *)

@@ -2,7 +2,8 @@
    String's own, keeping lookups off the polymorphic runtime primitives *)
 module Tbl = Hashtbl.Make (String)
 
-type counter = { name : string; mutable value : int }
+(* [mark]: [set_max] has written the value, so it is a high-water mark *)
+type counter = { name : string; mutable value : int; mutable mark : bool }
 
 type t = counter Tbl.t
 
@@ -12,7 +13,7 @@ let counter t name =
   match Tbl.find_opt t name with
   | Some c -> c
   | None ->
-      let c = { name; value = 0 } in
+      let c = { name; value = 0; mark = false } in
       Tbl.add t name c;
       c
 
@@ -22,7 +23,9 @@ let add c n = c.value <- c.value + n
 
 let set c n = c.value <- n
 
-let set_max c n = if n > c.value then c.value <- n
+let set_max c n =
+  c.mark <- true;
+  if n > c.value then c.value <- n
 
 let value c = c.value
 
@@ -35,4 +38,8 @@ let to_list t =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let merge_into ~into src =
-  List.iter (fun (name, v) -> add (counter into name) v) (to_list src)
+  Tbl.iter
+    (fun name c ->
+      let d = counter into name in
+      if c.mark then set_max d c.value else add d c.value)
+    src

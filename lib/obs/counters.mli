@@ -30,7 +30,7 @@ val set : counter -> int -> unit
 
 val set_max : counter -> int -> unit
 (** High-water mark: keep the maximum of the current value and the
-    argument. *)
+    argument. The counter is a mark from then on, for {!merge_into}. *)
 
 val value : counter -> int
 
@@ -43,9 +43,11 @@ val to_list : t -> (string * int) list
 (** All counters, sorted by name. *)
 
 val merge_into : into:t -> t -> unit
-(** Add every counter of the source into the same-named counter of
-    [into], creating it if missing. Summing is the right combination for
-    the additive event counts the library uses across parallel workers;
-    high-water marks of distinct workers are per-worker quantities and
-    also sum meaningfully only as an upper bound — workers therefore keep
-    worker-scoped names for marks they must not blend. *)
+(** Fold every counter of the source into the same-named counter of
+    [into], creating it if missing: a high-water mark (a counter
+    {!set_max} has written) by {!set_max}, so [into] keeps the larger
+    mark and becomes a mark itself; every other counter by {!add}. So
+    merging the registries of parallel workers sums their event counts
+    and gives the marks of the whole run (e.g. [cs2.max_depth] is the
+    deepest call any worker made, as in a sequential run). The source is
+    not modified. *)

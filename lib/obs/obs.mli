@@ -49,9 +49,10 @@ val reset_clock : t -> unit
 (** Restart the delay origin (see {!Recorder.reset}). *)
 
 val merge_into : into:t -> t -> unit
-(** Sum the source's counters and fold its delay observations into
-    [into] — the per-worker combination of the parallel decomposition.
-    The source is not modified. *)
+(** Merge the source's counters into [into] ({!Counters.merge_into}:
+    event counts add, high-water marks keep the maximum) and fold its
+    delay observations in — the per-worker combination of the parallel
+    decomposition. The source is not modified. *)
 
 val snapshot_json : t -> Sink.json
 (** [Obj] with a ["delay"] summary (omitted while no result was recorded)

@@ -861,10 +861,45 @@ let test_index_splice_differential () =
       | (_ : RI.t * RI.splice_stats) -> Alcotest.fail "stale index spliced"
       | exception Sgraph.Io_error.Parse_error _ -> ())
 
+(* The affected roots of an edit script, from their definition and in
+   their own graphs: each edit's D is the radius-(s-1) balls of its
+   endpoints in the graphs just before and just after it, and its roots
+   are the radius-s balls of D in both. *)
+let affected_roots ~before ~s edits =
+  let ball g srcs radius = Sgraph.Bfs.ball_multi g ~srcs ~radius in
+  snd
+    (List.fold_left
+       (fun (g, acc) e ->
+         let g' = D.apply g [ e ] in
+         let u, v = O.edit_endpoints e in
+         let d = NS.to_list (NS.union (ball g [ u; v ] (s - 1)) (ball g' [ u; v ] (s - 1))) in
+         (g', NS.union acc (NS.union (ball g d s) (ball g' d s))))
+       (before, NS.empty) edits)
+
+(* The reference gate: every affected root is digested on both graphs,
+   and the ones whose digest moved re-run on [after]. Returns the
+   answer, the re-run count and the skip count. *)
+let reference_gate ~before ~after ~s ~prior affected =
+  let moved =
+    NS.filter
+      (fun r -> NH.root_fingerprint ~s before r <> NH.root_fingerprint ~s after r)
+      affected
+  in
+  let fresh = ref [] in
+  let (_ : E.run_report) =
+    E.run ~roots:(NS.to_list moved) E.Cs2_pf after ~s (fun c -> fresh := c :: !fresh)
+  in
+  let kept = List.filter (fun c -> not (NS.mem (NS.min_elt c) moved)) prior in
+  ( List.sort NS.compare (kept @ !fresh),
+    NS.cardinal moved,
+    NS.cardinal affected - NS.cardinal moved )
+
 (* The tentpole property: batched refresh with the fingerprint gate on,
    off, and fed from stored digests is bit-identical to full
    re-enumeration at every script prefix — and the gate only ever
-   shrinks the re-run set it is given. *)
+   shrinks the re-run set it is given. It digests exactly the affected
+   roots within rho_s of a touched node, and decides as the reference
+   gate that digests every affected root. *)
 let prop_batch_fingerprint_refresh =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:6
@@ -952,12 +987,45 @@ let prop_batch_fingerprint_refresh =
                    "%s: root %d digest is not the after-graph's"
                    (ctx "digest value") root)
              fp.E.root_fingerprints;
-           if List.length fp.E.root_fingerprints <> nofp.E.roots_rerun then
-             QCheck2.Test.fail_reportf
-               "%s: %d digests reported for %d affected roots"
-               (ctx "digest cover")
+           let affected = affected_roots ~before:!prev ~s edits in
+           if NS.cardinal affected <> nofp.E.roots_rerun then
+             QCheck2.Test.fail_reportf "%s: %d affected roots, ungated refresh re-ran %d"
+               (ctx "affected set") (NS.cardinal affected) nofp.E.roots_rerun;
+           (* digested: exactly the affected roots within rho_s of a
+              touched node in either graph; every other affected root
+              has the same digest on both graphs *)
+           let radius = NH.fingerprint_radius ~s in
+           let near =
+             NS.union
+               (Sgraph.Bfs.ball_multi !prev ~srcs:touched ~radius)
+               (Sgraph.Bfs.ball_multi g1 ~srcs:touched ~radius)
+           in
+           if
+             not
+               (List.equal Int.equal
+                  (List.map fst fp.E.root_fingerprints)
+                  (NS.to_list (NS.inter affected near)))
+           then
+             QCheck2.Test.fail_reportf "%s: %d digests reported, %d affected roots near the edit"
+               (ctx "digest set")
                (List.length fp.E.root_fingerprints)
-               nofp.E.roots_rerun;
+               (NS.cardinal (NS.inter affected near));
+           NS.iter
+             (fun root ->
+               if NH.root_fingerprint ~s !prev root <> NH.root_fingerprint ~s g1 root then
+                 QCheck2.Test.fail_reportf "%s: root %d, beyond rho_s, changed its digest"
+                   (ctx "far digest") root)
+             (NS.diff affected near);
+           let ref_results, ref_rerun, ref_skipped =
+             reference_gate ~before:!prev ~after:g1 ~s ~prior:!results affected
+           in
+           if not (same_sets ref_results fp.E.results) then
+             ignore (show_mismatch (ctx "reference gate") ref_results fp.E.results);
+           if ref_rerun <> fp.E.roots_rerun || ref_skipped <> fp.E.roots_skipped then
+             QCheck2.Test.fail_reportf
+               "%s: reference gate re-ran %d and skipped %d, refresh %d and %d"
+               (ctx "reference gate") ref_rerun ref_skipped fp.E.roots_rerun
+               fp.E.roots_skipped;
            results := fp.E.results;
            prev := g1
          done;

@@ -196,7 +196,8 @@ let expander ~rule ~ref_nh nh =
   in
   (rn, expand)
 
-let shuffled_roots rng g =
+(* the nodes of [g] in a seed-shuffled order *)
+let shuffled rng g =
   let order = Array.init (G.n g) Fun.id in
   for i = Array.length order - 1 downto 1 do
     let j = Scoll.Rng.int rng (i + 1) in
@@ -204,7 +205,9 @@ let shuffled_roots rng g =
     order.(i) <- order.(j);
     order.(j) <- x
   done;
-  Array.sub order 0 (min 24 (G.n g))
+  order
+
+let shuffled_roots rng g = Array.sub (shuffled rng g) 0 (min 24 (G.n g))
 
 (* Up to [budget] states of the recursion trees of up to 24 roots in a
    seed-shuffled order, the budget split evenly between the roots, so
@@ -404,6 +407,33 @@ let prop_cs1_runs =
            [ 0; 3 ];
          true))
 
+(* The hub joined to [hub_mids] middle nodes with [hub_per] leaves each *)
+let hub_mids = 48
+
+let hub_per = 88
+
+let hub_leaf m j = 1 + hub_mids + (m * hub_per) + j
+
+let hub_tree () =
+  G.of_edges
+    ~n:(1 + hub_mids + (hub_mids * hub_per))
+    (List.concat
+       (List.init hub_mids (fun m ->
+            (0, m + 1) :: List.init hub_per (fun j -> (m + 1, hub_leaf m j)))))
+
+(* every member of [t]'s universe (or [members], in that order): the
+   runner's ball row must be the oracle's ball restricted to the universe *)
+let check_ball_rows ~what ?members rn nh t =
+  let u = NS.union (Cs2.task_r t) (NS.union (Cs2.task_p t) (Cs2.task_x t)) in
+  let members = match members with Some a -> a | None -> NS.to_array u in
+  Array.iter
+    (fun v ->
+      let expected = NS.inter (Nh.ball nh v) u and got = Cs2.universe_ball rn t v in
+      if not (NS.equal expected got) then
+        Alcotest.failf "%s: node %d's row holds %d nodes, its ball in U %d" what v
+          (NS.cardinal got) (NS.cardinal expected))
+    members
+
 (* Hub graphs whose root universe overflows the row store. s = 1: a star
    with 6,000 leaves, whose hub universe needs one 188-word row per node
    (1.13M words). s = 2: the hub joined to 48 middle nodes with 88
@@ -433,16 +463,59 @@ let test_row_store_flush () =
   check_hub ~s:1
     (G.of_edges ~n:(leaves + 1) (List.init leaves (fun i -> (0, i + 1))))
     (List.init leaves (fun i -> NS.of_list [ 0; i + 1 ]));
-  let mids = 48 and per = 88 in
-  let leaf m j = 1 + mids + (m * per) + j in
-  let edges =
-    List.concat
-      (List.init mids (fun m -> (0, m + 1) :: List.init per (fun j -> (m + 1, leaf m j))))
+  check_hub ~s:2 (hub_tree ())
+    (NS.of_list (List.init (hub_mids + 1) Fun.id)
+    :: List.init hub_mids (fun m -> NS.of_list ([ 0; m + 1 ] @ List.init hub_per (hub_leaf m))))
+
+(* The ball row a runner fills for a member v of a root's universe U
+   (read off CSR rows at s = 1 and 2, from the oracle's ball above) must
+   be the oracle's ball restricted to U: every member of the universes of
+   up to 24 roots and of the graph's largest hub, on one runner, each row
+   checked when it is filled and again when it is read back from the
+   store. Half the cases are at s = 2, whose rows come from two hops of
+   CSR rows. *)
+let prop_ball_rows =
+  let arb =
+    let open QCheck2.Gen in
+    oneofl [ `Er; `Sf ] >>= fun family ->
+    frequency [ (1, return 1); (2, return 2); (1, return 3) ] >>= fun s ->
+    int_range 2 160 >>= fun n ->
+    int_range 0 (3 * n) >>= fun m ->
+    int_range 0 1_000_000 >>= fun seed -> return (family, n, m, s, seed)
   in
-  check_hub ~s:2
-    (G.of_edges ~n:(1 + mids + (mids * per)) edges)
-    (NS.of_list (List.init (mids + 1) Fun.id)
-    :: List.init mids (fun m -> NS.of_list ([ 0; m + 1 ] @ List.init per (leaf m))))
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:80 ~name:"ball rows = oracle balls in U"
+       ~print:Test_differential.print_case arb
+       (fun (family, n, m, s, seed) ->
+         let g = Test_differential.graph_of_case (family, n, m, seed) in
+         let hub = ref 0 in
+         for v = 1 to G.n g - 1 do
+           if G.degree g v > G.degree g !hub then hub := v
+         done;
+         let nh = Nh.create ~s g in
+         let rn = Cs2.make_runner nh ignore in
+         List.iter
+           (fun root ->
+             let t = Cs2.root_task nh root in
+             for _ = 1 to 2 do
+               check_ball_rows ~what:(Printf.sprintf "root %d" root) rn nh t
+             done)
+           (!hub :: Array.to_list (shuffled_roots (Scoll.Rng.create seed) g));
+         true))
+
+(* The same at s = 2 on the flush test's 4,273-node hub universe, whose
+   rows overflow the store: every member's row, in a shuffled order,
+   twice, so rows are filled, forgotten by a flush and filled again. *)
+let test_ball_rows_flushing () =
+  let g = hub_tree () in
+  let nh = Nh.create ~s:2 g in
+  let rn = Cs2.make_runner nh ignore in
+  let t = Cs2.root_task nh 0 in
+  let order = shuffled (Scoll.Rng.create 5) g in
+  for _ = 1 to 2 do
+    check_ball_rows ~what:"hub universe" ~members:order rn nh t
+  done;
+  if Cs2.row_flushes rn = 0 then Alcotest.fail "the row store never flushed"
 
 let test_feasible_allocates_nothing () =
   (* one feasible and one infeasible call from real visits, each with a
@@ -494,5 +567,8 @@ let suites =
         prop_interleaved;
         Alcotest.test_case "row store flushes, answers hold" `Quick test_row_store_flush;
         prop_cs1_runs;
+        prop_ball_rows;
+        Alcotest.test_case "ball rows = oracle balls, store flushing" `Quick
+          test_ball_rows_flushing;
       ] );
   ]

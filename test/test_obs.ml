@@ -149,6 +149,28 @@ let test_counters_merge () =
     [ ("only_b", 7); ("x", 4) ]
     (C.to_list b)
 
+let test_counters_merge_marks () =
+  let a = C.create () and b = C.create () in
+  C.set_max (C.counter a "depth") 35;
+  C.set_max (C.counter b "depth") 9;
+  C.add (C.counter a "calls") 5;
+  C.add (C.counter b "calls") 6;
+  C.set_max (C.counter b "only_b_mark") 4;
+  C.merge_into ~into:a b;
+  Alcotest.(check (list (pair string int)))
+    "marks keep the maximum, counts add"
+    [ ("calls", 11); ("depth", 35); ("only_b_mark", 4) ]
+    (C.to_list a);
+  (* a merged-in mark stays a mark: merging into a fresh registry twice
+     keeps the larger value, not the sum *)
+  let into = C.create () in
+  C.merge_into ~into a;
+  C.merge_into ~into b;
+  Alcotest.(check (list (pair string int)))
+    "merged marks merge by max again"
+    [ ("calls", 17); ("depth", 35); ("only_b_mark", 4) ]
+    (C.to_list into)
+
 (* ---------- recorder (fake clock) ---------- *)
 
 let fake_clock () =
@@ -323,6 +345,8 @@ let suites =
       [
         Alcotest.test_case "registry operations" `Quick test_counters;
         Alcotest.test_case "merge" `Quick test_counters_merge;
+        Alcotest.test_case "merge keeps the larger high-water mark" `Quick
+          test_counters_merge_marks;
       ] );
     ( "obs_recorder",
       [

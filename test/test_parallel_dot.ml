@@ -114,6 +114,85 @@ let parallel_tests =
           [ (E.Cs2_p, false); (E.Cs2_pf, true) ]);
   ]
 
+(* Two workers with every task of depth < 64 split and requeued, against
+   the sequential run of the same rule: the same answer, every cs1.* or
+   cs2.* counter equal (calls, emits and prunes add up across workers;
+   max_depth is a high-water mark and merges by max), and at s <= 2,
+   where a runner asks its oracle only for root balls, every nh.*
+   counter equal too: each root's ball is taken once, by the worker that
+   builds the root's task. *)
+let counters_match_sequential ~rule g ~s =
+  let alg =
+    match rule with
+    | Cs2.Cs1 -> E.Cs1
+    | Cs2.Cs2 { pivot = None; feasibility } -> if feasibility then E.Cs2_f else E.Cs2
+    | Cs2.Cs2 { pivot = Some _; feasibility } -> if feasibility then E.Cs2_pf else E.Cs2_p
+  in
+  let seq = Scliques_obs.Obs.create () and par = Scliques_obs.Obs.create () in
+  let expected = ref [] in
+  let (_ : E.run_report) = E.run ~obs:seq alg g ~s (fun c -> expected := c :: !expected) in
+  let got =
+    P.enumerate ~workers:2 ~split_depth:64 ~split_width:0 ~split_min_subtree:0 ~rule
+      ~obs:par g ~s
+  in
+  if not (List.equal NS.equal (List.sort NS.compare !expected) got) then
+    Alcotest.failf "%s s=%d: answers differ" (E.name alg) s;
+  let compared (name, _) =
+    String.starts_with ~prefix:"cs1." name
+    || String.starts_with ~prefix:"cs2." name
+    || (s <= 2 && String.starts_with ~prefix:"nh." name)
+  in
+  let counters o =
+    List.filter compared (Scliques_obs.Counters.to_list (Scliques_obs.Obs.counters o))
+  in
+  Alcotest.check
+    Alcotest.(list (pair string int))
+    (Printf.sprintf "%s s=%d counters" (E.name alg) s)
+    (counters seq) (counters par)
+
+let prop_counters_match_sequential =
+  let arb =
+    let open QCheck2.Gen in
+    oneofl [ `Er; `Sf ] >>= fun family ->
+    int_range 1 3 >>= fun s ->
+    int_range 2 (match s with 1 -> 60 | 2 -> 40 | _ -> 20) >>= fun n ->
+    int_range 0 (2 * n) >>= fun m ->
+    oneofl
+      [
+        Cs2.Cs1;
+        Cs2.Cs2 { pivot = None; feasibility = false };
+        Cs2.Cs2 { pivot = None; feasibility = true };
+        Cs2.Cs2 { pivot = Some Cs2.Min_uncovered; feasibility = false };
+        Cs2.Cs2 { pivot = Some Cs2.Min_uncovered; feasibility = true };
+      ]
+    >>= fun rule ->
+    int_range 0 1_000_000 >>= fun seed -> return ((family, n, m, s, seed), rule)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:40 ~name:"2 workers, forced splits: counters = sequential"
+       ~print:(fun (case, rule) ->
+         Test_differential.print_case case ^ " " ^ Test_cs2_visit.print_rule rule)
+       arb
+       (fun ((family, n, m, s, seed), rule) ->
+         counters_match_sequential ~rule
+           (Test_differential.graph_of_case (family, n, m, seed))
+           ~s;
+         true))
+
+let parallel_counter_tests =
+  [
+    prop_counters_match_sequential;
+    Alcotest.test_case "SF n=120 s=2, 2 workers: balls taken once, depth = sequential"
+      `Quick (fun () ->
+        let g = Sgraph.Gen.barabasi_albert (Scoll.Rng.create 3) ~n:120 ~m_attach:2 in
+        List.iter
+          (fun feasibility ->
+            counters_match_sequential
+              ~rule:(Cs2.Cs2 { pivot = Some Cs2.Min_uncovered; feasibility })
+              g ~s:2)
+          [ false; true ]);
+  ]
+
 let dot_tests =
   let module Dot = Sgraph.Dot in
   [
@@ -150,4 +229,5 @@ let dot_tests =
         check Alcotest.string "header" "graph scliques {" first);
   ]
 
-let suites = [ ("parallel", parallel_tests); ("dot", dot_tests) ]
+let suites =
+  [ ("parallel", parallel_tests @ parallel_counter_tests); ("dot", dot_tests) ]
