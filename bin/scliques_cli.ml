@@ -173,22 +173,25 @@ let gen_cmd =
   let run family n avg_degree communities seed output =
     let rng = Scoll.Rng.create seed in
     let g =
-      match family with
-      | `Er -> Sgraph.Gen.erdos_renyi rng ~n ~avg_degree
-      | `Sf ->
-          Sgraph.Gen.barabasi_albert rng ~n
-            ~m_attach:(max 1 (int_of_float (avg_degree /. 2.)))
-      | `Ws ->
-          Sgraph.Gen.watts_strogatz rng ~n
-            ~k:(max 1 (int_of_float (avg_degree /. 2.)))
-            ~beta:0.1
-      | `Community ->
-          let per = float_of_int n /. float_of_int communities in
-          let p_in = Float.min 1. (avg_degree /. per) in
-          Sgraph.Gen.planted_partition rng ~n ~communities ~p_in ~p_out:0.001
-      | `Proxy -> Sgraph.Gen.social_proxy rng ~n ~avg_degree ~communities
-      | `Gadget -> Sgraph.Gen.exponential_gadget n
-      | `Path -> Sgraph.Gen.path n
+      (* a size the family cannot build (sf with n = 1, ws with
+         n <= avg-degree, no community, gadget n = 0) is refused *)
+      refusing ~who:"error" (fun () ->
+          match family with
+          | `Er -> Sgraph.Gen.erdos_renyi rng ~n ~avg_degree
+          | `Sf ->
+              Sgraph.Gen.barabasi_albert rng ~n
+                ~m_attach:(max 1 (int_of_float (avg_degree /. 2.)))
+          | `Ws ->
+              Sgraph.Gen.watts_strogatz rng ~n
+                ~k:(max 1 (int_of_float (avg_degree /. 2.)))
+                ~beta:0.1
+          | `Community ->
+              let per = float_of_int n /. float_of_int communities in
+              let p_in = Float.min 1. (avg_degree /. per) in
+              Sgraph.Gen.planted_partition rng ~n ~communities ~p_in ~p_out:0.001
+          | `Proxy -> Sgraph.Gen.social_proxy rng ~n ~avg_degree ~communities
+          | `Gadget -> Sgraph.Gen.exponential_gadget n
+          | `Path -> Sgraph.Gen.path n)
     in
     write_graph g output
   in
@@ -386,17 +389,20 @@ let enum_cmd =
         match (workers, alg) with Some _, _ | None, E.Brute -> true | None, _ -> false
       in
       let results =
-        match limit with
-        | Some n when not canonical -> E.first_n ~min_size ?obs alg g ~s n
-        | _ ->
-            let acc = ref [] in
-            let (_ : E.run_report) =
-              E.run ~min_size ?obs ?workers alg g ~s (fun c -> acc := c :: !acc)
-            in
-            let all = if canonical then List.sort NS.compare !acc else List.rev !acc in
-            List.filteri
-              (fun i _ -> match limit with Some n -> i < n | None -> true)
-              all
+        (* a graph the engine refuses (brute beyond its node limit) is
+           one error line, as on the budgeted path *)
+        refusing ~who:"error" (fun () ->
+            match limit with
+            | Some n when not canonical -> E.first_n ~min_size ?obs alg g ~s n
+            | _ ->
+                let acc = ref [] in
+                let (_ : E.run_report) =
+                  E.run ~min_size ?obs ?workers alg g ~s (fun c -> acc := c :: !acc)
+                in
+                let all = if canonical then List.sort NS.compare !acc else List.rev !acc in
+                List.filteri
+                  (fun i _ -> match limit with Some n -> i < n | None -> true)
+                  all)
       in
       if count_only then Printf.printf "%d\n" (List.length results)
       else begin
@@ -508,7 +514,8 @@ let verify_cmd =
     else begin
       let g = load_graph format file in
       let results =
-        refusing ~who:"error" (fun () -> Scliques_core.Result_io.load results_file)
+        refusing ~who:"error" (fun () ->
+            Scliques_core.Result_io.load ~n:(Sgraph.Graph.n g) results_file)
       in
       match Scliques_core.Verify.certify g ~s results with
       | Error msg -> `Error (false, "certification failed: " ^ msg)

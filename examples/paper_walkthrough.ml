@@ -66,11 +66,7 @@ let () =
     "paper: from C = {a,b,c,d} and v = Eli, ExtendMax({e}, G[C∪{e}], 2) = {b,c,d,e},\n\
      then re-maximizing gives {b,c,d,e,f,g}.\n";
   let nh = Scliques_core.Neighborhood.create ~s:2 g in
-  let carved =
-    Scliques_core.Extend_max.in_induced nh
-      ~universe:(NS.of_list [ 0; 1; 2; 3; 4 ])
-      ~seed:(NS.singleton 4)
-  in
+  let carved = Scliques_core.Extend_max.carve nh (NS.of_list [ 0; 1; 2; 3 ]) 4 in
   let full = Scliques_core.Extend_max.in_graph nh carved in
   Printf.printf "computed: carved = %s, re-maximized = %s\n" (pp_named name carved)
     (pp_named name full);

@@ -132,14 +132,14 @@ let in_graph nh c =
     let c = if Node_set.is_empty c then Node_set.singleton 0 else c in
     grow nh ~pool:(Neighborhood.ball nh (Node_set.min_elt c)) ~from:1 c
 
-let in_induced nh ~universe ~seed =
-  if Node_set.is_empty seed then invalid_arg "Extend_max.in_induced: empty seed";
-  if not (Node_set.subset seed universe) then
-    invalid_arg "Extend_max.in_induced: seed outside universe";
-  (* Membership and growth adjacency are restricted to [universe];
+let carve nh c v =
+  if v < 0 || v >= Graph.n (Neighborhood.graph nh) then
+    invalid_arg "Extend_max.carve: node out of range";
+  if Node_set.mem v c then invalid_arg "Extend_max.carve: node is a member of the set";
+  (* Membership and growth adjacency are restricted to C ∪ {v};
      distances stay those of the WHOLE graph: s-cliques are defined by
      ambient distances (§3), and the carve of Fig. 4 line 10 must keep
      every member of C ∪ {v} within ambient distance s of v — measuring
-     inside G[C ∪ {v}] loses witness paths that leave the universe and
-     breaks Theorem 4.2's completeness. *)
-  grow nh ~pool:universe ~from:0 seed
+     inside G[C ∪ {v}] loses witness paths that leave it and breaks
+     Theorem 4.2's completeness. *)
+  grow nh ~pool:(Node_set.add v c) ~from:0 (Node_set.singleton v)

@@ -9,12 +9,12 @@
     - line 3 / line 11 extend with respect to the {e whole} graph
       ({!in_graph});
     - line 10 extends [{v}] inside the induced subgraph [G\[C ∪ {v}\]]
-      ({!in_induced}) — this is what lets the algorithm carve the portion
-      of [C] compatible with [v]. The restriction applies to membership
-      and to the adjacency driving connected growth only; distances are
+      ({!carve}) — this is what lets the algorithm carve the portion of
+      [C] compatible with [v]. The restriction applies to membership and
+      to the adjacency driving connected growth only; distances are
       still those of the whole graph, because §3 defines s-cliques by
-      ambient distances (witness paths may leave the set — and hence the
-      universe). Restricting distances too would drop members of [C]
+      ambient distances (witness paths may leave the set — and hence
+      [C ∪ {v}]). Restricting distances too would drop members of [C]
       whose only witness path to [v] runs outside [C ∪ {v}] and lose
       results, violating Theorem 4.2.
 
@@ -34,13 +34,10 @@ val in_graph : Neighborhood.t -> Sgraph.Node_set.t -> Sgraph.Node_set.t
     "arbitrary node"); the empty graph yields the empty set. The caller
     must pass a connected s-clique. *)
 
-val in_induced :
-  Neighborhood.t ->
-  universe:Sgraph.Node_set.t ->
-  seed:Sgraph.Node_set.t ->
-  Sgraph.Node_set.t
-(** [in_induced nh ~universe ~seed] runs ExtendMax(seed, G[universe], s):
-    only members of [universe] may join and growth follows adjacency
-    within the universe, but distance-s closeness is decided in the whole
-    graph (see the module comment). [seed] must be a nonempty connected
-    s-clique and a subset of [universe]. *)
+val carve : Neighborhood.t -> Sgraph.Node_set.t -> int -> Sgraph.Node_set.t
+(** [carve nh c v] runs ExtendMax({v}, G[c ∪ {v}], s), line 10 of
+    Fig. 4: only members of [c] may join and growth follows adjacency
+    within [c ∪ {v}], but distance-s closeness is decided in the whole
+    graph (see the module comment).
+    @raise Invalid_argument when [v] is out of range or a member of
+    [c], before the scratch is touched. *)

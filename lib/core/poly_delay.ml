@@ -77,6 +77,10 @@ let c_set_max c n = match c with None -> () | Some c -> Scliques_obs.Counters.se
 
 type frontier = { f_index : Node_set.t list; f_queue : Node_set.t list }
 
+(* children of one C recorded in the per-node masks: the bits of a
+   nonnegative int *)
+let child_bits = 62
+
 let run ?(queue_mode = Fifo) ?(index_mode = Btree) ?(min_size = 0)
     ?(should_continue = fun () -> true) ?init ?obs nh yield =
   let g = Neighborhood.graph nh in
@@ -92,6 +96,7 @@ let run ?(queue_mode = Fifo) ?(index_mode = Btree) ?(min_size = 0)
   let c_duplicates = ctr "pd.index_duplicates" in
   let c_qhw = ctr "pd.queue_high_water" in
   let c_gap_work = ctr "pd.max_extend_calls_between_emits" in
+  let c_covered = ctr "pd.carves_covered" in
   let qlen = ref 0 in
   (* ExtendMax invocations since the last emission: a deterministic,
      machine-independent proxy for Theorem 4.2's delay *)
@@ -101,10 +106,31 @@ let run ?(queue_mode = Fifo) ?(index_mode = Btree) ?(min_size = 0)
     incr work_since_emit;
     Extend_max.in_graph nh c
   in
-  let extend_in_induced ~universe ~seed =
+  let carve c v =
     c_incr c_extend;
     incr work_since_emit;
-    Extend_max.in_induced nh ~universe ~seed
+    Extend_max.carve nh c v
+  in
+  (* Line 11 needs only that SOME registered maximal set contains the
+     carve (DESIGN.md §3), so a carve inside an earlier child of the
+     same C is not extended. Bit j of [child_mask.(x)] says x is a
+     member of C's j-th child (new or duplicate), for j < [child_bits];
+     later children go unrecorded. [touched] lists the nodes whose mask
+     is nonzero, so C's loop ends by clearing only those. *)
+  let child_mask = Array.make (Graph.n g) 0 in
+  let touched = Array.make (Graph.n g) 0 and n_touched = ref 0 in
+  let record child bit =
+    Node_set.iter
+      (fun x ->
+        if child_mask.(x) = 0 then begin
+          touched.(!n_touched) <- x;
+          incr n_touched
+        end;
+        child_mask.(x) <- child_mask.(x) lor bit)
+      child
+  in
+  let covered carved =
+    Node_set.fold (fun x acc -> acc land child_mask.(x)) carved (-1) <> 0
   in
   let register c =
     if index_add index c then begin
@@ -154,14 +180,22 @@ let run ?(queue_mode = Fifo) ?(index_mode = Btree) ?(min_size = 0)
             (match obs with None -> () | Some o -> Scliques_obs.Obs.tick o);
             yield c
           end;
+          let children = ref 0 in
           Node_set.iter
             (fun v ->
-              let universe = Node_set.add v c in
-              let carved =
-                extend_in_induced ~universe ~seed:(Node_set.singleton v)
-              in
-              register (extend_in_graph carved))
-            (Neighborhood.adjacent_any nh c)
+              let carved = carve c v in
+              if covered carved then c_incr c_covered
+              else begin
+                let child = extend_in_graph carved in
+                register child;
+                if !children < child_bits then record child (1 lsl !children);
+                incr children
+              end)
+            (Neighborhood.adjacent_any nh c);
+          for i = 0 to !n_touched - 1 do
+            child_mask.(touched.(i)) <- 0
+          done;
+          n_touched := 0
   done;
   (match obs with None -> () | Some _ -> Neighborhood.sync_obs nh);
   let stats =

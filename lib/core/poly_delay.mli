@@ -6,9 +6,18 @@
     with one maximal set obtained by ExtendMax from an arbitrary node,
     then, for each dequeued [C] and each neighbor [v] of [C]:
     [C' = ExtendMax({v}, G[C ∪ {v}], s)] (carve the part of [C] compatible
-    with [v]) and [C'' = ExtendMax(C', G, s)] (re-maximize); new [C''] are
-    queued. The paper's Theorem 4.2: every maximal connected s-clique is
-    printed exactly once, with O(|V|^3) delay.
+    with [v], {!Extend_max.carve}) and [C'' = ExtendMax(C', G, s)]
+    (re-maximize); new [C''] are queued. The paper's Theorem 4.2: every
+    maximal connected s-clique is printed exactly once, with O(|V|^3)
+    delay.
+
+    Line 11 is skipped when the carve [C'] already lies inside an
+    earlier child [C''] of the same [C] (one of its first 62 children,
+    new or duplicate): completeness needs only that {e some} registered
+    maximal set contains each carve, and that child is registered. The
+    answer is unchanged; the order of a FIFO run moves only where a
+    skipped extension would have reached a set not yet found, which
+    another parent then finds later.
 
     The paper assumes a connected input; this implementation seeds one
     initial set per connected component, which extends the theorem to
@@ -76,8 +85,12 @@ val run :
 
     With [obs], the run is instrumented: the delay recorder ticks on each
     emission (the paper's per-result delay), and the counters
-    [pd.dequeues], [pd.emits], [pd.extend_max_calls], [pd.index_inserts],
-    [pd.index_duplicates], [pd.queue_high_water] and the deterministic
-    delay proxy [pd.max_extend_calls_between_emits] (most ExtendMax
-    invocations between two consecutive emissions) are maintained.
-    Without [obs] the loop is unchanged — no clock reads, no counters. *)
+    [pd.dequeues], [pd.emits], [pd.extend_max_calls] (ExtendMax
+    invocations: the seeds, every line-10 carve, and the line-11
+    extensions that ran), [pd.carves_covered] (line-11 extensions
+    skipped because an earlier child of the same [C] contains the
+    carve), [pd.index_inserts], [pd.index_duplicates],
+    [pd.queue_high_water] and the deterministic delay proxy
+    [pd.max_extend_calls_between_emits] (most ExtendMax invocations
+    between two consecutive emissions) are maintained. Without [obs]
+    the loop is unchanged — no clock reads, no counters. *)

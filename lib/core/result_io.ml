@@ -19,7 +19,7 @@ let save results path =
       output_string oc (to_string results);
       close_out oc)
 
-let parse_line lineno line =
+let parse_line ~n lineno line =
   let fail msg = failwith (Printf.sprintf "results line %d: %s" lineno msg) in
   let tokens =
     List.filter
@@ -31,6 +31,7 @@ let parse_line lineno line =
     List.map
       (fun tok ->
         match int_of_string_opt tok with
+        | Some v when v >= n -> fail (Printf.sprintf "node id %S out of range (n=%d)" tok n)
         | Some v when v >= 0 -> v
         | Some _ -> fail (Printf.sprintf "negative node id %S" tok)
         | None -> fail (Printf.sprintf "expected a node id, got %S" tok))
@@ -40,22 +41,22 @@ let parse_line lineno line =
   if Node_set.cardinal set <> List.length members then fail "duplicate node in set";
   set
 
-let parse_string s =
+let parse_string ~n s =
   let lines = String.split_on_char '\n' s in
   List.concat
     (List.mapi
        (fun i line ->
          let trimmed = String.trim line in
          if String.length trimmed = 0 || trimmed.[0] = '#' then []
-         else [ parse_line (i + 1) line ])
+         else [ parse_line ~n (i + 1) line ])
        lines)
 
-let load path =
+let load ~n path =
   let ic = open_in path in
   let len = in_channel_length ic in
   let contents = really_input_string ic len in
   close_in ic;
-  parse_string contents
+  parse_string ~n contents
 
 module Codec = Sgraph.Codec
 

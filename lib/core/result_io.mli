@@ -3,17 +3,20 @@
     The CLI's output format, round-trippable so that results can be piped
     between tools and re-certified later: one node set per line, members
     as whitespace-separated ids; [#] lines are comments. Parsing validates
-    that members are distinct. *)
+    that members are distinct node ids of the graph. *)
 
 val to_string : Sgraph.Node_set.t list -> string
 
 val save : Sgraph.Node_set.t list -> string -> unit
 
-val parse_string : string -> Sgraph.Node_set.t list
-(** @raise Failure with a line-numbered message on malformed input. *)
+val parse_string : n:int -> string -> Sgraph.Node_set.t list
+(** [parse_string ~n s] reads sets of nodes of a graph on [n] nodes: a
+    negative id or one of [n] or more is malformed input.
+    @raise Failure with a line-numbered message on malformed input. *)
 
-val load : string -> Sgraph.Node_set.t list
-(** @raise Sys_error when the file cannot be read.
+val load : n:int -> string -> Sgraph.Node_set.t list
+(** {!parse_string} on the file's contents.
+    @raise Sys_error when the file cannot be read.
     @raise Failure on malformed input. *)
 
 (** Crash-safe append-only record stream — the on-disk format behind

@@ -269,6 +269,53 @@ let poly_delay_tests =
              (fun _ -> incr emitted));
         Nh.sync_obs nh;
         no_balls obs);
+    Alcotest.test_case "covered carves follow the 62-child masks (SF hub)" `Quick
+      (fun () ->
+        (* SF n=200: a hub's sets have up to 84 children, so line 11's
+           reuse sees only the first 62 of them. A model of the loop —
+           skip a carve inside one of the first [cap] children of the
+           same C, else extend it — summed over every maximal set must
+           give PD's counters; with no cap it covers more, so the cap
+           is exercised *)
+        let module Em = Scliques_core.Extend_max in
+        let g = Sgraph.Gen.barabasi_albert (Scoll.Rng.create 1) ~n:200 ~m_attach:2 in
+        let s = 2 in
+        let answer = E.sorted_results E.Cs2_p g ~s in
+        let nh = Nh.create ~s g in
+        let model ~cap =
+          List.fold_left
+            (fun (covered, children, widest) c ->
+              let kids = ref [] and n_kids = ref 0 and cov = ref 0 in
+              NS.iter
+                (fun v ->
+                  let carved = Em.carve nh c v in
+                  if List.exists (fun (j, kid) -> j < cap && NS.subset carved kid) !kids
+                  then incr cov
+                  else begin
+                    kids := (!n_kids, Em.in_graph nh carved) :: !kids;
+                    incr n_kids
+                  end)
+                (Nh.adjacent_any nh c);
+              (covered + !cov, children + !n_kids, Int.max widest !n_kids))
+            (0, 0, 0) answer
+        in
+        let covered, children, widest = model ~cap:62 in
+        let uncapped, _, _ = model ~cap:max_int in
+        check bool "some C has more than 62 children" true (widest > 62);
+        check bool "the cap changes what is covered" true (uncapped > covered);
+        let obs = Scliques_obs.Obs.create () in
+        let got = ref [] in
+        ignore
+          (Pd.run ~obs (Nh.create ~s g) (fun c -> got := c :: !got)
+            : Pd.run_stats * Pd.frontier);
+        check Test_support.ns_list "answer" answer (sorted !got);
+        let ctr name = Scliques_obs.Counters.value (Scliques_obs.Obs.counter obs name) in
+        check int "pd.carves_covered" covered (ctr "pd.carves_covered");
+        (* one seed, a carve per neighbor of each set, an extension per child *)
+        let carves =
+          List.fold_left (fun acc c -> acc + NS.cardinal (Nh.adjacent_any nh c)) 0 answer
+        in
+        check int "pd.extend_max_calls" (1 + carves + children) (ctr "pd.extend_max_calls"));
   ]
 
 let enumerate_tests =

@@ -231,26 +231,21 @@ let extend_max_tests =
       (fun () ->
         (* paper: C = {a,b,c,d}, v = e; ExtendMax({e}, G[C∪{e}], 2) = {b,c,d,e} *)
         let nh = Nh.create ~s:2 (fig1 ()) in
-        let universe = of_l [ 0; 1; 2; 3; 4 ] in
-        check ns "carved set" (of_l [ 1; 2; 3; 4 ])
-          (Em.in_induced nh ~universe ~seed:(NS.singleton 4)));
+        check ns "carved set" (of_l [ 1; 2; 3; 4 ]) (Em.carve nh (of_l [ 0; 1; 2; 3 ]) 4));
     Alcotest.test_case "example 4.1 continued: re-maximizing in G" `Quick (fun () ->
         let nh = Nh.create ~s:2 (fig1 ()) in
         check ns "{b,c,d,e} grows to {b,c,d,e,f,g}" (of_l [ 1; 2; 3; 4; 5; 6 ])
           (Em.in_graph nh (of_l [ 1; 2; 3; 4 ])));
-    Alcotest.test_case "in_induced restricts membership, not distances" `Quick (fun () ->
-        (* path 0-1-2 plus shortcut 0-3-2: universe {0,2} cannot grow
-           because 0 and 2 are not adjacent inside it (no connected
-           growth), even though d_G(0,2) = 2 *)
+    Alcotest.test_case "carve restricts membership, not distances" `Quick (fun () ->
+        (* path 0-1-2 plus shortcut 0-3-2: carving {2} from 0 cannot
+           grow because 0 and 2 are not adjacent inside {0, 2} (no
+           connected growth), even though d_G(0,2) = 2 *)
         let g = G.of_edges ~n:4 [ (0, 1); (1, 2); (0, 3); (3, 2) ] in
         let nh = Nh.create ~s:2 g in
-        let r = Em.in_induced nh ~universe:(of_l [ 0; 2 ]) ~seed:(NS.singleton 0) in
-        check ns "no adjacency inside the universe" (of_l [ 0 ]) r;
-        let r = Em.in_induced nh ~universe:(of_l [ 0; 1; 2 ]) ~seed:(NS.singleton 0) in
-        check ns "absorbs via 1" (of_l [ 0; 1; 2 ]) r);
-    Alcotest.test_case "in_induced measures distances in the whole graph" `Quick
-      (fun () ->
-        (* cycle 0-1-2-3-4-0: inside universe {0,1,2,3} the induced path
+        check ns "no adjacency inside C ∪ {v}" (of_l [ 0 ]) (Em.carve nh (of_l [ 2 ]) 0);
+        check ns "absorbs via 1" (of_l [ 0; 1; 2 ]) (Em.carve nh (of_l [ 1; 2 ]) 0));
+    Alcotest.test_case "carve measures distances in the whole graph" `Quick (fun () ->
+        (* cycle 0-1-2-3-4-0: inside C ∪ {0} = {0,1,2,3} the induced path
            0-1-2-3 puts 3 at distance 3 from 0, but the ambient witness
            0-4-3 keeps d_G(0,3) = 2, so the carve must keep 3 — exactly
            the situation where the Fig. 4 carve loses results if it
@@ -258,15 +253,35 @@ let extend_max_tests =
         let g = G.of_edges ~n:5 [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 0) ] in
         let nh = Nh.create ~s:2 g in
         check ns "keeps the far endpoint" (of_l [ 0; 1; 2; 3 ])
-          (Em.in_induced nh ~universe:(of_l [ 0; 1; 2; 3 ]) ~seed:(NS.singleton 0)));
-    Alcotest.test_case "in_induced validates the seed" `Quick (fun () ->
+          (Em.carve nh (of_l [ 1; 2; 3 ]) 0));
+    Alcotest.test_case "carve keeps witnesses outside C ∪ {v} (ER repro)" `Quick
+      (fun () ->
+        (* the graph on which a carve measuring distances inside
+           G[C ∪ {v}] lost the result {0,3,4,8,9}: from C =
+           {0,1,2,3,8,9}, node 4 reaches 0 and 9 only through 6 and 12,
+           outside C ∪ {4} *)
+        let g = Sgraph.Gen.erdos_renyi_gnm (Scoll.Rng.create 120869) ~n:14 ~m:16 in
+        let nh = Nh.create ~s:2 g in
+        check ns "carved set is the lost result" (of_l [ 0; 3; 4; 8; 9 ])
+          (Em.carve nh (of_l [ 0; 1; 2; 3; 8; 9 ]) 4);
+        let results =
+          Scliques_core.Enumerate.sorted_results Scliques_core.Enumerate.Poly_delay g ~s:2
+        in
+        check int "11 maximal sets" 11 (List.length results);
+        check bool "PD finds it" true
+          (List.exists (NS.equal (of_l [ 0; 3; 4; 8; 9 ])) results));
+    Alcotest.test_case "carve validates the node" `Quick (fun () ->
         let nh = Nh.create ~s:2 (fig1 ()) in
-        Alcotest.check_raises "empty seed"
-          (Invalid_argument "Extend_max.in_induced: empty seed") (fun () ->
-            ignore (Em.in_induced nh ~universe:(of_l [ 0 ]) ~seed:NS.empty));
-        Alcotest.check_raises "outside"
-          (Invalid_argument "Extend_max.in_induced: seed outside universe") (fun () ->
-            ignore (Em.in_induced nh ~universe:(of_l [ 0 ]) ~seed:(of_l [ 1 ]))));
+        let n = G.n (fig1 ()) in
+        Alcotest.check_raises "member"
+          (Invalid_argument "Extend_max.carve: node is a member of the set") (fun () ->
+            ignore (Em.carve nh (of_l [ 0; 1 ]) 1));
+        Alcotest.check_raises "past the last node"
+          (Invalid_argument "Extend_max.carve: node out of range") (fun () ->
+            ignore (Em.carve nh (of_l [ 0 ]) n));
+        Alcotest.check_raises "negative"
+          (Invalid_argument "Extend_max.carve: node out of range") (fun () ->
+            ignore (Em.carve nh (of_l [ 0 ]) (-1))));
     Alcotest.test_case "random: in_graph always produces maximal sets" `Quick (fun () ->
         let rng = Scoll.Rng.create 77 in
         for _ = 1 to 20 do
@@ -420,29 +435,34 @@ let result_io_tests =
   [
     Alcotest.test_case "round trip" `Quick (fun () ->
         let results = [ of_l [ 3; 1; 2 ]; of_l [ 7 ]; of_l [ 0; 9 ] ] in
-        check Test_support.ns_list "same sets" results (R.parse_string (R.to_string results)));
+        check Test_support.ns_list "same sets" results
+          (R.parse_string ~n:10 (R.to_string results)));
     Alcotest.test_case "comments and blank lines ignored" `Quick (fun () ->
         check Test_support.ns_list "one set" [ of_l [ 1; 2 ] ]
-          (R.parse_string "# header\n\n1 2\n"));
+          (R.parse_string ~n:3 "# header\n\n1 2\n"));
     Alcotest.test_case "empty input" `Quick (fun () ->
-        check Test_support.ns_list "none" [] (R.parse_string ""));
+        check Test_support.ns_list "none" [] (R.parse_string ~n:0 ""));
     Alcotest.test_case "duplicate member rejected with line number" `Quick (fun () ->
         Alcotest.check_raises "dup" (Failure "results line 2: duplicate node in set")
-          (fun () -> ignore (R.parse_string "1 2\n3 3\n")));
+          (fun () -> ignore (R.parse_string ~n:4 "1 2\n3 3\n")));
     Alcotest.test_case "bad token rejected" `Quick (fun () ->
         Alcotest.check_raises "token"
           (Failure "results line 1: expected a node id, got \"x\"") (fun () ->
-            ignore (R.parse_string "1 x\n")));
+            ignore (R.parse_string ~n:2 "1 x\n")));
     Alcotest.test_case "file round trip" `Quick (fun () ->
         let g = fst (Sgraph.Gen.figure1 ()) in
         let results = Scliques_core.Enumerate.sorted_results Scliques_core.Enumerate.Cs2_p g ~s:2 in
         let path = Filename.temp_file "scliques" ".results" in
         R.save results path;
-        let back = R.load path in
+        let back = R.load ~n:(Sgraph.Graph.n g) path in
         Sys.remove path;
         check Test_support.ns_list "same" results back;
         check bool "still certifies" true
           (Result.is_ok (Scliques_core.Verify.certify g ~s:2 back)));
+    Alcotest.test_case "id outside the graph rejected with line number" `Quick (fun () ->
+        Alcotest.check_raises "n"
+          (Failure "results line 2: node id \"5\" out of range (n=5)") (fun () ->
+            ignore (R.parse_string ~n:5 "0 4\n1 5\n")));
   ]
 
 let suites =

@@ -342,6 +342,69 @@ let prop_root_subsets_partition =
              same_sets full got || show_mismatch label full got)
            rooted_engines))
 
+(* PolyDelayEnum where line 11's reuse fires: the sweep above stays at
+   30 nodes or fewer, where a carve is seldom inside an earlier child of
+   the same C. ER/SF graphs of 60-200 nodes at s = 2-3 (densities kept
+   where a full PD run takes well under a second: ER with n to 2n edges
+   at s = 2 and n to 3n/2 at s = 3, SF attaching one or two edges per
+   node at s = 2 and one at s = 3), both queue modes, min_size 0 and 4.
+   PD's sorted answer must equal CS2P's with no set emitted twice, and
+   over the sample some carve must have been covered. *)
+let arb_covering_case =
+  let open QCheck2.Gen in
+  oneofl [ `Er; `Sf ] >>= fun family ->
+  int_range 2 3 >>= fun s ->
+  int_range 60 200 >>= fun n ->
+  (match (family, s) with
+  | `Er, 2 -> int_range n (2 * n)
+  | `Er, _ -> int_range n (3 * n / 2)
+  | `Sf, 2 -> int_range 0 1 (* m_attach = 1 + m mod 3 *)
+  | `Sf, _ -> return 0)
+  >>= fun m ->
+  oneofl [ PD.Fifo; PD.Largest_first ] >>= fun queue_mode ->
+  oneofl [ 0; 4 ] >>= fun min_size ->
+  int_range 0 1_000_000 >>= fun seed ->
+  return ((family, n, m, s, seed), queue_mode, min_size)
+
+let print_covering_case (case, queue_mode, min_size) =
+  Printf.sprintf "%s %s min_size=%d" (print_case case)
+    (match queue_mode with PD.Fifo -> "fifo" | PD.Largest_first -> "largest-first")
+    min_size
+
+let rec strictly_ascending = function
+  | a :: (b :: _ as rest) -> NS.compare a b < 0 && strictly_ascending rest
+  | _ -> true
+
+let prop_pd_covering =
+  let covered = ref 0 in
+  let prop =
+    QCheck2.Test.make ~count:24 ~name:"PD with covered carves = CS2P, 60-200 nodes"
+      ~print:print_covering_case arb_covering_case
+      (fun ((family, n, m, s, seed), queue_mode, min_size) ->
+        let g = graph_of_case (family, n, m, seed) in
+        let obs = Scliques_obs.Obs.create () in
+        let got = ref [] in
+        ignore
+          (PD.run ~queue_mode ~min_size ~obs (nh ~s g) (fun c -> got := c :: !got)
+            : PD.run_stats * PD.frontier);
+        covered :=
+          !covered
+          + Scliques_obs.Counters.value (Scliques_obs.Obs.counter obs "pd.carves_covered");
+        (* sorted, so a set emitted twice sits next to itself *)
+        let got = List.sort NS.compare !got in
+        if not (strictly_ascending got) then QCheck2.Test.fail_report "a set was emitted twice";
+        let expected = E.sorted_results ~min_size E.Cs2_p g ~s in
+        same_sets expected got || show_mismatch "pd" expected got)
+  in
+  (* the runner's random state, so QCHECK_SEED replays the sample *)
+  let name, speed, run = QCheck_alcotest.to_alcotest ~speed_level:`Quick prop in
+  ( name,
+    speed,
+    fun () ->
+      covered := 0;
+      run ();
+      if !covered = 0 then Alcotest.fail "no carve was covered on the whole sample" )
+
 let raises_invalid name f =
   match f () with
   | exception Invalid_argument _ -> ()
@@ -376,6 +439,7 @@ let suites =
         prop_variants_match_oracle;
         prop_results_are_maximal;
         prop_extension_candidates_exact;
+        prop_pd_covering;
       ] );
     ( "parallel_canonical",
       [

@@ -1,6 +1,7 @@
 (* ExtendMax differential: the scratch-state loop of [Extend_max] against
    the plain set-algebra formulation it replaced, kept here as the
-   reference. The reference reads only the public oracle operators
+   reference; [carve]'s reference is that formulation run inside the
+   universe C ∪ {v}. The reference reads only the public oracle operators
    (ball_forall, adjacent_any, ball) and allocates a fresh set per step,
    so it has no scratch to get wrong. *)
 
@@ -33,9 +34,7 @@ module Reference = struct
     end
 
   let in_induced nh ~universe ~seed =
-    if NS.is_empty seed then invalid_arg "Extend_max.in_induced: empty seed";
-    if not (NS.subset seed universe) then
-      invalid_arg "Extend_max.in_induced: seed outside universe";
+    assert ((not (NS.is_empty seed)) && NS.subset seed universe);
     let g = Nh.graph nh in
     let restrict set = NS.inter set universe in
     let candidates = ref (restrict (Nh.ball_forall nh seed)) in
@@ -59,27 +58,43 @@ let agree what expected got =
   if not (NS.equal expected got) then
     QCheck2.Test.fail_reportf "%s: reference %a, rewrite %a" what NS.pp expected NS.pp got
 
-(* One PolyDelayEnum-shaped round from root [v] on the oracle under test
-   [nh], each call checked against the reference on its own oracle
-   [ref_nh]: maximize {v}; then, through (up to six) neighbors u of the
-   result, carve inside C ∪ {u} (line 10) and re-maximize (line 11); and
-   carve once more with the whole carved set as a multi-member seed. *)
-let round ~ref_nh nh v =
+(* One PolyDelayEnum-shaped round on the maximal set [c], each call
+   checked against the reference on its own oracle [ref_nh]: through the
+   first [carves] neighbors u of [c], carve C_u = ExtendMax({u},
+   G[c ∪ {u}]) (line 10), re-maximizing the first [extend] carves
+   (line 11). *)
+let round ~carves ~extend ~ref_nh nh c =
+  let through = Nh.adjacent_any nh c in
+  for i = 0 to min carves (NS.cardinal through) - 1 do
+    let u = NS.nth through i in
+    let carved = Em.carve nh c u in
+    agree "carve"
+      (Reference.in_induced ref_nh ~universe:(NS.add u c) ~seed:(NS.singleton u))
+      carved;
+    if i < extend then
+      agree "in_graph carved" (Reference.in_graph ref_nh carved) (Em.in_graph nh carved)
+  done
+
+(* maximize {v}, then a round on the result *)
+let root_round ~ref_nh nh v =
   let seed = NS.singleton v in
   let c = Em.in_graph nh seed in
   agree "in_graph {v}" (Reference.in_graph ref_nh seed) c;
-  let through = Nh.adjacent_any nh c in
-  for i = 0 to min 6 (NS.cardinal through) - 1 do
-    let u = NS.nth through i in
-    let universe = NS.add u c and seed = NS.singleton u in
-    let carved = Em.in_induced nh ~universe ~seed in
-    agree "in_induced {u}" (Reference.in_induced ref_nh ~universe ~seed) carved;
-    agree "in_graph carved" (Reference.in_graph ref_nh carved) (Em.in_graph nh carved);
-    let universe = NS.union universe (Nh.ball nh u) in
-    agree "in_induced carved"
-      (Reference.in_induced ref_nh ~universe ~seed:carved)
-      (Em.in_induced nh ~universe ~seed:carved)
-  done
+  round ~carves:6 ~extend:6 ~ref_nh nh c
+
+(* a round through every neighbor of each of the first 24 sets a PD run
+   on [nh] emits; the rounds share the oracle with the run between its
+   steps *)
+let pd_rounds ~ref_nh nh =
+  let seen = ref 0 in
+  ignore
+    (Scliques_core.Poly_delay.run
+       ~should_continue:(fun () -> !seen < 24)
+       nh
+       (fun c ->
+         incr seen;
+         round ~carves:max_int ~extend:2 ~ref_nh nh c)
+      : Scliques_core.Poly_delay.run_stats * Scliques_core.Poly_delay.frontier)
 
 (* up to 24 roots in a seed-shuffled order, so consecutive calls reuse
    the scratch on unrelated regions of the graph *)
@@ -95,7 +110,7 @@ let shuffled_nodes rng g =
 
 let run_case ~ref_nh nh rng g =
   agree "in_graph {}" (Reference.in_graph ref_nh NS.empty) (Em.in_graph nh NS.empty);
-  Array.iter (round ~ref_nh nh) (shuffled_nodes rng g)
+  Array.iter (root_round ~ref_nh nh) (shuffled_nodes rng g)
 
 (* [g] with the edge {a, b} toggled *)
 let toggle_edge g a b =
@@ -128,6 +143,7 @@ let prop_interleaved =
   property "rewrite = reference, many calls on one oracle" ~count:150 (fun rng g s ->
       let nh = Nh.create ~s g in
       run_case ~ref_nh:(Nh.create ~s g) nh rng g;
+      pd_rounds ~ref_nh:(Nh.create ~s g) nh;
       (* a second pass over the warm oracle *)
       run_case ~ref_nh:(Nh.create ~s g) nh rng g)
 
@@ -144,24 +160,25 @@ let prop_across_invalidate =
           g := after
         end
       done;
-      run_case ~ref_nh:(Nh.create ~s !g) nh rng !g)
+      run_case ~ref_nh:(Nh.create ~s !g) nh rng !g;
+      pd_rounds ~ref_nh:(Nh.create ~s !g) nh)
 
 let prop_after_refusal =
-  property "rewrite = reference after refused seeds" ~count:80 (fun rng g s ->
+  property "rewrite = reference after refused carves" ~count:80 (fun rng g s ->
       let nh = Nh.create ~s g and ref_nh = Nh.create ~s g in
       let refused f =
         match f () with
-        | (_ : NS.t) -> QCheck2.Test.fail_report "in_induced accepted an invalid seed"
+        | (_ : NS.t) -> QCheck2.Test.fail_report "carve accepted an invalid node"
         | exception Invalid_argument _ -> ()
       in
+      let n = G.n g in
       Array.iter
         (fun v ->
-          let far = (v + 1) mod G.n g in
-          refused (fun () -> Em.in_induced nh ~universe:(NS.singleton v) ~seed:NS.empty);
-          if far <> v then
-            refused (fun () ->
-                Em.in_induced nh ~universe:(NS.singleton v) ~seed:(NS.of_list [ v; far ]));
-          round ~ref_nh nh v)
+          let c = Em.in_graph nh (NS.singleton v) in
+          refused (fun () -> Em.carve nh c v);
+          refused (fun () -> Em.carve nh c n);
+          refused (fun () -> Em.carve nh c (-1));
+          root_round ~ref_nh nh v)
         (shuffled_nodes rng g))
 
 let prop_shared =
@@ -171,7 +188,7 @@ let prop_shared =
       let ref_nh = Nh.create ~s g in
       (* two oracles warming one store, taking turns *)
       Array.iteri
-        (fun i v -> round ~ref_nh (if i land 1 = 0 then a else b) v)
+        (fun i v -> root_round ~ref_nh (if i land 1 = 0 then a else b) v)
         (shuffled_nodes rng g))
 
 let suites =

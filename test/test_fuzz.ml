@@ -50,9 +50,9 @@ let tests =
     total ~ok_exn:structured_only "METIS parser is total on number soup"
       Sgraph.Metis_io.parse_string lines_of_numbers;
     total ~ok_exn:failure_only "results parser is total on printable junk"
-      Scliques_core.Result_io.parse_string printable_junk;
+      (Scliques_core.Result_io.parse_string ~n:max_int) printable_junk;
     total ~ok_exn:failure_only "results parser is total on number soup"
-      Scliques_core.Result_io.parse_string lines_of_numbers;
+      (Scliques_core.Result_io.parse_string ~n:max_int) lines_of_numbers;
   ]
 
 let suites = [ ("parser_fuzz", tests) ]

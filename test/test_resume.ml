@@ -427,14 +427,29 @@ let split_run alg g ~s ~min_size ~cap =
       | Budget.Truncated _ -> Alcotest.fail "unbudgeted resume truncated");
       (canonical !first, canonical !second)
 
-let arb_resume_case =
+(* With [large], a quarter of the PD and CS2PF cases draw n = 60-120 at
+   s = 2, where PD's line 11 often reuses an earlier child: ER with n to
+   2n edges, SF attaching one or two edges per node (m mod 3 < 2). The
+   unpruned CS1 and CS2 stay small. *)
+let arb_resume_case ~large =
   QCheck2.Gen.(
     oneofl [ `Er; `Sf ] >>= fun family ->
     oneofl [ E.Poly_delay; E.Cs1; E.Cs2; E.Cs2_pf; E.Brute ] >>= fun alg ->
-    int_range 1 2 >>= fun s ->
-    (match alg with E.Brute -> int_range 2 10 | _ -> int_range 2 24)
-    >>= fun n ->
-    int_range 0 (3 * n) >>= fun m ->
+    let small n_max =
+      int_range 1 2 >>= fun s ->
+      int_range 2 n_max >>= fun n ->
+      int_range 0 (3 * n) >>= fun m -> return (s, n, m)
+    in
+    let big =
+      int_range 60 120 >>= fun n ->
+      (match family with `Er -> int_range n (2 * n) | `Sf -> int_range 0 1) >>= fun m ->
+      return (2, n, m)
+    in
+    (match alg with
+    | E.Brute -> small 10
+    | (E.Poly_delay | E.Cs2_pf) when large -> frequency [ (3, small 24); (1, big) ]
+    | _ -> small 24)
+    >>= fun (s, n, m) ->
     int_range 0 2 >>= fun min_size ->
     int_range 1 8 >>= fun cap ->
     int_range 0 1_000_000 >>= fun seed ->
@@ -449,7 +464,7 @@ let prop_resume_equivalence =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:150
        ~name:"interrupt at max_results + resume = uninterrupted run"
-       ~print:print_resume_case arb_resume_case
+       ~print:print_resume_case (arb_resume_case ~large:true)
        (fun (family, alg, s, n, m, min_size, cap, seed) ->
          let g = graph_of_case (family, n, m, seed) in
          let expected = full_run alg g ~s ~min_size in
@@ -468,7 +483,7 @@ let prop_resume_equivalence =
 let prop_chained_resume =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:60 ~name:"chained single-step resumes compose"
-       ~print:print_resume_case arb_resume_case
+       ~print:print_resume_case (arb_resume_case ~large:false)
        (fun (family, alg, s, n, m, min_size, _cap, seed) ->
          let g = graph_of_case (family, n, m, seed) in
          let expected = full_run alg g ~s ~min_size in
