@@ -66,7 +66,9 @@ let () =
     "paper: from C = {a,b,c,d} and v = Eli, ExtendMax({e}, G[C∪{e}], 2) = {b,c,d,e},\n\
      then re-maximizing gives {b,c,d,e,f,g}.\n";
   let nh = Scliques_core.Neighborhood.create ~s:2 g in
-  let carved = Scliques_core.Extend_max.carve nh (NS.of_list [ 0; 1; 2; 3 ]) 4 in
+  let rows = Scliques_core.Poly_delay.Rows.create nh in
+  Scliques_core.Poly_delay.Rows.load rows (NS.of_list [ 0; 1; 2; 3 ]);
+  let carved = Scliques_core.Poly_delay.Rows.carve rows 4 in
   let full = Scliques_core.Extend_max.in_graph nh carved in
   Printf.printf "computed: carved = %s, re-maximized = %s\n" (pp_named name carved)
     (pp_named name full);

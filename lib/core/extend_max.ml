@@ -1,15 +1,15 @@
 module Node_set = Sgraph.Node_set
 module Graph = Sgraph.Graph
 
-(* Both call sites run one greedy loop over the oracle's scratch
+(* ExtendMax runs one greedy loop over the oracle's scratch
    ([Neighborhood.scratch]); apart from the buffers' amortized growth,
    building the result is the only allocation.
 
-   - [cand.(0 .. len-1)] holds the candidates N^{∀,s}(result), restricted
-     to the universe for the line-10 carve, in ascending order. They
-     start as a pool minus the seed, and every ball of a member filters
-     them in place. A ball excludes its center, so no member of the
-     result is ever a candidate.
+   - [cand.(0 .. len-1)] holds the candidates N^{∀,s}(result), in
+     ascending order. They start as the ball of the seed's smallest
+     member minus the seed, and every ball of a member filters them in
+     place. A ball excludes its center, so no member of the result is
+     ever a candidate.
    - [frontier] is the union of the members' CSR rows. As candidates
      exclude the result, the eligible nodes N^{∀,s} ∩ N^{∃,1} are exactly
      the candidates with their frontier bit set, and the first one in
@@ -67,12 +67,14 @@ let rec first_eligible (words : int array) (cand : int array) len i =
     if words.(x lsr 5) land (1 lsl (x land 31)) <> 0 then x
     else first_eligible words cand len (i + 1)
 
-(* Grow [seed] to a maximal set. The candidates start as [pool] minus
-   the seed, filtered by the balls of the seed members from index
-   [from] on (the caller already used the earlier ones as the pool). *)
-let grow nh ~pool ~from seed =
+(* Grow the nonempty [seed] to a maximal set: the candidates start as
+   the ball of its smallest member minus the seed, filtered by the
+   balls of the other members. *)
+let grow nh seed =
   let sc = Neighborhood.scratch nh in
-  let k0 = Node_set.cardinal seed and np = Node_set.cardinal pool in
+  let k0 = Node_set.cardinal seed in
+  let pool = Neighborhood.ball nh (Node_set.nth seed 0) in
+  let np = Node_set.cardinal pool in
   sc.cand <- Neighborhood.reserve sc.cand np;
   let cand = sc.cand in
   (* pool minus seed, one merge pass over the two sorted sets *)
@@ -87,7 +89,7 @@ let grow nh ~pool ~from seed =
       incr len
     end
   done;
-  for i = from to k0 - 1 do
+  for i = 1 to k0 - 1 do
     len := keep_within nh cand !len (Neighborhood.ball nh (Node_set.nth seed i))
   done;
   sc.members <- Neighborhood.reserve sc.members (k0 + !len);
@@ -128,18 +130,4 @@ let grow nh ~pool ~from seed =
 
 let in_graph nh c =
   if Graph.n (Neighborhood.graph nh) = 0 then Node_set.empty
-  else
-    let c = if Node_set.is_empty c then Node_set.singleton 0 else c in
-    grow nh ~pool:(Neighborhood.ball nh (Node_set.min_elt c)) ~from:1 c
-
-let carve nh c v =
-  if v < 0 || v >= Graph.n (Neighborhood.graph nh) then
-    invalid_arg "Extend_max.carve: node out of range";
-  if Node_set.mem v c then invalid_arg "Extend_max.carve: node is a member of the set";
-  (* Membership and growth adjacency are restricted to C ∪ {v};
-     distances stay those of the WHOLE graph: s-cliques are defined by
-     ambient distances (§3), and the carve of Fig. 4 line 10 must keep
-     every member of C ∪ {v} within ambient distance s of v — measuring
-     inside G[C ∪ {v}] loses witness paths that leave it and breaks
-     Theorem 4.2's completeness. *)
-  grow nh ~pool:(Node_set.add v c) ~from:0 (Node_set.singleton v)
+  else grow nh (if Node_set.is_empty c then Node_set.singleton 0 else c)

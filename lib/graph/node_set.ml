@@ -405,6 +405,16 @@ let scatter_ranks (s : t) ~(rank : int array) ~(into : int array) ~off =
     end
   done
 
+let scatter_column (s : t) ~(slot : int array) ~(into : int array) ~stride ~off ~mask
+    =
+  for i = 0 to Array.length s - 1 do
+    let l = slot.(s.(i)) in
+    if l >= 0 then begin
+      let j = off + (l * stride) in
+      into.(j) <- into.(j) lor mask
+    end
+  done
+
 let pp fmt s =
   Format.fprintf fmt "{";
   Array.iteri

@@ -129,6 +129,16 @@ val scatter_ranks : t -> rank:int array -> into:int array -> off:int -> unit
     @raise Invalid_argument when a member or a word falls outside
     [rank] or [into]. *)
 
+val scatter_column :
+  t -> slot:int array -> into:int array -> stride:int -> off:int -> mask:int -> unit
+(** [scatter_column s ~slot ~into ~stride ~off ~mask] ors [mask] into
+    word [off + slot.(x) * stride] of [into] for every member [x] of [s]
+    with [slot.(x) >= 0]: the transpose of {!scatter_ranks}, the same
+    bit set in one row per member, where [into] holds rows of [stride]
+    words and [off] picks the word within a row.
+    @raise Invalid_argument when a member or a word falls outside
+    [slot] or [into]. *)
+
 val pp : Format.formatter -> t -> unit
 (** Prints as [{1, 5, 9}]. *)
 

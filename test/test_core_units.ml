@@ -5,6 +5,7 @@ module G = Sgraph.Graph
 module NS = Sgraph.Node_set
 module Nh = Scliques_core.Neighborhood
 module Em = Scliques_core.Extend_max
+module Rows = Scliques_core.Poly_delay.Rows
 module V = Scliques_core.Verify
 module Bf = Scliques_core.Brute_force
 
@@ -15,6 +16,12 @@ let ns = Test_support.ns
 let of_l = NS.of_list
 
 let fig1 () = fst (Sgraph.Gen.figure1 ())
+
+(* line 10's carve of [v] from the connected s-clique [c] *)
+let carve nh c v =
+  let rows = Rows.create nh in
+  Rows.load rows c;
+  Rows.carve rows v
 
 (* [Neighborhood.root_fingerprint] as first written: the int32 stream
    built in a Buffer and digested at the end *)
@@ -231,19 +238,26 @@ let extend_max_tests =
       (fun () ->
         (* paper: C = {a,b,c,d}, v = e; ExtendMax({e}, G[C∪{e}], 2) = {b,c,d,e} *)
         let nh = Nh.create ~s:2 (fig1 ()) in
-        check ns "carved set" (of_l [ 1; 2; 3; 4 ]) (Em.carve nh (of_l [ 0; 1; 2; 3 ]) 4));
+        check ns "carved set" (of_l [ 1; 2; 3; 4 ]) (carve nh (of_l [ 0; 1; 2; 3 ]) 4));
     Alcotest.test_case "example 4.1 continued: re-maximizing in G" `Quick (fun () ->
         let nh = Nh.create ~s:2 (fig1 ()) in
         check ns "{b,c,d,e} grows to {b,c,d,e,f,g}" (of_l [ 1; 2; 3; 4; 5; 6 ])
           (Em.in_graph nh (of_l [ 1; 2; 3; 4 ])));
     Alcotest.test_case "carve restricts membership, not distances" `Quick (fun () ->
-        (* path 0-1-2 plus shortcut 0-3-2: carving {2} from 0 cannot
-           grow because 0 and 2 are not adjacent inside {0, 2} (no
-           connected growth), even though d_G(0,2) = 2 *)
-        let g = G.of_edges ~n:4 [ (0, 1); (1, 2); (0, 3); (3, 2) ] in
+        (* C = path 0-1-2-3, with 4 making d(0,3) = 2; 5 hangs off 3 and
+           4. d(5,0) = 2 through 4, outside C ∪ {5}, so 0 is in 5's row,
+           but the carve cannot reach 0: inside C ∪ {5}, 0 touches only
+           1, at distance 3 from 5 *)
+        let g = G.of_edges ~n:6 [ (0, 1); (1, 2); (2, 3); (0, 4); (4, 3); (5, 3); (5, 4) ] in
         let nh = Nh.create ~s:2 g in
-        check ns "no adjacency inside C ∪ {v}" (of_l [ 0 ]) (Em.carve nh (of_l [ 2 ]) 0);
-        check ns "absorbs via 1" (of_l [ 0; 1; 2 ]) (Em.carve nh (of_l [ 1; 2 ]) 0));
+        let rows = Rows.create nh in
+        Rows.load rows (of_l [ 0; 1; 2; 3 ]);
+        check ns "row: C ∩ N^2(5)" (of_l [ 0; 2; 3 ]) (Rows.row rows 5);
+        check ns "no adjacency inside C ∪ {v}" (of_l [ 2; 3; 5 ]) (Rows.carve rows 5);
+        (* path 0-1-2 plus shortcut 0-3-2: from C = {1, 2}, node 0
+           absorbs 2 through 1 *)
+        let g = G.of_edges ~n:4 [ (0, 1); (1, 2); (0, 3); (3, 2) ] in
+        check ns "absorbs via 1" (of_l [ 0; 1; 2 ]) (carve (Nh.create ~s:2 g) (of_l [ 1; 2 ]) 0));
     Alcotest.test_case "carve measures distances in the whole graph" `Quick (fun () ->
         (* cycle 0-1-2-3-4-0: inside C ∪ {0} = {0,1,2,3} the induced path
            0-1-2-3 puts 3 at distance 3 from 0, but the ambient witness
@@ -253,7 +267,7 @@ let extend_max_tests =
         let g = G.of_edges ~n:5 [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 0) ] in
         let nh = Nh.create ~s:2 g in
         check ns "keeps the far endpoint" (of_l [ 0; 1; 2; 3 ])
-          (Em.carve nh (of_l [ 1; 2; 3 ]) 0));
+          (carve nh (of_l [ 1; 2; 3 ]) 0));
     Alcotest.test_case "carve keeps witnesses outside C ∪ {v} (ER repro)" `Quick
       (fun () ->
         (* the graph on which a carve measuring distances inside
@@ -263,7 +277,7 @@ let extend_max_tests =
         let g = Sgraph.Gen.erdos_renyi_gnm (Scoll.Rng.create 120869) ~n:14 ~m:16 in
         let nh = Nh.create ~s:2 g in
         check ns "carved set is the lost result" (of_l [ 0; 3; 4; 8; 9 ])
-          (Em.carve nh (of_l [ 0; 1; 2; 3; 8; 9 ]) 4);
+          (carve nh (of_l [ 0; 1; 2; 3; 8; 9 ]) 4);
         let results =
           Scliques_core.Enumerate.sorted_results Scliques_core.Enumerate.Poly_delay g ~s:2
         in
@@ -273,15 +287,20 @@ let extend_max_tests =
     Alcotest.test_case "carve validates the node" `Quick (fun () ->
         let nh = Nh.create ~s:2 (fig1 ()) in
         let n = G.n (fig1 ()) in
-        Alcotest.check_raises "member"
-          (Invalid_argument "Extend_max.carve: node is a member of the set") (fun () ->
-            ignore (Em.carve nh (of_l [ 0; 1 ]) 1));
-        Alcotest.check_raises "past the last node"
-          (Invalid_argument "Extend_max.carve: node out of range") (fun () ->
-            ignore (Em.carve nh (of_l [ 0 ]) n));
-        Alcotest.check_raises "negative"
-          (Invalid_argument "Extend_max.carve: node out of range") (fun () ->
-            ignore (Em.carve nh (of_l [ 0 ]) (-1))));
+        let rows = Rows.create nh in
+        Rows.load rows (of_l [ 0; 1; 2; 3 ]);
+        let refused what v =
+          Alcotest.check_raises what
+            (Invalid_argument "Poly_delay.Rows.carve: node is not a neighbor of the set")
+            (fun () -> ignore (Rows.carve rows v))
+        in
+        refused "member" 1;
+        refused "past the last node" n;
+        refused "negative" (-1);
+        (* Hal (7) is within distance 2 of Dan (3) but adjacent to no
+           member *)
+        check bool "7 is no neighbor" false (NS.mem 7 (Rows.neighbors rows));
+        refused "not adjacent" 7);
     Alcotest.test_case "random: in_graph always produces maximal sets" `Quick (fun () ->
         let rng = Scoll.Rng.create 77 in
         for _ = 1 to 20 do

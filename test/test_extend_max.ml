@@ -1,14 +1,16 @@
 (* ExtendMax differential: the scratch-state loop of [Extend_max] against
    the plain set-algebra formulation it replaced, kept here as the
-   reference; [carve]'s reference is that formulation run inside the
-   universe C ∪ {v}. The reference reads only the public oracle operators
-   (ball_forall, adjacent_any, ball) and allocates a fresh set per step,
-   so it has no scratch to get wrong. *)
+   reference; line 10's carve, [Poly_delay.Rows.carve], against that
+   formulation's greedy loop run inside the universe C ∪ {v}. The
+   reference reads only the public oracle operators (ball_forall,
+   adjacent_any, ball) and allocates a fresh set per step, so it has no
+   scratch to get wrong. *)
 
 module NS = Sgraph.Node_set
 module G = Sgraph.Graph
 module Nh = Scliques_core.Neighborhood
 module Em = Scliques_core.Extend_max
+module Rows = Scliques_core.Poly_delay.Rows
 
 module Reference = struct
   let in_graph nh c =
@@ -58,19 +60,23 @@ let agree what expected got =
   if not (NS.equal expected got) then
     QCheck2.Test.fail_reportf "%s: reference %a, rewrite %a" what NS.pp expected NS.pp got
 
+(* the greedy carve ExtendMax({u}, G[c ∪ {u}]) *)
+let greedy_carve nh c u =
+  Reference.in_induced nh ~universe:(NS.add u c) ~seed:(NS.singleton u)
+
 (* One PolyDelayEnum-shaped round on the maximal set [c], each call
    checked against the reference on its own oracle [ref_nh]: through the
-   first [carves] neighbors u of [c], carve C_u = ExtendMax({u},
-   G[c ∪ {u}]) (line 10), re-maximizing the first [extend] carves
-   (line 11). *)
+   first [carves] neighbors u of [c], carve C_u (line 10), re-maximizing
+   the first [extend] carves (line 11). *)
 let round ~carves ~extend ~ref_nh nh c =
-  let through = Nh.adjacent_any nh c in
+  let rows = Rows.create nh in
+  Rows.load rows c;
+  let through = Rows.neighbors rows in
+  agree "neighbors" (Nh.adjacent_any ref_nh c) through;
   for i = 0 to min carves (NS.cardinal through) - 1 do
     let u = NS.nth through i in
-    let carved = Em.carve nh c u in
-    agree "carve"
-      (Reference.in_induced ref_nh ~universe:(NS.add u c) ~seed:(NS.singleton u))
-      carved;
+    let carved = Rows.carve rows u in
+    agree "carve" (greedy_carve ref_nh c u) carved;
     if i < extend then
       agree "in_graph carved" (Reference.in_graph ref_nh carved) (Em.in_graph nh carved)
   done
@@ -172,12 +178,14 @@ let prop_after_refusal =
         | exception Invalid_argument _ -> ()
       in
       let n = G.n g in
+      let rows = Rows.create nh in
       Array.iter
         (fun v ->
           let c = Em.in_graph nh (NS.singleton v) in
-          refused (fun () -> Em.carve nh c v);
-          refused (fun () -> Em.carve nh c n);
-          refused (fun () -> Em.carve nh c (-1));
+          Rows.load rows c;
+          refused (fun () -> Rows.carve rows v);
+          refused (fun () -> Rows.carve rows n);
+          refused (fun () -> Rows.carve rows (-1));
           root_round ~ref_nh nh v)
         (shuffled_nodes rng g))
 
@@ -191,8 +199,61 @@ let prop_shared =
         (fun i v -> root_round ~ref_nh (if i land 1 = 0 then a else b) v)
         (shuffled_nodes rng g))
 
+let ns = Alcotest.testable NS.pp NS.equal
+
+(* Every neighbor v of every maximal set C, that is of every set a
+   complete PD run dequeues: v's row is C ∩ ball(v) and its carve the
+   greedy one. The size of the largest C. *)
+let every_carve g ~s =
+  let nh = Nh.create ~s g and ref_nh = Nh.create ~s g in
+  let rows = Rows.create nh in
+  List.fold_left
+    (fun widest c ->
+      Rows.load rows c;
+      let through = Rows.neighbors rows in
+      Alcotest.check ns "neighbors" (Nh.adjacent_any ref_nh c) through;
+      NS.iter
+        (fun v ->
+          Alcotest.check ns "row" (NS.inter c (Nh.ball ref_nh v)) (Rows.row rows v);
+          Alcotest.check ns "carve" (greedy_carve ref_nh c v) (Rows.carve rows v))
+        through;
+      max widest (NS.cardinal c))
+    0
+    (Scliques_core.Enumerate.sorted_results Scliques_core.Enumerate.Cs2_p g ~s)
+
+(* a BA graph whose node 0 is joined to 70 more nodes: at s = 2 the
+   sets around it pass 63 members, so their rows take two words *)
+let hub_graph () =
+  let g = Sgraph.Gen.barabasi_albert (Scoll.Rng.create 5) ~n:150 ~m_attach:2 in
+  G.of_edges ~n:150 (List.init 70 (fun i -> (0, (2 * i) + 1)) @ G.edges g)
+
+let test_rows_hub () =
+  List.iter
+    (fun s ->
+      let widest = every_carve (hub_graph ()) ~s in
+      if s >= 2 && widest <= 63 then Alcotest.failf "s=%d: widest set %d <= 63" s widest)
+    [ 1; 2; 3 ]
+
+let test_rows_families () =
+  let rng = Scoll.Rng.create 11 in
+  List.iter
+    (fun g -> List.iter (fun s -> ignore (every_carve g ~s : int)) [ 1; 2; 3 ])
+    [
+      Sgraph.Gen.erdos_renyi_gnm rng ~n:50 ~m:100;
+      Sgraph.Gen.barabasi_albert rng ~n:50 ~m_attach:2;
+      Sgraph.Gen.watts_strogatz rng ~n:50 ~k:4 ~beta:0.2;
+    ]
+
 let suites =
   [
     ( "extend_max_diff",
-      [ prop_interleaved; prop_across_invalidate; prop_after_refusal; prop_shared ] );
+      [
+        prop_interleaved;
+        prop_across_invalidate;
+        prop_after_refusal;
+        prop_shared;
+        Alcotest.test_case "rows and carves of every set, |C| > 63" `Quick test_rows_hub;
+        Alcotest.test_case "rows and carves of every set, ER/SF/WS" `Quick
+          test_rows_families;
+      ] );
   ]
