@@ -222,6 +222,9 @@ let print_set c =
 let budgeted_run g ~s ~algorithm ~workers ~min_size ~deadline ~max_results
     ~ckpt_path ~resume_path ~sigint_after =
   let alg, workers = engine algorithm workers in
+  (* refuse before the stream is opened: a refused run must not
+     truncate the stream of the checkpoint it names *)
+  E.check ?workers alg g ~s;
   let family = E.checkpoint_family alg in
   let n = Sgraph.Graph.n g in
   let session =

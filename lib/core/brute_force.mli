@@ -10,6 +10,9 @@
 val max_nodes : int
 (** Largest accepted graph size (22). *)
 
+val check_size : Sgraph.Graph.t -> unit
+(** @raise Invalid_argument when the graph exceeds {!max_nodes}. *)
+
 val maximal_connected_s_cliques : Sgraph.Graph.t -> s:int -> Sgraph.Node_set.t list
 (** All maximal connected s-cliques, in increasing {!Sgraph.Node_set.compare}
     order. @raise Invalid_argument when the graph exceeds {!max_nodes}. *)

@@ -52,8 +52,7 @@ let default_workers () = Domain.recommended_domain_count ()
    them instead of holding each root's back until it commits. Safe only
    when nobody resumes from the run's state: a cut root's delivered
    results would be produced again by a resume. *)
-let run_with ~stream ?(min_size = 0) ?cache_capacity ?obs ?nh ?budget ?resume
-    ?workers ?roots algorithm g ~s yield =
+let check ?workers ?roots algorithm g ~s =
   if s < 1 then invalid_arg "Enumerate.run: s must be >= 1";
   let rule = rule algorithm in
   let n = Sgraph.Graph.n g in
@@ -76,6 +75,13 @@ let run_with ~stream ?(min_size = 0) ?cache_capacity ?obs ?nh ?budget ?resume
         (fun v -> if v < 0 || v >= n then invalid_arg "Enumerate.run: root out of range")
         rs
   | None -> ());
+  match algorithm with Brute -> Brute_force.check_size g | _ -> ()
+
+let run_with ~stream ?(min_size = 0) ?cache_capacity ?obs ?nh ?budget ?resume
+    ?workers ?roots algorithm g ~s yield =
+  check ?workers ?roots algorithm g ~s;
+  let rule = rule algorithm in
+  let n = Sgraph.Graph.n g in
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   (* the daemon's warm path: queries against the same graph inject one
      shared-backed oracle instead of each run cold-starting its own *)

@@ -59,6 +59,15 @@ val checkpoint_family : algorithm -> string
     of the same family (e.g. CS2 → CS2PF, or CS2 → the parallel runner):
     they partition work identically. *)
 
+val check : ?workers:int -> ?roots:int list -> algorithm -> Sgraph.Graph.t -> s:int -> unit
+(** Refuse, before anything runs, a call to {!run} with these arguments
+    that {!run} would refuse: [s < 1], [workers] below 1 or for an
+    algorithm with no rooted decomposition, [roots] out of range or for
+    such an algorithm, the brute oracle on a graph past
+    {!Brute_force.max_nodes}. A caller that opens files for a run checks
+    first, so a refused run leaves them alone.
+    @raise Invalid_argument with {!run}'s message. *)
+
 val run :
   ?min_size:int ->
   ?cache_capacity:int ->

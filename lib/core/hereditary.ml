@@ -65,7 +65,7 @@ let extend_max g holds seed =
    The distinction only matters for non-local properties: an s-clique's
    witness paths may leave the universe (§3 measures distances in the
    ambient graph), so rebuilding the predicate on the induced subgraph
-   would lose results (the same trap as PD's Extend_max.carve). Local
+   would lose results (the same trap as PD's line-10 carve). Local
    properties (cliques, k-plexes) read only internal edges and cannot
    tell the difference. For carve-unique properties the greedy growth
    from {v} is the (single) answer; otherwise every maximal restricted

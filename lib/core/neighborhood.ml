@@ -202,7 +202,10 @@ let bfs_ball t v =
 let absent = Node_set.singleton (-1)
 
 let ball t v =
-  if t.s = 1 then Graph.neighbor_set t.graph v (* already materialized *)
+  if t.s = 1 then
+    (* a fresh copy of v's CSR row, never cached: a hot loop at s = 1
+       reads the CSR row itself *)
+    Graph.neighbor_set t.graph v
   else
     match t.backend with
     | Private cache ->

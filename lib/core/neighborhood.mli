@@ -12,7 +12,8 @@
     table with LRI eviction under a memory cap. A [Neighborhood.t] bundles
     the graph, [s], and that cache; all enumeration algorithms take one.
 
-    Who reads the memo: PolyDelayEnum's ExtendMax, on every step; the
+    Who reads the memo: PolyDelayEnum's ExtendMax, on every step, and
+    its per-set rows ({!Poly_delay.Rows}), once per member; the
     rooted engines ({!Cs_cliques2}), once per root for the root's
     universe, and at [s >= 3] once per member row of each universe (at
     [s <= 2] they read rows straight off the CSR rows); and
@@ -142,7 +143,8 @@ val ball : t -> int -> Sgraph.Node_set.t
 (** [ball t v] is [N^s(v)], {b excluding} [v] itself. Cached; a hit on a
     {!create}d oracle allocates nothing. A miss runs the BFS on the
     oracle's own {!Sgraph.Bfs.scratch} (private and {!of_shared} oracles
-    alike), so it allocates only the ball it returns. *)
+    alike), so it allocates only the ball it returns. At [s = 1] every
+    call copies [v]'s CSR row into a fresh set and nothing is cached. *)
 
 val ball_forall : t -> Sgraph.Node_set.t -> Sgraph.Node_set.t
 (** [ball_forall t c] is [N^{∀,s}(c)]: nodes (outside [c]) at distance at

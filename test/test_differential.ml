@@ -405,6 +405,36 @@ let prop_pd_covering =
       run ();
       if !covered = 0 then Alcotest.fail "no carve was covered on the whole sample" )
 
+(* PD on ER, SF and WS graphs at s = 1-3, FIFO (min_size 0) and
+   largest-first (min_size 3): the sorted answer is CS2P's, no set twice *)
+let test_pd_families () =
+  let rng = Scoll.Rng.create 25 in
+  List.iter
+    (fun (family, g) ->
+      List.iter
+        (fun s ->
+          List.iter
+            (fun min_size ->
+              let label = Printf.sprintf "%s s=%d min_size=%d" family s min_size in
+              let got = ref [] in
+              ignore
+                (E.run ~min_size E.Poly_delay g ~s (fun c -> got := c :: !got)
+                  : E.run_report);
+              let got = List.sort NS.compare !got in
+              if not (strictly_ascending got) then
+                Alcotest.failf "%s: a set was emitted twice" label;
+              let expected = E.sorted_results ~min_size E.Cs2_p g ~s in
+              if not (same_sets expected got) then
+                Alcotest.failf "%s: %d sets, CS2P has %d" label (List.length got)
+                  (List.length expected))
+            [ 0; 3 ])
+        [ 1; 2; 3 ])
+    [
+      ("er", Sgraph.Gen.erdos_renyi_gnm rng ~n:60 ~m:120);
+      ("sf", Sgraph.Gen.barabasi_albert rng ~n:60 ~m_attach:2);
+      ("ws", Sgraph.Gen.watts_strogatz rng ~n:50 ~k:4 ~beta:0.1);
+    ]
+
 let raises_invalid name f =
   match f () with
   | exception Invalid_argument _ -> ()
@@ -440,6 +470,8 @@ let suites =
         prop_results_are_maximal;
         prop_extension_candidates_exact;
         prop_pd_covering;
+        Alcotest.test_case "PD = CS2P on ER/SF/WS, s = 1-3, both queues" `Quick
+          test_pd_families;
       ] );
     ( "parallel_canonical",
       [
