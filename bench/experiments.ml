@@ -663,662 +663,6 @@ let scaling () =
     ~columns:[ "wall"; "speedup"; "task skew"; "steals"; "splits" ]
     ~rows
 
-let graph_load () =
-  (* The CSR/snapshot tentpole, measured: loading the largest ER instance
-     from a binary snapshot vs parsing its edge-list text (target: >= 5x),
-     and a BFS sweep over the CSR-backed graph vs the same BFS on a plain
-     array-of-arrays adjacency (the pre-CSR storage; target: no slower).
-     Numbers land in BENCH_load.json for the cross-commit trail. *)
-  let n = Workloads.n_load in
-  let g = Workloads.er ~n ~avg_degree:10. in
-  let reps = if Harness.fast then 3 else 5 in
-  let best_of f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Harness.now () in
-      ignore (Sys.opaque_identity (f ()));
-      best := Float.min !best (Harness.now () -. t0)
-    done;
-    !best
-  in
-  let text_path = Filename.temp_file "scliques-bench" ".edges" in
-  let snap_path = Filename.temp_file "scliques-bench" ".sgr" in
-  Fun.protect
-    ~finally:(fun () ->
-      Sys.remove text_path;
-      Sys.remove snap_path)
-    (fun () ->
-      Sgraph.Edge_list_io.save g text_path;
-      Sgraph.Snapshot.save g snap_path;
-      (* both paths must reproduce the graph before their times count *)
-      assert (G.equal g (Sgraph.Edge_list_io.load text_path));
-      assert (G.equal g (Sgraph.Snapshot.load snap_path));
-      let t_text = best_of (fun () -> Sgraph.Edge_list_io.load text_path) in
-      let t_snap = best_of (fun () -> Sgraph.Snapshot.load snap_path) in
-      let speedup = t_text /. Float.max 1e-9 t_snap in
-      (* BFS sweep: full distances from spread-out sources; the boxed
-         baseline runs the identical algorithm over int array array *)
-      let sources =
-        let k = Int.min 48 (G.n g) in
-        List.init k (fun i -> i * G.n g / k)
-      in
-      let sweep_csr () =
-        List.fold_left
-          (fun acc src -> acc + Array.fold_left ( + ) 0 (Sgraph.Bfs.distances g src))
-          0 sources
-      in
-      let rows = Sgraph.Csr.to_rows (G.csr g) in
-      let distances_boxed (adj : int array array) src =
-        let n = Array.length adj in
-        let dist = Array.make n (-1) in
-        let queue = Scoll.Fifo_queue.create () in
-        dist.(src) <- 0;
-        Scoll.Fifo_queue.push queue src;
-        while not (Scoll.Fifo_queue.is_empty queue) do
-          let v = Scoll.Fifo_queue.pop queue in
-          Array.iter
-            (fun u ->
-              if dist.(u) < 0 then begin
-                dist.(u) <- dist.(v) + 1;
-                Scoll.Fifo_queue.push queue u
-              end)
-            adj.(v)
-        done;
-        dist
-      in
-      let sweep_boxed () =
-        List.fold_left
-          (fun acc src -> acc + Array.fold_left ( + ) 0 (distances_boxed rows src))
-          0 sources
-      in
-      assert (sweep_csr () = sweep_boxed ());
-      let t_csr = best_of sweep_csr in
-      let t_boxed = best_of sweep_boxed in
-      let bfs_ratio = t_csr /. Float.max 1e-9 t_boxed in
-      Harness.print_table
-        ~title:
-          (Printf.sprintf
-             "Graph load: ER n=%s deg 10 (m=%d), best of %d; BFS sweep from %d \
-              sources"
-             (abbrev n) (G.m g) reps (List.length sources))
-        ~columns:[ "seconds"; "vs text"; "vs boxed" ]
-        ~rows:
-          [
-            ("text parse", [ Harness.Seconds t_text; Harness.Note "1.00x"; Harness.Note "-" ]);
-            ( "snapshot load",
-              [ Harness.Seconds t_snap;
-                Harness.Note (Printf.sprintf "%.2fx" speedup);
-                Harness.Note "-" ] );
-            ("bfs boxed rows", [ Harness.Seconds t_boxed; Harness.Note "-"; Harness.Note "1.00x" ]);
-            ( "bfs csr",
-              [ Harness.Seconds t_csr;
-                Harness.Note "-";
-                Harness.Note (Printf.sprintf "%.2fx" bfs_ratio) ] );
-          ];
-      if speedup < 5. then
-        Printf.printf "[warn] snapshot load only %.2fx faster than text parse\n%!" speedup;
-      if bfs_ratio > 1.10 then
-        Printf.printf "[warn] CSR BFS sweep %.2fx the boxed-rows baseline\n%!" bfs_ratio;
-      Harness.write_json ~path:"BENCH_load.json"
-        (Scliques_obs.Sink.Obj
-           [
-             ("experiment", Scliques_obs.Sink.String "load");
-             ( "graph",
-               Scliques_obs.Sink.String
-                 (Printf.sprintf "er n=%d avg_degree=10 seed=%d" n Harness.seed) );
-             ("edges", Scliques_obs.Sink.Int (G.m g));
-             ("reps", Scliques_obs.Sink.Int reps);
-             ("text_parse_seconds", Scliques_obs.Sink.Float t_text);
-             ("snapshot_load_seconds", Scliques_obs.Sink.Float t_snap);
-             ("snapshot_speedup", Scliques_obs.Sink.Float speedup);
-             ("bfs_sources", Scliques_obs.Sink.Int (List.length sources));
-             ("bfs_boxed_seconds", Scliques_obs.Sink.Float t_boxed);
-             ("bfs_csr_seconds", Scliques_obs.Sink.Float t_csr);
-             ("bfs_csr_over_boxed", Scliques_obs.Sink.Float bfs_ratio);
-           ]))
-
-let churn () =
-  (* The refresh tentpole, measured: after a single-edge edit of the
-     suite's largest ER instance, patching the prior answer with
-     Enumerate.refresh vs recomputing it from scratch — and the
-     fingerprint gate vs the pre-fingerprint baseline
-     ([~fingerprints:false], every affected root re-runs). The prior
-     answer is also streamed to disk and indexed (SCLQIDX1), and the
-     refreshed roots are spliced back by byte extent, so the file-level
-     patch cost is measured too. Every refreshed answer is asserted
-     equal to the recomputation before its time counts. Numbers land in
-     BENCH_churn.json. *)
-  let module RI = Scliques_core.Result_io.Index in
-  let module RSt = Scliques_core.Result_io.Stream in
-  let n = Workloads.n_load in
-  let s = 2 in
-  let g0 = Workloads.er ~n ~avg_degree:10. in
-  let time f =
-    let t0 = Harness.now () in
-    let r = f () in
-    (r, Harness.now () -. t0)
-  in
-  let prior, t_prior = time (fun () -> E.sorted_results E.Cs2_pf g0 ~s) in
-  (* persistent sidecar: stream the prior answer once and index it *)
-  let stream_path = Filename.temp_file "bench_churn" ".results" in
-  let out_path = stream_path ^ ".spliced" in
-  let idx, t_index =
-    time (fun () ->
-        let w = RSt.open_writer stream_path in
-        List.iter (RSt.write_set w) prior;
-        RSt.close w;
-        let idx =
-          RI.build ~s ~n
-            ~fingerprint:(Scliques_core.Neighborhood.root_fingerprint ~s g0)
-            stream_path
-        in
-        RI.save idx (RI.path_for stream_path);
-        idx)
-  in
-  (* one deleted edge and one inserted non-edge, both incident to the
-     first node that has a neighbor at all *)
-  let u = ref 0 in
-  while G.degree g0 !u = 0 do incr u done;
-  let u = !u in
-  let del_v = (G.neighbors g0 u).(0) in
-  let ins_v =
-    let v = ref 0 in
-    while !v = u || G.mem_edge g0 u !v do incr v done;
-    !v
-  in
-  let scenarios =
-    [
-      ("delete", Sgraph.Overlay.Delete (u, del_v));
-      ("insert", Sgraph.Overlay.Insert (u, ins_v));
-    ]
-  in
-  let measured =
-    List.map
-      (fun (op, edit) ->
-        let edits = [ edit ] in
-        let g1 = Sgraph.Diff.apply g0 edits in
-        let touched = Sgraph.Overlay.touched edits in
-        let full, t_full = time (fun () -> E.sorted_results E.Cs2_pf g1 ~s) in
-        (* pre-fingerprint baseline: the whole affected set re-runs *)
-        let base, t_base =
-          time (fun () ->
-              E.refresh ~engine:(`Seq E.Cs2_pf) ~fingerprints:false ~before:g0
-                ~after:g1 ~touched ~s ~prior ())
-        in
-        (* the gate, fed from the stored SCLQIDX1 fingerprints *)
-        let delta, t_inc =
-          time (fun () ->
-              E.refresh ~engine:(`Seq E.Cs2_pf)
-                ~prior_fingerprint:(fun r ->
-                  Some idx.RI.entries.(r).RI.fingerprint)
-                ~before:g0 ~after:g1 ~touched ~s ~prior ())
-        in
-        if not (List.equal NS.equal base.E.results full) then
-          failwith (op ^ ": ungated refresh diverged from full recompute");
-        if not (List.equal NS.equal delta.E.results full) then
-          failwith (op ^ ": fingerprinted refresh diverged from full recompute");
-        (* the re-run set must sit strictly inside the radius-(2s-1)
-           cover around the endpoints (the coarse bound refresh starts
-           from) — fingerprints are what shrink it *)
-        let a, b = Sgraph.Overlay.edit_endpoints edit in
-        let cover =
-          NS.cardinal
-            (NS.union
-               (NS.union
-                  (Sgraph.Bfs.ball g0 a ~radius:((2 * s) - 1))
-                  (Sgraph.Bfs.ball g0 b ~radius:((2 * s) - 1)))
-               (NS.union
-                  (Sgraph.Bfs.ball g1 a ~radius:((2 * s) - 1))
-                  (Sgraph.Bfs.ball g1 b ~radius:((2 * s) - 1))))
-        in
-        if delta.E.roots_rerun >= cover then
-          Printf.printf
-            "[warn] %s: %d roots re-run, not below the radius-(2s-1) cover \
-             of %d\n%!"
-            op delta.E.roots_rerun cover;
-        let affected = delta.E.roots_rerun + delta.E.roots_skipped in
-        let skip_rate =
-          float_of_int delta.E.roots_skipped /. Float.max 1. (float_of_int affected)
-        in
-        if skip_rate < 0.5 then
-          Printf.printf
-            "[warn] %s: fingerprint skip rate %.0f%% below 50%% (%d of %d \
-             affected roots re-ran)\n%!"
-            op (100. *. skip_rate) delta.E.roots_rerun affected;
-        (* file-level patch: splice the re-run roots into the stream *)
-        let rerun = Hashtbl.create 64 in
-        List.iter
-          (fun (root, fp) ->
-            if idx.RI.entries.(root).RI.fingerprint <> fp then
-              Hashtbl.replace rerun root (fp, ref []))
-          delta.E.root_fingerprints;
-        List.iter
-          (fun c ->
-            match Hashtbl.find_opt rerun (NS.min_elt c) with
-            | Some (_, acc) -> acc := c :: !acc
-            | None -> ())
-          delta.E.results;
-        let patched =
-          Hashtbl.fold
-            (fun root (fp, acc) l -> (root, fp, List.rev !acc) :: l)
-            rerun []
-        in
-        let (_, sstats), t_splice =
-          time (fun () ->
-              RI.splice ~old_stream:stream_path ~index:idx ~patched
-                ~out:out_path)
-        in
-        (* the spliced file, read back: a clean stream holding the full
-           answer, and a sidecar equal to one built from scratch — every
-           digest the splice copied through still holds on g1, since the
-           cover radius 2s-1 is at least rho_s *)
-        let spliced, tail = RSt.read_results out_path in
-        if not (tail = `Clean && List.equal NS.equal (List.sort NS.compare spliced) full)
-        then failwith (op ^ ": spliced stream differs from full recompute");
-        let rebuilt =
-          RI.build ~s ~n
-            ~fingerprint:(Scliques_core.Neighborhood.root_fingerprint ~s g1)
-            out_path
-        in
-        let entry_equal (a : RI.entry) (b : RI.entry) =
-          a.fingerprint = b.fingerprint && a.offset = b.offset && a.extent = b.extent
-          && a.count = b.count
-        in
-        let saved = RI.load (RI.path_for out_path) in
-        if
-          not
-            (saved.RI.stream_len = rebuilt.RI.stream_len
-            && Array.length saved.RI.entries = Array.length rebuilt.RI.entries
-            && Array.for_all2 entry_equal saved.RI.entries rebuilt.RI.entries)
-        then failwith (op ^ ": spliced sidecar differs from one built over the stream");
-        let speedup = t_full /. Float.max 1e-9 t_inc in
-        if speedup < 1. then
-          Printf.printf
-            "[warn] %s: incremental refresh %.3fs not faster than full \
-             recompute %.3fs\n%!"
-            op t_inc t_full;
-        (op, edit, t_full, t_base, t_inc, speedup, delta, cover, skip_rate,
-         t_splice, sstats))
-      scenarios
-  in
-  List.iter
-    (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ stream_path; RI.path_for stream_path; out_path; RI.path_for out_path ];
-  Harness.print_table
-    ~title:
-      (Printf.sprintf
-         "Churn: ER n=%s deg 10 (m=%d), s=%d, single-edge edit; prior answer \
-          %d results in %.3fs, indexed in %.3fs"
-         (abbrev n) (G.m g0) s (List.length prior) t_prior t_index)
-    ~columns:
-      [ "full"; "no-fp refresh"; "fp refresh"; "speedup"; "rerun/skip"; "splice" ]
-    ~rows:
-      (List.map
-         (fun (op, _, t_full, t_base, t_inc, speedup, delta, _, _, t_splice,
-               sstats) ->
-           ( op,
-             [
-               Harness.Seconds t_full;
-               Harness.Seconds t_base;
-               Harness.Seconds t_inc;
-               Harness.Note (Printf.sprintf "%.1fx" speedup);
-               Harness.Note
-                 (Printf.sprintf "%d/%d" delta.E.roots_rerun
-                    delta.E.roots_skipped);
-               Harness.Note
-                 (Printf.sprintf "%.3fs %dB+%dB" t_splice
-                    sstats.RI.fresh_bytes sstats.RI.copied_bytes);
-             ] ))
-         measured);
-  Harness.write_json ~path:"BENCH_churn.json"
-    (Scliques_obs.Sink.Obj
-       [
-         ("experiment", Scliques_obs.Sink.String "churn");
-         ( "graph",
-           Scliques_obs.Sink.String
-             (Printf.sprintf "er n=%d avg_degree=10 seed=%d" n Harness.seed) );
-         ("edges", Scliques_obs.Sink.Int (G.m g0));
-         ("s", Scliques_obs.Sink.Int s);
-         ("prior_results", Scliques_obs.Sink.Int (List.length prior));
-         ("prior_seconds", Scliques_obs.Sink.Float t_prior);
-         ("index_seconds", Scliques_obs.Sink.Float t_index);
-         ( "scenarios",
-           Scliques_obs.Sink.Obj
-             (List.map
-                (fun (op, edit, t_full, t_base, t_inc, speedup, delta, cover,
-                      skip_rate, t_splice, sstats) ->
-                  let a, b = Sgraph.Overlay.edit_endpoints edit in
-                  ( op,
-                    Scliques_obs.Sink.Obj
-                      [
-                        ("edge", Scliques_obs.Sink.String (Printf.sprintf "%d-%d" a b));
-                        ("full_seconds", Scliques_obs.Sink.Float t_full);
-                        ("baseline_seconds", Scliques_obs.Sink.Float t_base);
-                        ("incremental_seconds", Scliques_obs.Sink.Float t_inc);
-                        ("speedup", Scliques_obs.Sink.Float speedup);
-                        ( "speedup_vs_baseline",
-                          Scliques_obs.Sink.Float
-                            (t_base /. Float.max 1e-9 t_inc) );
-                        ("roots_rerun", Scliques_obs.Sink.Int delta.E.roots_rerun);
-                        ( "roots_skipped",
-                          Scliques_obs.Sink.Int delta.E.roots_skipped );
-                        ("skip_rate", Scliques_obs.Sink.Float skip_rate);
-                        ("cover_2s1", Scliques_obs.Sink.Int cover);
-                        ("splice_seconds", Scliques_obs.Sink.Float t_splice);
-                        ( "splice_fresh_bytes",
-                          Scliques_obs.Sink.Int sstats.RI.fresh_bytes );
-                        ( "splice_copied_bytes",
-                          Scliques_obs.Sink.Int sstats.RI.copied_bytes );
-                        ( "results",
-                          Scliques_obs.Sink.Int (List.length delta.E.results) );
-                        ("added", Scliques_obs.Sink.Int (List.length delta.E.added));
-                        ( "removed",
-                          Scliques_obs.Sink.Int (List.length delta.E.removed) );
-                      ] ))
-                measured) );
-       ])
-
-(* ---------- daemon serving throughput ---------- *)
-
-let serve () =
-  (* An in-process daemon on a Unix socket, hammered by 1/4/8 client
-     threads. Each client runs [queries] complete CS2-PF queries over
-     its own connection; a query only counts when its [Done] says
-     Complete and it streamed exactly the in-process result count, so
-     the throughput number is for verified-correct serving. Numbers
-     land in BENCH_daemon.json. *)
-  let module Server = Scliques_daemon.Server in
-  let module Client = Scliques_daemon.Client in
-  let module P = Scliques_daemon.Protocol in
-  let gadget_n = if Harness.fast then 5 else 9 in
-  let g = Sgraph.Gen.exponential_gadget gadget_n in
-  let s = 2 in
-  let expected = List.length (E.sorted_results E.Cs2_pf g ~s) in
-  let sock =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "scliques-bench-%d.sock" (Unix.getpid ()))
-  in
-  (* more domains than cores is a slowdown, not concurrency *)
-  let workers = min 8 (max 2 (Domain.recommended_domain_count ())) in
-  let srv =
-    Server.create ~workers ~max_queue:64 ~graphs:[ ("bench", g) ]
-      (Server.Unix_socket sock)
-  in
-  let queries = if Harness.fast then 4 else 25 in
-  let run_level clients =
-    let bad = Atomic.make 0 in
-    let t0 = Harness.now () in
-    let threads =
-      List.init clients (fun _ ->
-          Thread.create
-            (fun () ->
-              let c = Client.connect (Server.Unix_socket sock) in
-              Fun.protect
-                ~finally:(fun () -> Client.close c)
-                (fun () ->
-                  for i = 1 to queries do
-                    let q =
-                      {
-                        P.q_id = i;
-                        q_engine = P.Alg E.Cs2_pf;
-                        q_graph = "bench";
-                        q_s = s;
-                        q_min_size = 0;
-                        q_deadline_s = None;
-                        q_max_results = None;
-                        q_resume = None;
-                      }
-                    in
-                    let n = ref 0 in
-                    match Client.run_query ~on_result:(fun _ -> incr n) c q with
-                    | Client.Finished
-                        { P.d_outcome = Scliques_core.Budget.Complete; _ }
-                      when !n = expected ->
-                        ()
-                    | _ -> Atomic.incr bad
-                  done))
-            ())
-    in
-    List.iter Thread.join threads;
-    let dt = Harness.now () -. t0 in
-    if Atomic.get bad > 0 then
-      failwith (Printf.sprintf "serve: %d failed queries" (Atomic.get bad));
-    (float_of_int (clients * queries) /. dt, dt)
-  in
-  let measured = List.map (fun c -> (c, run_level c)) [ 1; 4; 8 ] in
-  Server.stop srv;
-  Harness.print_table
-    ~title:
-      (Printf.sprintf
-         "daemon throughput (gadget n=%d, %d results/query, s=%d, %d workers)"
-         gadget_n expected s workers)
-    ~columns:[ "queries/s"; "wall s" ]
-    ~rows:
-      (List.map
-         (fun (clients, (qps, dt)) ->
-           ( Printf.sprintf "%d client%s" clients (if clients = 1 then "" else "s"),
-             [ Harness.Note (Printf.sprintf "%.1f" qps); Harness.Seconds dt ] ))
-         measured);
-  Harness.write_json ~path:"BENCH_daemon.json"
-    (Scliques_obs.Sink.Obj
-       [
-         ("experiment", Scliques_obs.Sink.String "serve");
-         ( "graph",
-           Scliques_obs.Sink.String (Printf.sprintf "gadget n=%d" gadget_n) );
-         ("s", Scliques_obs.Sink.Int s);
-         ("results_per_query", Scliques_obs.Sink.Int expected);
-         ("workers", Scliques_obs.Sink.Int workers);
-         ("queries_per_client", Scliques_obs.Sink.Int queries);
-         ( "levels",
-           Scliques_obs.Sink.Obj
-             (List.map
-                (fun (clients, (qps, dt)) ->
-                  ( string_of_int clients,
-                    Scliques_obs.Sink.Obj
-                      [
-                        ("queries_per_sec", Scliques_obs.Sink.Float qps);
-                        ("wall_seconds", Scliques_obs.Sink.Float dt);
-                      ] ))
-                measured) );
-       ])
-
-(* ---------- serving under churn ---------- *)
-
-let serve_churn () =
-  (* The live-mutation path, measured end to end: 4 client threads
-     stream verified-complete queries while a mutator thread flips the
-     same edit-script pair over the wire against a durable state dir —
-     so every ack pays the journal fsync, and the compaction threshold
-     is low enough that rebases happen mid-run. Epoch pinning makes
-     correctness checkable under churn: every completed stream must
-     equal one of the two reference answers, bit for bit. Numbers land
-     in BENCH_daemon_churn.json. *)
-  let module Server = Scliques_daemon.Server in
-  let module Client = Scliques_daemon.Client in
-  let module P = Scliques_daemon.Protocol in
-  let module Stream = Scliques_core.Result_io.Stream in
-  let gadget_n = if Harness.fast then 5 else 9 in
-  let g0 = Sgraph.Gen.exponential_gadget gadget_n in
-  let s = 2 in
-  (* flip one existing edge and one chord, keeping n and m fixed so the
-     forward and backward scripts alternate cleanly *)
-  let u = ref 0 in
-  while G.degree g0 !u = 0 do incr u done;
-  let u = !u in
-  let del_v = (G.neighbors g0 u).(0) in
-  let ins_v =
-    let v = ref 0 in
-    while !v = u || G.mem_edge g0 u !v do incr v done;
-    !v
-  in
-  let g1 =
-    Sgraph.Diff.apply g0
-      [ Sgraph.Overlay.Delete (u, del_v); Sgraph.Overlay.Insert (u, ins_v) ]
-  in
-  let script_between a b =
-    Sgraph.Diff.to_string ~base_n:(G.n a) ~base_m:(G.m a) (Sgraph.Diff.between a b)
-  in
-  let fwd = script_between g0 g1 in
-  let bwd = script_between g1 g0 in
-  let sorted_stream g =
-    List.sort String.compare
-      (List.map Stream.encode_set (E.sorted_results E.Cs2_pf g ~s))
-  in
-  let ref0 = sorted_stream g0 in
-  let ref1 = sorted_stream g1 in
-  let sock =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "scliques-bench-churn-%d.sock" (Unix.getpid ()))
-  in
-  let state_dir = Filename.temp_file "scliques-bench-state" "" in
-  Sys.remove state_dir;
-  Unix.mkdir state_dir 0o755;
-  let workers = min 8 (max 2 (Domain.recommended_domain_count ())) in
-  let srv =
-    Server.create ~workers ~max_queue:64 ~compact_threshold:32 ~state_dir
-      ~graphs:[ ("bench", g0) ]
-      (Server.Unix_socket sock)
-  in
-  let queries = if Harness.fast then 4 else 25 in
-  let clients = 4 in
-  let bad = Atomic.make 0 in
-  let stop = Atomic.make false in
-  let latencies = ref [] in
-  let mutator =
-    Thread.create
-      (fun () ->
-        let c = Client.connect (Server.Unix_socket sock) in
-        Fun.protect
-          ~finally:(fun () -> Client.close c)
-          (fun () ->
-            let i = ref 0 in
-            let mutate_once script =
-              let t0 = Harness.now () in
-              match Client.mutate c ~id:(!i + 1) ~graph:"bench" ~script with
-              | Client.Applied _ -> latencies := (Harness.now () -. t0) :: !latencies
-              | _ -> Atomic.incr bad
-            in
-            while not (Atomic.get stop) do
-              mutate_once (if !i land 1 = 0 then fwd else bwd);
-              incr i;
-              Thread.yield ()
-            done;
-            (* leave the graph back at g0 *)
-            if !i land 1 = 1 then begin
-              mutate_once bwd;
-              incr i
-            end))
-      ()
-  in
-  let t0 = Harness.now () in
-  let threads =
-    List.init clients (fun _ ->
-        Thread.create
-          (fun () ->
-            let c = Client.connect (Server.Unix_socket sock) in
-            Fun.protect
-              ~finally:(fun () -> Client.close c)
-              (fun () ->
-                for i = 1 to queries do
-                  let q =
-                    {
-                      P.q_id = i;
-                      q_engine = P.Alg E.Cs2_pf;
-                      q_graph = "bench";
-                      q_s = s;
-                      q_min_size = 0;
-                      q_deadline_s = None;
-                      q_max_results = None;
-                      q_resume = None;
-                    }
-                  in
-                  let acc = ref [] in
-                  match
-                    Client.run_query ~on_result:(fun r -> acc := r :: !acc) c q
-                  with
-                  | Client.Finished
-                      { P.d_outcome = Scliques_core.Budget.Complete; _ } ->
-                      let got = List.sort String.compare !acc in
-                      if
-                        not
-                          (List.equal String.equal got ref0
-                          || List.equal String.equal got ref1)
-                      then Atomic.incr bad
-                  | _ -> Atomic.incr bad
-                done))
-          ())
-  in
-  List.iter Thread.join threads;
-  let dt = Harness.now () -. t0 in
-  Atomic.set stop true;
-  Thread.join mutator;
-  let epoch = Server.graph_epoch srv ~graph:"bench" in
-  Server.stop srv;
-  Array.iter
-    (fun e -> Sys.remove (Filename.concat state_dir e))
-    (Sys.readdir state_dir);
-  Unix.rmdir state_dir;
-  if Atomic.get bad > 0 then
-    failwith
-      (Printf.sprintf "serve-churn: %d failed or wrong-epoch operations"
-         (Atomic.get bad));
-  let lats = List.sort Float.compare !latencies in
-  let mutations = List.length lats in
-  let mean = List.fold_left ( +. ) 0. lats /. float_of_int (max 1 mutations) in
-  let pick q =
-    if mutations = 0 then 0.
-    else List.nth lats (min (mutations - 1) (mutations * q / 100))
-  in
-  let qps = float_of_int (clients * queries) /. dt in
-  Harness.print_table
-    ~title:
-      (Printf.sprintf
-         "serving under churn (gadget n=%d, s=%d, %d workers, %d clients, \
-          journal fsync on ack)"
-         gadget_n s workers clients)
-    ~columns:[ "count"; "rate or latency" ]
-    ~rows:
-      [
-        ( "queries",
-          [
-            Harness.Note (string_of_int (clients * queries));
-            Harness.Note (Printf.sprintf "%.1f/s" qps);
-          ] );
-        ( "mutations",
-          [
-            Harness.Note (string_of_int mutations);
-            Harness.Note (Printf.sprintf "mean %.4fs p95 %.4fs" mean (pick 95));
-          ] );
-        ( "final epoch",
-          [
-            Harness.Note
-              (match epoch with Some e -> string_of_int e | None -> "?");
-            Harness.Note "2 edits per mutation";
-          ] );
-      ];
-  Harness.write_json ~path:"BENCH_daemon_churn.json"
-    (Scliques_obs.Sink.Obj
-       [
-         ("experiment", Scliques_obs.Sink.String "serve-churn");
-         ( "graph",
-           Scliques_obs.Sink.String (Printf.sprintf "gadget n=%d" gadget_n) );
-         ("s", Scliques_obs.Sink.Int s);
-         ("workers", Scliques_obs.Sink.Int workers);
-         ("clients", Scliques_obs.Sink.Int clients);
-         ("queries", Scliques_obs.Sink.Int (clients * queries));
-         ("queries_per_sec", Scliques_obs.Sink.Float qps);
-         ("wall_seconds", Scliques_obs.Sink.Float dt);
-         ("mutations", Scliques_obs.Sink.Int mutations);
-         ("mutation_mean_seconds", Scliques_obs.Sink.Float mean);
-         ("mutation_p95_seconds", Scliques_obs.Sink.Float (pick 95));
-         ( "mutation_max_seconds",
-           Scliques_obs.Sink.Float (pick 100) );
-         ( "final_epoch",
-           Scliques_obs.Sink.Int (Option.value epoch ~default:(-1)) );
-       ])
-
 (* ---------- registry ---------- *)
 
 let all : (string * string * (unit -> unit)) list =
@@ -1346,10 +690,4 @@ let all : (string * string * (unit -> unit)) list =
     ("abl_generic", "ablation: generic CKS engine vs specialized PD", abl_generic);
     ("parallel", "future work: parallel decomposition balance", parallel_balance);
     ("scaling", "work-stealing speedup: workers x graph family", scaling);
-    ("load", "graph load: text parse vs binary snapshot + BFS sweep", graph_load);
-    ("churn", "incremental refresh vs full recompute after an edge edit", churn);
-    ("serve", "daemon throughput: queries/sec at 1/4/8 concurrent clients", serve);
-    ( "serve-churn",
-      "serving under live wire mutations: throughput + journaled ack latency",
-      serve_churn );
   ]

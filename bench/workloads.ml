@@ -122,10 +122,6 @@ let n_index = if Harness.fast then 100 else 200
 
 let n_sf = if Harness.fast then 1000 else 3000
 
-(* the load experiment times graph I/O on the suite's largest ER instance
-   (matching the top of er_sizes_9b) *)
-let n_load = if Harness.fast then 3000 else 30_000
-
 let ks_er = [ 5; 10; 15; 20 ]
 
 let ks_sf = if Harness.fast then [ 10; 20 ] else [ 20; 30; 40; 50 ]

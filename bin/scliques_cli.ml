@@ -55,14 +55,15 @@ let s_arg =
 
 (* The budget flags, declared once for enum, refresh and client (each
    passes its own doc), and --workers. A bound out of range (negative,
-   NaN, no worker) is refused the way --limit=-1 is: one error line and
-   exit 1, before any work. *)
-let at_least ~least flag ok v =
-  if ok v then v
-  else begin
-    Printf.eprintf "scliques: error: %s must be >= %d\n%!" flag least;
-    Stdlib.exit 1
-  end
+   NaN, no worker, more workers than the runtime has domains) is refused
+   the way --limit=-1 is: one error line and exit 1, before any work. *)
+let refuse_bound flag rel bound =
+  Printf.eprintf "scliques: error: %s must be %s %d\n%!" flag rel bound;
+  Stdlib.exit 1
+
+let at_least ~least flag ok v = if ok v then v else refuse_bound flag ">=" least
+
+let at_most ~most flag v = if v <= most then v else refuse_bound flag "<=" most
 
 let min_size_arg ~doc =
   Term.(
@@ -120,8 +121,12 @@ let algorithm_arg ?(rooted = false) ~doc () =
     & info [ "a"; "algorithm" ] ~docv:"ALG" ~doc)
 
 let workers_arg =
+  let workers w =
+    at_most ~most:Scliques_core.Parallel.max_domains "--workers"
+      (at_least ~least:1 "--workers" (fun w -> w >= 1) w)
+  in
   Term.(
-    const (Option.map (at_least ~least:1 "--workers" (fun w -> w >= 1)))
+    const (Option.map workers)
     $ Arg.(
         value
         & opt (some int) None

@@ -180,7 +180,12 @@ let max_queue_arg =
   Arg.(value & opt int 16 & info [ "max-queue" ] ~docv:"N" ~doc)
 
 let par_workers_arg =
-  let doc = "Extra domains a parallel-engine query may use." in
+  let doc =
+    Printf.sprintf
+      "Domains a parallel-engine query runs on, its query worker included. \
+       1 + $(b,--workers) × $(docv) must not pass the runtime's %d domains."
+      Scliques_core.Parallel.max_domains
+  in
   Arg.(value & opt int 1 & info [ "par-workers" ] ~docv:"N" ~doc)
 
 let cache_capacity_arg =

@@ -48,10 +48,6 @@ let rule =
 
 let default_workers () = Domain.recommended_domain_count ()
 
-(* [stream]: deliver a rooted algorithm's results as the search finds
-   them instead of holding each root's back until it commits. Safe only
-   when nobody resumes from the run's state: a cut root's delivered
-   results would be produced again by a resume. *)
 let check ?workers ?roots algorithm g ~s =
   if s < 1 then invalid_arg "Enumerate.run: s must be >= 1";
   let rule = rule algorithm in
@@ -77,6 +73,10 @@ let check ?workers ?roots algorithm g ~s =
   | None -> ());
   match algorithm with Brute -> Brute_force.check_size g | _ -> ()
 
+(* [stream]: deliver a rooted algorithm's results as the search finds
+   them instead of holding each root's back until it commits. Safe only
+   when nobody resumes from the run's state: a cut root's delivered
+   results would be produced again by a resume. *)
 let run_with ~stream ?(min_size = 0) ?cache_capacity ?obs ?nh ?budget ?resume
     ?workers ?roots algorithm g ~s yield =
   check ?workers ?roots algorithm g ~s;
@@ -305,8 +305,7 @@ let sorted_diff a b =
   go [] a b
 
 let refresh ?(min_size = 0) ?cache_capacity ?(engine = `Seq Cs2_pf) ?nh ?edits
-    ?(fingerprints = true) ?prior_fingerprint ~before ~after ~touched ~s ~prior
-    () =
+    ?prior_fingerprint ~before ~after ~touched ~s ~prior () =
   if s < 1 then invalid_arg "Enumerate.refresh: s must be >= 1";
   let n = Sgraph.Graph.n after in
   if Sgraph.Graph.n before <> n then
@@ -413,30 +412,27 @@ let refresh ?(min_size = 0) ?cache_capacity ?(engine = `Seq Cs2_pf) ?nh ?edits
          input is bit-identical and the root is skipped undigested; only
          the roots of R near the edit are digested. *)
       let roots, skipped, root_fingerprints =
-        if not fingerprints then (Node_set.to_list r, 0, [])
-        else begin
-          let radius = Neighborhood.fingerprint_radius ~s in
-          let near =
-            Node_set.union
-              (Sgraph.Bfs.ball_multi before ~srcs:touched ~radius)
-              (Sgraph.Bfs.ball_multi after ~srcs:touched ~radius)
-          in
-          let digest_before = lazy (Neighborhood.root_fingerprint ~s before) in
-          let fp_before root =
-            match Option.bind prior_fingerprint (fun f -> f root) with
-            | Some fp -> fp
-            | None -> Lazy.force digest_before root
-          in
-          let rerun = ref [] and fps = ref [] in
-          Node_set.iter
-            (fun root ->
-              let fp_after = Neighborhood.fingerprint nh root in
-              fps := (root, fp_after) :: !fps;
-              if fp_after <> fp_before root then rerun := root :: !rerun)
-            (Node_set.inter r near);
-          let rerun = List.rev !rerun in
-          (rerun, Node_set.cardinal r - List.length rerun, List.rev !fps)
-        end
+        let radius = Neighborhood.fingerprint_radius ~s in
+        let near =
+          Node_set.union
+            (Sgraph.Bfs.ball_multi before ~srcs:touched ~radius)
+            (Sgraph.Bfs.ball_multi after ~srcs:touched ~radius)
+        in
+        let digest_before = lazy (Neighborhood.root_fingerprint ~s before) in
+        let fp_before root =
+          match Option.bind prior_fingerprint (fun f -> f root) with
+          | Some fp -> fp
+          | None -> Lazy.force digest_before root
+        in
+        let rerun = ref [] and fps = ref [] in
+        Node_set.iter
+          (fun root ->
+            let fp_after = Neighborhood.fingerprint nh root in
+            fps := (root, fp_after) :: !fps;
+            if fp_after <> fp_before root then rerun := root :: !rerun)
+          (Node_set.inter r near);
+        let rerun = List.rev !rerun in
+        (rerun, Node_set.cardinal r - List.length rerun, List.rev !fps)
       in
       let rerun_set = Node_set.of_list roots in
       let kept, dropped =

@@ -165,7 +165,7 @@ type refresh_delta = {
           graph (re-run and skipped alike). Every root outside this list
           keeps the fingerprint it had on [before], so a persistent
           {!Result_io.Index} patches exactly the listed roots whose
-          digest moved. Empty when [fingerprints:false]. *)
+          digest moved. *)
 }
 
 val refresh :
@@ -174,7 +174,6 @@ val refresh :
   ?engine:[ `Seq of algorithm | `Par of int option ] ->
   ?nh:Neighborhood.t ->
   ?edits:Sgraph.Overlay.edit list ->
-  ?fingerprints:bool ->
   ?prior_fingerprint:(int -> int option) ->
   before:Sgraph.Graph.t ->
   after:Sgraph.Graph.t ->
@@ -214,9 +213,7 @@ val refresh :
     affected root's fingerprint is compared across the edit.
     [prior_fingerprint] supplies stored before-graph fingerprints (e.g.
     from a {!Result_io.Index} sidecar), eliminating the before-graph
-    digests; absent ones are computed. [fingerprints:false] disables the
-    gate (every affected root re-runs, the pre-fingerprint behavior —
-    the benchmark baseline).
+    digests; absent ones are computed.
 
     The surviving roots re-run on [after] through {!run}'s [roots] —
     sequentially with a rooted algorithm ([`Seq], default [`Seq Cs2_pf])

@@ -236,6 +236,10 @@ let run_worker ~id ~g ~s ~rule ~min_size ~cache_capacity ~observed ~split_depth
     w_obs = obs;
   }
 
+(* OCaml 5.1's 64-bit runtime cap on live domains ([Max_domains],
+   caml/domain.h) *)
+let max_domains = 128
+
 let run ?(split_depth = 3) ?(split_width = 8) ?(split_min_subtree = 8)
     ?(rule = Cs_cliques2.(Cs2 { pivot = Some Min_uncovered; feasibility = false }))
     ?(min_size = 0) ?(cache_capacity = 65536) ?obs ?(fault = Scoll.Fault.none) ?roots
@@ -283,7 +287,25 @@ let run ?(split_depth = 3) ?(split_width = 8) ?(split_min_subtree = 8)
     run_worker ~id ~g ~s ~rule ~min_size ~cache_capacity ~observed ~split_depth
       ~split_width ~split_min_subtree ~shared ~rooted ()
   in
-  let helpers = List.init (workers - 1) (fun i -> Domain.spawn (worker (i + 1))) in
+  (* a failed spawn (the runtime's domain cap, an injected fault) must
+     not leave the helpers spawned before it running: they would drain
+     the run and call [sink] after [run] raised. Recording the failure
+     stops every worker loop; join them, then re-raise *)
+  let rec spawn helpers i =
+    if i = workers then List.rev helpers
+    else
+      match
+        Scoll.Fault.check fault "par.spawn";
+        Domain.spawn (worker i)
+      with
+      | d -> spawn (d :: helpers) (i + 1)
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          ignore (Atomic.compare_and_set shared.failed None (Some (e, bt)));
+          List.iter (fun d -> ignore (Domain.join d)) helpers;
+          Printexc.raise_with_backtrace e bt
+  in
+  let helpers = spawn [] 1 in
   (* worker 0 runs in the calling domain *)
   let own = worker 0 () in
   let parts = own :: List.map Domain.join helpers in

@@ -33,6 +33,12 @@
     Callers normally reach this engine through [Enumerate.run ~workers],
     which adds resume and root-subset selection on top of {!run}. *)
 
+val max_domains : int
+(** The most domains a process can hold at once: OCaml 5.1's 64-bit
+    runtime cap, [Max_domains] in [caml/domain.h]. The CLI refuses a
+    [--workers] past it, and the daemon's [Server.create] a
+    configuration whose domains could pass it. *)
+
 val run :
   ?split_depth:int ->
   ?split_width:int ->
@@ -93,7 +99,10 @@ val run :
     [fault] arms the [par.task] injection site (the crash drill: the Nth
     executed work item raises). A crashed task's root can never commit,
     and termination is unaffected because every worker drains as soon as
-    the failure is recorded.
+    the failure is recorded. It also arms [par.spawn], checked before
+    each helper domain is spawned: when a spawn fails, the helpers
+    already running are stopped and joined before the exception is
+    re-raised, so [sink] is never called after [run] returns or raises.
 
     With [obs], every worker runs its own observer (domains never share
     one): per-worker delay recorders and search counters are merged into

@@ -1039,6 +1039,15 @@ let create ?(workers = 2) ?(max_queue = 16) ?(par_workers = 1)
   if max_queue < 0 then invalid_arg "Server.create: max_queue must be >= 0";
   if par_workers < 1 then
     invalid_arg "Server.create: par_workers must be >= 1";
+  (* the main domain, [workers] query domains, and up to [par_workers - 1]
+     helpers under each of them: 1 + workers * par_workers, compared
+     without the product so that no value overflows *)
+  if workers > (Scliques_core.Parallel.max_domains - 1) / par_workers then
+    invalid_arg
+      (Printf.sprintf
+         "Server.create: 1 + workers * par_workers must be <= %d (the \
+          runtime's domain cap)"
+         Scliques_core.Parallel.max_domains);
   if compact_threshold < 1 then
     invalid_arg "Server.create: compact_threshold must be >= 1";
   (match quota with

@@ -89,8 +89,9 @@ val create :
     accept thread; returns once the socket accepts connections.
     [max_queue] (default 16) bounds admitted-but-not-running queries —
     past it, submission answers [Busy]. [par_workers] (default 1) is the
-    domain count a [Par]-engine query may use {e in addition to} its
-    scheduler worker. [cache_capacity] bounds each shared ball cache.
+    domain count a [Par]-engine query runs on, its scheduler worker
+    included, so the daemon may hold [1 + workers * par_workers]
+    domains. [cache_capacity] bounds each shared ball cache.
     [compact_threshold] (default 1024) is the overlay delta size past
     which a mutation folds the journal into a fresh generation. [quota]
     arms per-client admission buckets (default: unlimited). [state_dir]
@@ -102,8 +103,9 @@ val create :
     @raise Invalid_argument on an empty or duplicate-name graph list, a
     graph name longer than the wire's u16 length field (or not
     persistable under [state_dir]), or bad limits ([workers] or
-    [par_workers] below 1, a negative [max_queue]) — all checked before
-    any state file or socket is made.
+    [par_workers] below 1, a negative [max_queue], or
+    [1 + workers * par_workers] past {!Scliques_core.Parallel.max_domains})
+    — all checked before any state file or socket is made.
     @raise Unix.Unix_error when the socket cannot be bound.
     @raise Sgraph.Io_error.Parse_error when [state_dir] holds a corrupt
     manifest, base snapshot, or journal (a torn journal tail refuses to

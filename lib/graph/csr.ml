@@ -38,8 +38,6 @@ let degree t v = t.off.(v + 1) - t.off.(v)
 
 let row t v = Array.sub t.nbr t.off.(v) (degree t v)
 
-let to_rows t = Array.init (n t) (row t)
-
 (* SAFETY: [lo, hi) comes from two reads of the offsets array (which
    bounds-checks v), and of_arrays/of_rows guarantee every offset is a
    valid index into [nbr], so all unsafe_get indices are in range *)

@@ -23,9 +23,6 @@ val of_rows : int array array -> t
 (** Concatenate per-node rows into CSR form. O(n + total length). The
     rows are copied, not adopted. No graph-level validation. *)
 
-val to_rows : t -> int array array
-(** Fresh per-node rows (the inverse of {!of_rows}). *)
-
 val of_arrays : offsets:int array -> adjacency:int array -> t
 (** Adopt the two arrays after checking the structural invariants:
     [offsets] is non-empty, starts at 0, is non-decreasing, and ends at

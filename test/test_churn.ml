@@ -776,7 +776,8 @@ let test_index_codec_refusals () =
    the changed roots into the stream, and the result must decode to the
    full after-answer — with every index fingerprint (patched or copied)
    equal to the live digest on the after-graph, which is exactly the
-   ρ_s ≤ 2s-1 soundness argument the sidecar rests on. *)
+   ρ_s ≤ 2s-1 soundness argument the sidecar rests on, and the whole
+   sidecar equal to one indexed afresh over the spliced stream. *)
 let test_index_splice_differential () =
   let g0 =
     Sgraph.Gen.erdos_renyi_gnm (Scoll.Rng.create 97) ~n:24 ~m:40
@@ -855,6 +856,24 @@ let test_index_splice_differential () =
             (NH.root_fingerprint ~s g1 root)
             e.RI.fingerprint)
         idx'.RI.entries;
+      (* ... and it is the sidecar a fresh index of the spliced stream
+         gives: every entry's fingerprint, offset, extent and count *)
+      let rebuilt =
+        RI.build ~s ~n:(G.n g1) ~fingerprint:(NH.root_fingerprint ~s g1) out
+      in
+      Alcotest.(check int) "stream_len = rebuilt" rebuilt.RI.stream_len
+        idx''.RI.stream_len;
+      Alcotest.(check int) "entries = rebuilt"
+        (Array.length rebuilt.RI.entries)
+        (Array.length idx''.RI.entries);
+      let fields (e : RI.entry) = [ e.fingerprint; e.offset; e.extent; e.count ] in
+      Array.iteri
+        (fun root e ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "root %d entry = rebuilt" root)
+            (fields rebuilt.RI.entries.(root))
+            (fields e))
+        idx''.RI.entries;
       (* a stale index (stream changed size underneath it) is refused *)
       write_file path (read_file path ^ RS.encode_record (RS.encode_set (NS.of_list [ 0 ])));
       match RI.splice ~old_stream:path ~index:idx ~patched ~out with
@@ -894,12 +913,12 @@ let reference_gate ~before ~after ~s ~prior affected =
     NS.cardinal moved,
     NS.cardinal affected - NS.cardinal moved )
 
-(* The tentpole property: batched refresh with the fingerprint gate on,
-   off, and fed from stored digests is bit-identical to full
-   re-enumeration at every script prefix — and the gate only ever
-   shrinks the re-run set it is given. It digests exactly the affected
-   roots within rho_s of a touched node, and decides as the reference
-   gate that digests every affected root. *)
+(* The tentpole property: batched refresh with computed and with stored
+   digests is bit-identical to full re-enumeration at every script
+   prefix — and the gate partitions the affected roots, as their
+   definition gives them, into re-run and skipped. It digests exactly
+   the affected roots within rho_s of a touched node, and decides as the
+   reference gate that digests every affected root. *)
 let prop_batch_fingerprint_refresh =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:6
@@ -931,10 +950,6 @@ let prop_batch_fingerprint_refresh =
              E.refresh ~edits ~before:!prev ~after:g1 ~touched ~s
                ~prior:!results ()
            in
-           let nofp =
-             E.refresh ~edits ~fingerprints:false ~before:!prev ~after:g1
-               ~touched ~s ~prior:!results ()
-           in
            let stored =
              E.refresh ~edits
                ~prior_fingerprint:(fun r ->
@@ -946,31 +961,27 @@ let prop_batch_fingerprint_refresh =
            in
            if not (same_sets full fp.E.results) then
              ignore (show_mismatch (ctx "fingerprinted refresh") full fp.E.results);
-           if not (same_sets full nofp.E.results) then
-             ignore (show_mismatch (ctx "ungated refresh") full nofp.E.results);
            if not (same_sets full stored.E.results) then
              ignore (show_mismatch (ctx "stored-digest refresh") full stored.E.results);
            if not (same_sets full blanket.E.results) then
              ignore (show_mismatch (ctx "blanket refresh") full blanket.E.results);
-           (* the gate partitions the ungated re-run set, never grows it *)
-           if nofp.E.roots_skipped <> 0 then
-             QCheck2.Test.fail_reportf "%s: ungated refresh skipped %d roots"
-               (ctx "gate off") nofp.E.roots_skipped;
-           if fp.E.roots_rerun + fp.E.roots_skipped <> nofp.E.roots_rerun then
+           (* the gate partitions the affected set, never grows it *)
+           let affected = affected_roots ~before:!prev ~s edits in
+           if fp.E.roots_rerun + fp.E.roots_skipped <> NS.cardinal affected then
              QCheck2.Test.fail_reportf
                "%s: gate re-ran %d + skipped %d but the affected set holds %d"
                (ctx "gate ledger") fp.E.roots_rerun fp.E.roots_skipped
-               nofp.E.roots_rerun;
+               (NS.cardinal affected);
            if stored.E.roots_rerun <> fp.E.roots_rerun then
              QCheck2.Test.fail_reportf
                "%s: stored digests re-ran %d roots, computed digests %d"
                (ctx "stored digests") stored.E.roots_rerun fp.E.roots_rerun;
            (* per-edit locality never widens the blanket affected set *)
-           if nofp.E.roots_rerun > blanket.E.roots_rerun + blanket.E.roots_skipped
+           if NS.cardinal affected > blanket.E.roots_rerun + blanket.E.roots_skipped
            then
              QCheck2.Test.fail_reportf
                "%s: per-edit D has %d roots, blanket bound %d" (ctx "locality")
-               nofp.E.roots_rerun
+               (NS.cardinal affected)
                (blanket.E.roots_rerun + blanket.E.roots_skipped);
            (* the digests refresh reports are the after-graph's, ascending *)
            let rec ascending = function
@@ -987,10 +998,6 @@ let prop_batch_fingerprint_refresh =
                    "%s: root %d digest is not the after-graph's"
                    (ctx "digest value") root)
              fp.E.root_fingerprints;
-           let affected = affected_roots ~before:!prev ~s edits in
-           if NS.cardinal affected <> nofp.E.roots_rerun then
-             QCheck2.Test.fail_reportf "%s: %d affected roots, ungated refresh re-ran %d"
-               (ctx "affected set") (NS.cardinal affected) nofp.E.roots_rerun;
            (* digested: exactly the affected roots within rho_s of a
               touched node in either graph; every other affected root
               has the same digest on both graphs *)

@@ -1,5 +1,5 @@
-(* The §2 clique relaxations (s-clubs, quasi-cliques), the Delay monitor,
-   and the footnote-1 degeneracy-root variant of CsCliques2. *)
+(* The §2 clique relaxations (s-clubs, quasi-cliques) and the footnote-1
+   degeneracy-root variant of CsCliques2. *)
 
 module G = Sgraph.Graph
 module NS = Sgraph.Node_set
@@ -150,69 +150,6 @@ let quasi_clique_tests =
         check int "empty" 0 (Qc.induced_diameter g NS.empty));
   ]
 
-let delay_tests =
-  let module D = Scliques_core.Delay in
-  let feq = Alcotest.float 1e-9 in
-  let fake times =
-    (* a clock returning the given instants in order, then the last one *)
-    let remaining = ref times in
-    fun () ->
-      match !remaining with
-      | [] -> invalid_arg "fake clock exhausted"
-      | [ t ] -> t
-      | t :: rest ->
-          remaining := rest;
-          t
-  in
-  [
-    Alcotest.test_case "gaps and maximum" `Quick (fun () ->
-        (* create at 0, results at 1, 2, 5; finish at 6 *)
-        let d = D.create ~clock:(fake [ 0.; 1.; 2.; 5.; 6. ]) () in
-        D.tick d;
-        D.tick d;
-        D.tick d;
-        D.finish d;
-        let r = D.report d in
-        check int "results" 3 r.D.results;
-        check feq "total" 6. r.D.total;
-        check feq "first" 1. r.D.first;
-        check feq "max gap (2 -> 5)" 3. r.D.max_gap;
-        check feq "mean gap" 1.5 r.D.mean_gap);
-    Alcotest.test_case "no results: first = total" `Quick (fun () ->
-        let d = D.create ~clock:(fake [ 0.; 4. ]) () in
-        D.finish d;
-        let r = D.report d in
-        check int "none" 0 r.D.results;
-        check feq "total" 4. r.D.total;
-        check feq "first" 4. r.D.first);
-    Alcotest.test_case "finish is idempotent" `Quick (fun () ->
-        let d = D.create ~clock:(fake [ 0.; 1.; 2. ]) () in
-        D.tick d;
-        D.finish d;
-        D.finish d;
-        check feq "total stable" 2. (D.report d).D.total);
-    Alcotest.test_case "tick after finish rejected" `Quick (fun () ->
-        let d = D.create ~clock:(fake [ 0.; 1. ]) () in
-        D.finish d;
-        Alcotest.check_raises "finished" (Invalid_argument "Delay.tick: already finished")
-          (fun () -> D.tick d));
-    Alcotest.test_case "wrap forwards the result" `Quick (fun () ->
-        let d = D.create ~clock:(fake [ 0.; 1.; 2. ]) () in
-        let got = ref [] in
-        D.wrap d (fun c -> got := c :: !got) (of_l [ 1; 2 ]);
-        check Test_support.ns_list "forwarded" [ of_l [ 1; 2 ] ] !got;
-        check int "counted" 1 (D.report d).D.results);
-    Alcotest.test_case "real enumeration smoke: PD delays are recorded" `Quick
-      (fun () ->
-        let g = Test_support.random_graph 70 ~n:25 ~m:50 in
-        let d = D.create () in
-        let (_ : E.run_report) = E.run E.Poly_delay g ~s:2 (D.wrap d (fun _ -> ())) in
-        D.finish d;
-        let r = D.report d in
-        check bool "saw results" true (r.D.results > 0);
-        check bool "gaps sane" true (r.D.max_gap >= 0. && r.D.total >= r.D.max_gap));
-  ]
-
 let degeneracy_root_tests =
   (* every root's branch, in a degeneracy order of G^s *)
   let collect ?(pivot = false) ?(feasibility = false) ?min_size g s =
@@ -274,6 +211,5 @@ let suites =
   [
     ("s_club", s_club_tests);
     ("quasi_clique", quasi_clique_tests);
-    ("delay", delay_tests);
     ("degeneracy_root", degeneracy_root_tests);
   ]

@@ -598,6 +598,25 @@ let test_parallel_crash_drill () =
           expected (canonical !streamed))
     [ 1; 2; 7; 23; 1_000_000 ]
 
+(* The second of two helper spawns fails: [run] raises only after it has
+   stopped and joined the helper spawned before, so no root reaches the
+   sink once [run] has raised. The graph keeps a leaked helper busy well
+   past the raise. *)
+let test_parallel_spawn_failure () =
+  let g = Sgraph.Gen.erdos_renyi (Scoll.Rng.create 15) ~n:300 ~avg_degree:10. in
+  let fault = Fault.create () in
+  Fault.arm_nth fault ~site:"par.spawn" ~n:2;
+  let raised = Atomic.make false and late = Atomic.make 0 in
+  (match
+     Scliques_core.Parallel.run ~workers:3 ~budget:(Budget.unlimited ()) ~fault g
+       ~s:2 (fun _ _ -> if Atomic.get raised then Atomic.incr late)
+   with
+  | (_ : Budget.outcome * int list) -> Alcotest.fail "run returned past a failed spawn"
+  | exception Fault.Injected _ -> Atomic.set raised true);
+  Unix.sleepf 0.2;
+  Alcotest.(check int) "spawns attempted" 2 (Fault.hits fault "par.spawn");
+  Alcotest.(check int) "sink calls after run raised" 0 (Atomic.get late)
+
 let test_sink_failure_keeps_root_uncommitted () =
   let g = par_case_graph 14 in
   let s = 2 in
@@ -733,6 +752,7 @@ let suites =
         Alcotest.test_case "parallel resume equivalence" `Quick test_parallel_resume;
         Alcotest.test_case "parallel deadline" `Quick test_parallel_deadline;
         Alcotest.test_case "parallel crash drill" `Quick test_parallel_crash_drill;
+        Alcotest.test_case "parallel spawn failure" `Quick test_parallel_spawn_failure;
         Alcotest.test_case "parallel sink failure" `Quick
           test_sink_failure_keeps_root_uncommitted;
         Alcotest.test_case "stream fsync fault" `Quick test_stream_fsync_fault;
