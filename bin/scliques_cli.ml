@@ -94,51 +94,30 @@ let output_arg =
   let doc = "Output file (defaults to stdout)." in
   Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
 
-(* [-a ALG|par]: the algorithm, and whether it runs on the work-stealing
-   engine ([par] is CSCliques2P across domains). [~rooted] refuses the
-   algorithms without a root decomposition. *)
-let algorithm_arg ?(rooted = false) ~doc () =
+let algorithm_arg ~doc =
   let parse s =
-    match String.lowercase_ascii s with
-    | "par" | "parallel" -> Ok (E.Cs2_p, true)
-    | _ -> (
-        match E.of_name s with
-        | Some alg when rooted && not (String.equal (E.checkpoint_family alg) "roots") ->
-            Error
-              (`Msg
-                (Printf.sprintf "%s has no rooted decomposition; refresh \
-                                 needs cs1/cs2/cs2f/cs2p/cs2pf or par"
-                   (E.name alg)))
-        | Some alg -> Ok (alg, false)
-        | None -> Error (`Msg (Printf.sprintf "unknown algorithm %S" s)))
+    match E.of_name s with
+    | Some alg -> Ok alg
+    | None -> Error (`Msg (Printf.sprintf "unknown algorithm %S" s))
   in
-  let print fmt (alg, par) =
-    Format.pp_print_string fmt (if par then "par" else E.name alg)
-  in
-  Arg.(
-    value
-    & opt (conv (parse, print)) (E.Cs2_pf, false)
-    & info [ "a"; "algorithm" ] ~docv:"ALG" ~doc)
+  let print fmt alg = Format.pp_print_string fmt (E.name alg) in
+  Arg.(value & opt (conv (parse, print)) E.Cs2_pf & info [ "a"; "algorithm" ] ~docv:"ALG" ~doc)
 
+(* [--workers W] is the one parallelism knob, for every rooted algorithm;
+   [Enumerate.check] refuses it for the others *)
 let workers_arg =
   let workers w =
     at_most ~most:Scliques_core.Parallel.max_domains "--workers"
       (at_least ~least:1 "--workers" (fun w -> w >= 1) w)
   in
+  let doc =
+    "Run the rooted algorithm ($(b,cs1), $(b,cs2), $(b,cs2f), $(b,cs2p) or \
+     $(b,cs2pf)) on the work-stealing engine across $(docv) domains, the \
+     calling one included; $(b,pd) and $(b,brute) refuse it."
+  in
   Term.(
     const (Option.map workers)
-    $ Arg.(
-        value
-        & opt (some int) None
-        & info [ "workers" ] ~docv:"W"
-            ~doc:"Worker domains for $(b,-a par) (default: all cores)."))
-
-(* the algorithm and, for [par] only, its worker count *)
-let engine (alg, par) workers =
-  if par then (alg, Some (Option.value workers ~default:(E.default_workers ())))
-  else (alg, None)
-
-let engine_label (alg, par) = if par then "Parallel" else E.name alg
+    $ Arg.(value & opt (some int) None & info [ "workers" ] ~docv:"W" ~doc))
 
 let write_graph g = function
   | Some path ->
@@ -226,14 +205,13 @@ let print_set c =
    checkpoint counts and cuts off whatever a crash left after them. *)
 let budgeted_run g ~s ~algorithm ~workers ~min_size ~deadline ~max_results
     ~ckpt_path ~resume_path ~sigint_after =
-  let alg, workers = engine algorithm workers in
   (* refuse before the stream is opened: a refused run must not
      truncate the stream of the checkpoint it names *)
-  E.check ?workers alg g ~s;
-  let family = E.checkpoint_family alg in
+  E.check ?workers algorithm g ~s;
+  let family = E.checkpoint_family algorithm in
   let n = Sgraph.Graph.n g in
   let session =
-    Session.start ~algorithm:(engine_label algorithm) ~family ~s ~n
+    Session.start ~algorithm:(E.name algorithm) ~family ~s ~n
       ~m:(Sgraph.Graph.m g) ~min_size ~checkpoint:ckpt_path ~resume:resume_path
   in
   let budget =
@@ -268,7 +246,7 @@ let budgeted_run g ~s ~algorithm ~workers ~min_size ~deadline ~max_results
     end
   in
   let report =
-    E.run ~min_size ~budget ?resume:(Session.state session) ?workers alg g ~s emit
+    E.run ~min_size ~budget ?resume:(Session.state session) ?workers algorithm g ~s emit
   in
   (match stream with Some w -> Stream.close w | None -> ());
   (* a whole root-decomposed run gets the SCLQIDX1 sidecar: per-root
@@ -291,11 +269,11 @@ let enum_cmd =
       ~doc:
         "Algorithm: $(b,pd) (PolyDelayEnum), $(b,cs1), $(b,cs2), $(b,cs2f), \
          $(b,cs2p), $(b,cs2pf) (Bron–Kerbosch adaptations; P = pivoting, F = \
-         feasibility check), $(b,brute) (oracle, tiny graphs only), or $(b,par) \
-         (work-stealing parallel CSCliques2P across domains; output is \
-         canonicalized ascending, and $(b,--limit) truncates it after the full \
-         run rather than stopping early)."
-      ()
+         feasibility check) or $(b,brute) (oracle, tiny graphs only). \
+         $(b,--workers) applies to every rooted algorithm (all but $(b,pd) \
+         and $(b,brute)); the unbudgeted output of such a run, like \
+         $(b,brute)'s, is canonicalized ascending, and $(b,--limit) cuts it \
+         after the full run rather than stopping early."
   in
   let limit_arg =
     Arg.(
@@ -384,42 +362,47 @@ let enum_cmd =
           Stdlib.exit 1
       | _ -> ());
       let g = load_graph format file in
-      let alg, workers = engine algorithm workers in
       (* observe only when the observability output was asked for, so the
          default enumeration path stays uninstrumented *)
       let obs =
         match stats_fmt with Some `Json -> Some (Scliques_obs.Obs.create ()) | _ -> None
       in
-      (* the parallel engine and the brute oracle have no ascending
-         stream order: their whole output is sorted (then cut to
-         --limit), so it is the same for every run and worker count *)
+      (* a --workers run and the brute oracle have no ascending stream
+         order: a listing of theirs is sorted (then cut to --limit), so
+         it is the same for every run and worker count *)
       let canonical =
-        match (workers, alg) with Some _, _ | None, E.Brute -> true | None, _ -> false
+        Option.is_some workers || (match algorithm with E.Brute -> true | _ -> false)
       in
-      let results =
-        (* a graph the engine refuses (brute beyond its node limit) is
-           one error line, as on the budgeted path *)
-        refusing ~who:"error" (fun () ->
-            match limit with
-            | Some n when not canonical -> E.first_n ~min_size ?obs alg g ~s n
-            | _ ->
-                let acc = ref [] in
-                let (_ : E.run_report) =
-                  E.run ~min_size ?obs ?workers alg g ~s (fun c -> acc := c :: !acc)
-                in
-                let all = if canonical then List.sort NS.compare !acc else List.rev !acc in
-                List.filteri
-                  (fun i _ -> match limit with Some n -> i < n | None -> true)
-                  all)
+      (* each result is counted, summarized or printed as it arrives;
+         only a canonical listing and --limit hold results *)
+      let count = ref 0 and stats = ref Scliques_core.Stats.empty in
+      let consume c =
+        if count_only then incr count
+        else
+          match stats_fmt with
+          | Some _ -> stats := Scliques_core.Stats.add !stats (NS.cardinal c)
+          | None -> print_set c
       in
-      if count_only then Printf.printf "%d\n" (List.length results)
+      let run yield = ignore (E.run ~min_size ?obs ?workers algorithm g ~s yield : E.run_report) in
+      (* a run the engine refuses (brute beyond its node limit, pd with
+         --workers) is one error line, as on the budgeted path *)
+      refusing ~who:"error" (fun () ->
+          match limit with
+          | Some n when not canonical ->
+              List.iter consume (E.first_n ~min_size ?obs algorithm g ~s n)
+          | None when (not canonical) || count_only || Option.is_some stats_fmt -> run consume
+          | _ ->
+              let acc = ref [] in
+              run (fun c -> acc := c :: !acc);
+              List.iteri
+                (fun i c -> match limit with Some n when i >= n -> () | _ -> consume c)
+                (List.sort NS.compare !acc));
+      if count_only then Printf.printf "%d\n" !count
       else begin
         match stats_fmt with
-        | Some `Text ->
-            Format.printf "%a@." Scliques_core.Stats.pp
-              (Scliques_core.Stats.of_results results)
+        | Some `Text -> Format.printf "%a@." Scliques_core.Stats.pp !stats
         | Some `Json ->
-            let stats = Scliques_core.Stats.of_results results in
+            let stats = !stats in
             let open Scliques_obs in
             let obs_fields =
               match obs with
@@ -430,7 +413,7 @@ let enum_cmd =
             let json =
               Sink.Obj
                 ([
-                   ("algorithm", Sink.String (engine_label algorithm));
+                   ("algorithm", Sink.String (E.name algorithm));
                    ("s", Sink.Int s);
                    ( "results",
                      Sink.Obj
@@ -445,7 +428,7 @@ let enum_cmd =
                 @ obs_fields)
             in
             print_endline (Sink.to_string json)
-        | None -> List.iter print_set results
+        | None -> ()
       end;
       `Ok ()
     end
@@ -743,12 +726,10 @@ let refresh_cmd =
       & info [ "results" ] ~docv:"FILE" ~doc)
   in
   let engine_arg =
-    algorithm_arg ~rooted:true
+    algorithm_arg
       ~doc:
-        "Re-enumeration engine for the affected roots: $(b,cs1), $(b,cs2), \
-         $(b,cs2f), $(b,cs2p), $(b,cs2pf), or $(b,par) (work-stealing \
-         domains)."
-      ()
+        "Re-enumeration engine for the affected roots: a rooted algorithm, \
+         $(b,cs1), $(b,cs2), $(b,cs2f), $(b,cs2p) or $(b,cs2pf)."
   in
   let min_size_arg =
     min_size_arg
@@ -821,11 +802,12 @@ let refresh_cmd =
           index
       in
       let engine =
-        match engine with (alg, false) -> `Seq alg | (_, true) -> `Par workers
+        match workers with None -> `Seq engine | Some w -> `Par (engine, w)
       in
       let delta =
-        E.refresh ~min_size ~engine ~edits ?prior_fingerprint ~before ~after
-          ~touched ~s ~prior ()
+        refusing ~who:"error" (fun () ->
+            E.refresh ~min_size ~engine ~edits ?prior_fingerprint ~before ~after
+              ~touched ~s ~prior ())
       in
       (match output with
       | None -> ()
@@ -1008,7 +990,10 @@ let client_query_term =
           ~doc:"Name of a graph preloaded by the daemon.")
   in
   let algorithm_arg =
-    algorithm_arg ~doc:"Engine the daemon runs: the $(b,enum) names, or $(b,par)." ()
+    algorithm_arg
+      ~doc:
+        "Engine the daemon runs: the $(b,enum) names. A daemon started with \
+         $(b,--par-workers) P > 1 runs every rooted query on P domains."
   in
   let min_size_arg = min_size_arg ~doc:"Only results with at least $(docv) nodes." in
   let deadline_arg =
@@ -1068,10 +1053,6 @@ let client_query_term =
     (* a refused checkpoint, or a request the wire cannot carry (an id
        outside u32), is one error line before anything is sent *)
     refusing ~who:"client" @@ fun () ->
-    (* the wire names [par] itself: the daemon picks its worker count *)
-    let engine =
-      match algorithm with alg, false -> Dproto.Alg alg | _, true -> Dproto.Par
-    in
     let addr = client_addr socket tcp in
     let connect addr = client_connect ?token addr in
     if ping then begin
@@ -1120,7 +1101,7 @@ let client_query_term =
       let query ~id ?deadline ?max_results ?resume () =
         {
           Dproto.q_id = id;
-          q_engine = engine;
+          q_engine = Dproto.Alg algorithm;
           q_graph = graph;
           q_s = s;
           q_min_size = min_size;
@@ -1164,8 +1145,8 @@ let client_query_term =
         let c = connect addr in
         let n, m = graph_meta c graph in
         let session =
-          Session.start ~algorithm:(engine_label algorithm)
-            ~family:(E.checkpoint_family (fst algorithm))
+          Session.start ~algorithm:(E.name algorithm)
+            ~family:(E.checkpoint_family algorithm)
             ~s ~n ~m ~min_size ~checkpoint:ckpt ~resume
         in
         let q =

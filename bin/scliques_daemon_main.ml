@@ -182,14 +182,18 @@ let max_queue_arg =
 let par_workers_arg =
   let doc =
     Printf.sprintf
-      "Domains a parallel-engine query runs on, its query worker included. \
-       1 + $(b,--workers) × $(docv) must not pass the runtime's %d domains."
+      "Domains every rooted query (cs1, cs2, cs2f, cs2p, cs2pf) runs on, its \
+       query worker included. With $(docv) > 1 those queries run on the \
+       work-stealing engine and give up the shared N^s cache (each worker \
+       builds its own); 1 keeps them in their query worker, on the shared \
+       cache. pd and brute queries always run in their query worker. 1 + \
+       $(b,--workers) × $(docv) must not pass the runtime's %d domains."
       Scliques_core.Parallel.max_domains
   in
   Arg.(value & opt int 1 & info [ "par-workers" ] ~docv:"N" ~doc)
 
 let cache_capacity_arg =
-  let doc = "Entry capacity of each shared N^s ball cache." in
+  let doc = "Entry capacity of each shared N^s ball cache (0: no cache)." in
   Arg.(value & opt int 65536 & info [ "cache-capacity" ] ~docv:"N" ~doc)
 
 let state_dir_arg =

@@ -46,8 +46,6 @@ let rule =
   | Cs2_pf -> Some (Cs_cliques2.Cs2 { pivot; feasibility = true })
   | Poly_delay | Brute -> None
 
-let default_workers () = Domain.recommended_domain_count ()
-
 let check ?workers ?roots algorithm g ~s =
   if s < 1 then invalid_arg "Enumerate.run: s must be >= 1";
   let rule = rule algorithm in
@@ -315,14 +313,12 @@ let refresh ?(min_size = 0) ?cache_capacity ?(engine = `Seq Cs2_pf) ?nh ?edits
       if v < 0 || v >= n then
         invalid_arg "Enumerate.refresh: touched node out of range")
     touched;
-  (match engine with
-  | `Seq alg when not (String.equal (checkpoint_family alg) "roots") ->
-      invalid_arg
-        (Printf.sprintf
-           "Enumerate.refresh: %s cannot re-enumerate single roots (use the \
-            CS1/CS2 family or the parallel engine)"
-           (name alg))
-  | _ -> ());
+  let alg, workers =
+    match engine with `Seq alg -> (alg, None) | `Par (alg, w) -> (alg, Some w)
+  in
+  (* the re-run's refusals, before any work: a rule without a rooted
+     decomposition, a worker count below 1 *)
+  check ?workers ~roots:[] alg after ~s;
   let touched = List.sort_uniq Int.compare touched in
   (match edits with
   | None -> ()
@@ -444,11 +440,6 @@ let refresh ?(min_size = 0) ?cache_capacity ?(engine = `Seq Cs2_pf) ?nh ?edits
         match roots with
         | [] -> [] (* every affected root fingerprint-skipped *)
         | _ :: _ ->
-            let alg, workers =
-              match engine with
-              | `Seq alg -> (alg, None)
-              | `Par w -> (Cs2_p, Some (Option.value w ~default:(default_workers ())))
-            in
             List.sort Node_set.compare
               (collect (run ~min_size ?cache_capacity ~nh ?workers ~roots alg after ~s))
       in

@@ -56,8 +56,8 @@ val checkpoint_family : algorithm -> string
 (** The {!Checkpoint.family} the algorithm writes and accepts: ["roots"]
     for the Bron–Kerbosch adaptations, ["pd"] for PolyDelayEnum,
     ["brute"] for the oracle. Checkpoints move freely between algorithms
-    of the same family (e.g. CS2 → CS2PF, or CS2 → the parallel runner):
-    they partition work identically. *)
+    of the same family, and between sequential and [workers] runs (e.g.
+    CS2 → CS2PF on 2 workers): they partition work identically. *)
 
 val check : ?workers:int -> ?roots:int list -> algorithm -> Sgraph.Graph.t -> s:int -> unit
 (** Refuse, before anything runs, a call to {!run} with these arguments
@@ -110,12 +110,12 @@ val run :
     [resumable] state of a truncated run lists them together with the
     roots this call retired.
 
-    [workers] runs a rooted algorithm (CS1, CS2 and its variants) on the
-    work-stealing {!Parallel} engine with that many domains (the calling
-    domain is one; {!default_workers} is all cores); results then reach
-    the callback {b in worker domains}, one committed root at a time
-    (with or without a budget), in no fixed order. Without it the run
-    stays a plain loop in the calling domain.
+    [workers] runs any rooted algorithm (CS1, CS2 and its variants, the
+    default CS2PF included) under its own rule on the work-stealing
+    {!Parallel} engine with that many domains (the calling domain is
+    one); results then reach the callback {b in worker domains}, one
+    committed root at a time (with or without a budget), in no fixed
+    order. Without it the run stays a plain loop in the calling domain.
 
     [roots] runs only those root branches of a rooted algorithm
     (duplicates are fine): exactly the results whose smallest member is
@@ -143,10 +143,6 @@ val run :
     @raise Failure when [resume] belongs to a different
     {!checkpoint_family} than [algorithm]. *)
 
-val default_workers : unit -> int
-(** The worker count the parallel engine uses when none is given: every
-    core ([Domain.recommended_domain_count ()]). *)
-
 type refresh_delta = {
   results : Sgraph.Node_set.t list;
       (** the complete answer on the after-graph, canonically sorted *)
@@ -171,7 +167,7 @@ type refresh_delta = {
 val refresh :
   ?min_size:int ->
   ?cache_capacity:int ->
-  ?engine:[ `Seq of algorithm | `Par of int option ] ->
+  ?engine:[ `Seq of algorithm | `Par of algorithm * int ] ->
   ?nh:Neighborhood.t ->
   ?edits:Sgraph.Overlay.edit list ->
   ?prior_fingerprint:(int -> int option) ->
@@ -215,11 +211,11 @@ val refresh :
     from a {!Result_io.Index} sidecar), eliminating the before-graph
     digests; absent ones are computed.
 
-    The surviving roots re-run on [after] through {!run}'s [roots] —
-    sequentially with a rooted algorithm ([`Seq], default [`Seq Cs2_pf])
-    or as CSCliques2P on [workers] domains ([`Par workers], default all
-    cores) — and everything else is spliced through untouched, so
-    [results] is bit-identical to a full re-enumeration.
+    The surviving roots re-run on [after] through {!run}'s [roots] with
+    a rooted algorithm — sequentially ([`Seq alg], default
+    [`Seq Cs2_pf]) or on [workers] domains ([`Par (alg, workers)]) —
+    and everything else is spliced through untouched, so [results] is
+    bit-identical to a full re-enumeration.
 
     One oracle on [after] serves the gate ({!Neighborhood.fingerprint})
     and the [`Seq] re-run: at [s = 2] the gate digests each root's own
@@ -234,8 +230,9 @@ val refresh :
 
     @raise Invalid_argument when [s < 1], the node counts differ, a
     touched id is out of range, [edits] disagrees with [touched], the
-    oracle's [s] mismatches, or a [`Seq] algorithm has no rooted
-    decomposition ([Poly_delay], [Brute]). *)
+    oracle's [s] mismatches, or {!check} refuses the re-run (an
+    algorithm without a rooted decomposition, [Poly_delay] or [Brute];
+    [workers] below 1) — all before any work. *)
 
 val first_n :
   ?min_size:int ->

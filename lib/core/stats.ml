@@ -6,23 +6,23 @@ type t = {
   total_nodes : int;
 }
 
-let of_sizes sizes =
-  match sizes with
-  | [] -> { count = 0; min_size = 0; max_size = 0; avg_size = 0.; total_nodes = 0 }
-  | first :: rest ->
-      let count = List.length sizes in
-      let min_size = List.fold_left Int.min first rest in
-      let max_size = List.fold_left Int.max first rest in
-      let total_nodes = List.fold_left ( + ) 0 sizes in
-      {
-        count;
-        min_size;
-        max_size;
-        avg_size = float_of_int total_nodes /. float_of_int count;
-        total_nodes;
-      }
+let empty = { count = 0; min_size = 0; max_size = 0; avg_size = 0.; total_nodes = 0 }
 
-let of_results results = of_sizes (List.map Sgraph.Node_set.cardinal results)
+let add t size =
+  let count = t.count + 1 and total_nodes = t.total_nodes + size in
+  let first = t.count = 0 in
+  {
+    count;
+    min_size = (if first then size else Int.min t.min_size size);
+    max_size = (if first then size else Int.max t.max_size size);
+    avg_size = float_of_int total_nodes /. float_of_int count;
+    total_nodes;
+  }
+
+let of_sizes sizes = List.fold_left add empty sizes
+
+let of_results results =
+  List.fold_left (fun t c -> add t (Sgraph.Node_set.cardinal c)) empty results
 
 let sample ?cache_capacity algorithm g ~s n =
   of_results (Enumerate.first_n ?cache_capacity algorithm g ~s n)

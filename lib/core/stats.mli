@@ -10,6 +10,12 @@ type t = {
   total_nodes : int;  (** sum of sizes *)
 }
 
+val empty : t
+
+val add : t -> int -> t
+(** [add t k] counts one more result, of [k] nodes, so a summary folds
+    a run's results as they arrive instead of holding them. *)
+
 val of_results : Sgraph.Node_set.t list -> t
 
 val of_sizes : int list -> t

@@ -27,7 +27,7 @@ let magic = "SCLQRPC1"
 
 let max_payload = 1 lsl 26
 
-type engine = Alg of E.algorithm | Par
+type engine = Alg of E.algorithm
 
 type query = {
   q_id : int;
@@ -125,7 +125,6 @@ let engine_code = function
   | Alg E.Cs2_p -> 4
   | Alg E.Cs2_pf -> 5
   | Alg E.Brute -> 6
-  | Par -> 7
 
 let engine_of_code = function
   | 0 -> Alg E.Poly_delay
@@ -135,7 +134,6 @@ let engine_of_code = function
   | 4 -> Alg E.Cs2_p
   | 5 -> Alg E.Cs2_pf
   | 6 -> Alg E.Brute
-  | 7 -> Par
   | n -> fail (Bad_payload (Printf.sprintf "unknown engine code %d" n))
 
 let outcome_code = function

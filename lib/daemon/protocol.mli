@@ -37,10 +37,12 @@ val max_payload : int
     word must never drive a giant allocation. Below the [SCLQS1] record
     ceiling, so every protocol frame is also a valid stream record. *)
 
-(** Which enumeration engine a query runs: one of the sequential
-    {!Scliques_core.Enumerate.algorithm}s, or the work-stealing parallel
-    pool over the CS2 family. *)
-type engine = Alg of Scliques_core.Enumerate.algorithm | Par
+(** Which enumeration engine a query runs: one of the
+    {!Scliques_core.Enumerate.algorithm}s, on the wire as its engine code
+    (0–6). How many domains a rooted query runs on is the daemon's
+    choice ([Server.create]'s [par_workers]), not the query's.
+    {!decode_request} raises [Error (Bad_payload _)] on an unknown code. *)
+type engine = Alg of Scliques_core.Enumerate.algorithm
 
 type query = {
   q_id : int;  (** client-chosen, echoed on every response to this query *)

@@ -412,10 +412,13 @@ let cancelled_done id =
       d_resume = None;
     }
 
-(* [par] is CSCliques2P on the daemon's work-stealing worker count *)
-let engine srv = function
-  | Protocol.Alg alg -> (alg, None)
-  | Protocol.Par -> (E.Cs2_p, Some srv.par_workers)
+(* The algorithm a query runs, and on how many domains: with
+   [par_workers] > 1 every rooted query runs on the work-stealing engine;
+   at 1 (the default) it stays in its scheduler domain, on the shared
+   N^s cache *)
+let engine srv (Protocol.Alg alg) =
+  let rooted = String.equal (E.checkpoint_family alg) "roots" in
+  (alg, if rooted && srv.par_workers > 1 then Some srv.par_workers else None)
 
 let exec_query srv sess entry cell (q : Protocol.query) budget =
   let yield set = send srv sess (Protocol.Result (q.q_id, Stream.encode_set set)) in
@@ -454,9 +457,9 @@ let run_job srv sess entry cell (q : Protocol.query) budget =
              to tell anyone *)
           ()
       | exception e ->
-          (* engine failure (oversized Brute graph, resume mismatch the
-             upfront validation missed, an injected par.task fault):
-             contained to this one query as a typed error response *)
+          (* engine failure (a Brute graph a reload grew past the size
+             validation saw, an injected par.task fault): contained to
+             this one query as a typed error response *)
           (let msg =
              match e with
              | Failure m | Invalid_argument m -> m
@@ -469,23 +472,30 @@ let run_job srv sess entry cell (q : Protocol.query) budget =
 
 (* ---------- request dispatch (on the session thread) ---------- *)
 
+(* Everything that would make [E.run] refuse the query is refused here,
+   before it is billed or scheduled; [run]'s own refusal stays the
+   fallback for a reload that changes the graph in between. *)
 let validate srv sess (q : Protocol.query) =
   match Smap.find_opt srv.graphs q.q_graph with
   | None -> Error (Printf.sprintf "unknown graph %S" q.q_graph)
-  | Some entry ->
-      if q.q_s < 1 then Error "s must be >= 1"
-      else if q.q_min_size < 0 then Error "min-size must be >= 0"
-      else if live_query sess q.q_id then
-        Error (Printf.sprintf "query id %d is already in flight" q.q_id)
-      else begin
-        let family = E.checkpoint_family (fst (engine srv q.q_engine)) in
-        match q.q_resume with
-        | Some st when not (String.equal (Ckpt.family st) family) ->
-            Error
-              (Printf.sprintf "resume token is %S but the engine needs %S"
-                 (Ckpt.family st) family)
-        | _ -> Ok entry
-      end
+  | Some entry -> (
+      let alg, workers = engine srv q.q_engine in
+      let g = Scoll.Sync.with_lock entry.ge_lock (fun () -> entry.ge_cell.ec_graph) in
+      match E.check ?workers alg g ~s:q.q_s with
+      | exception Invalid_argument msg -> Error msg
+      | () ->
+          if q.q_min_size < 0 then Error "min-size must be >= 0"
+          else if live_query sess q.q_id then
+            Error (Printf.sprintf "query id %d is already in flight" q.q_id)
+          else begin
+            let family = E.checkpoint_family alg in
+            match q.q_resume with
+            | Some st when not (String.equal (Ckpt.family st) family) ->
+                Error
+                  (Printf.sprintf "resume token is %S but the engine needs %S"
+                     (Ckpt.family st) family)
+            | _ -> Ok entry
+          end)
 
 let handle_query srv sess (q : Protocol.query) =
   match validate srv sess q with
@@ -1037,6 +1047,8 @@ let create ?(workers = 2) ?(max_queue = 16) ?(par_workers = 1)
     ?(sources = []) ?(fault = Scoll.Fault.none) ~graphs addr =
   if workers < 1 then invalid_arg "Server.create: workers must be >= 1";
   if max_queue < 0 then invalid_arg "Server.create: max_queue must be >= 0";
+  if cache_capacity < 0 then
+    invalid_arg "Server.create: cache_capacity must be >= 0";
   if par_workers < 1 then
     invalid_arg "Server.create: par_workers must be >= 1";
   (* the main domain, [workers] query domains, and up to [par_workers - 1]

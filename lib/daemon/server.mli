@@ -89,9 +89,14 @@ val create :
     accept thread; returns once the socket accepts connections.
     [max_queue] (default 16) bounds admitted-but-not-running queries —
     past it, submission answers [Busy]. [par_workers] (default 1) is the
-    domain count a [Par]-engine query runs on, its scheduler worker
-    included, so the daemon may hold [1 + workers * par_workers]
-    domains. [cache_capacity] bounds each shared ball cache.
+    domain count every rooted query (CS1, CS2 and its variants) runs on,
+    its scheduler worker included, so the daemon may hold
+    [1 + workers * par_workers] domains. At 1 a rooted query runs in its
+    scheduler domain on the shared N{^s} cache; above 1 it runs on the
+    work-stealing engine, whose workers build their own caches. PD and
+    brute queries always run in their scheduler domain.
+    [cache_capacity] (default 65536; 0 caches nothing) bounds each
+    shared ball cache.
     [compact_threshold] (default 1024) is the overlay delta size past
     which a mutation folds the journal into a fresh generation. [quota]
     arms per-client admission buckets (default: unlimited). [state_dir]
@@ -103,7 +108,7 @@ val create :
     @raise Invalid_argument on an empty or duplicate-name graph list, a
     graph name longer than the wire's u16 length field (or not
     persistable under [state_dir]), or bad limits ([workers] or
-    [par_workers] below 1, a negative [max_queue], or
+    [par_workers] below 1, a negative [max_queue] or [cache_capacity], or
     [1 + workers * par_workers] past {!Scliques_core.Parallel.max_domains})
     — all checked before any state file or socket is made.
     @raise Unix.Unix_error when the socket cannot be bound.

@@ -154,8 +154,12 @@ let prop_refresh_matches_full =
                ~prior:!results ()
            in
            let par =
-             E.refresh ~engine:(`Par (Some 2)) ~before:!prev ~after:g1 ~touched
+             E.refresh ~engine:(`Par (E.Cs2_p, 2)) ~before:!prev ~after:g1 ~touched
                ~s ~prior:!results ()
+           in
+           let par_pf =
+             E.refresh ~engine:(`Par (E.Cs2_pf, 2)) ~before:!prev ~after:g1
+               ~touched ~s ~prior:!results ()
            in
            if not (same_sets full warm.E.results) then
              ignore (show_mismatch (ctx "warm refresh") full warm.E.results);
@@ -163,6 +167,8 @@ let prop_refresh_matches_full =
              ignore (show_mismatch (ctx "cold CS1 refresh") full cold.E.results);
            if not (same_sets full par.E.results) then
              ignore (show_mismatch (ctx "parallel refresh") full par.E.results);
+           if not (same_sets full par_pf.E.results) then
+             ignore (show_mismatch (ctx "parallel CS2PF refresh") full par_pf.E.results);
            (* the reported delta must reconcile prior with the new answer *)
            if not (same_sets warm.E.added (sorted_diff warm.E.results !results))
            then
@@ -589,6 +595,12 @@ let test_refresh_validation () =
         ~prior ());
   check_invalid "brute engine" (fun () ->
       E.refresh ~engine:(`Seq E.Brute) ~before:g ~after:g ~touched:[ 0 ] ~s:2
+        ~prior ());
+  check_invalid "PD on workers" (fun () ->
+      E.refresh ~engine:(`Par (E.Poly_delay, 2)) ~before:g ~after:g ~touched:[ 0 ]
+        ~s:2 ~prior ());
+  check_invalid "no worker" (fun () ->
+      E.refresh ~engine:(`Par (E.Cs2_pf, 0)) ~before:g ~after:g ~touched:[ 0 ] ~s:2
         ~prior ());
   check_invalid "node count change" (fun () ->
       E.refresh ~before:g ~after:(G.empty 5) ~touched:[ 0 ] ~s:2 ~prior ());
@@ -1078,7 +1090,8 @@ let prop_refresh_caller_oracle =
            in
            equal "caller-oracle" (refresh ~nh ());
            equal "uncached" (refresh ~cache_capacity:0 ());
-           equal "parallel" (refresh ~engine:(`Par (Some 2)) ());
+           equal "parallel" (refresh ~engine:(`Par (E.Cs2_p, 2)) ());
+           equal "parallel CS2PF" (refresh ~engine:(`Par (E.Cs2_pf, 2)) ());
            results := own.E.results;
            prev := g1
          done;

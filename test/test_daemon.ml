@@ -22,7 +22,7 @@ module P = Scliques_daemon.Protocol
 module Server = Scliques_daemon.Server
 module Client = Scliques_daemon.Client
 module Scheduler = Scliques_daemon.Scheduler
-
+module Quota = Scliques_daemon.Quota
 (* ---------- shared helpers ---------- *)
 
 let gadget n = Sgraph.Gen.exponential_gadget n
@@ -52,12 +52,12 @@ let local_stream ?(min_size = 0) alg g ~s =
   | Budget.Truncated _ -> Alcotest.fail "local reference run truncated");
   List.rev !acc
 
-let with_server ?(workers = 2) ?(max_queue = 16) ?compact_threshold ?quota
-    ?state_dir ?sources ?fault graphs f =
+let with_server ?(workers = 2) ?(max_queue = 16) ?par_workers ?compact_threshold
+    ?quota ?state_dir ?sources ?fault graphs f =
   let path = Filename.temp_file "scliques_daemon" ".sock" in
   let srv =
-    Server.create ~workers ~max_queue ?compact_threshold ?quota ?state_dir
-      ?sources ?fault ~graphs (Server.Unix_socket path)
+    Server.create ~workers ~max_queue ?par_workers ?compact_threshold ?quota
+      ?state_dir ?sources ?fault ~graphs (Server.Unix_socket path)
   in
   Fun.protect
     ~finally:(fun () ->
@@ -131,7 +131,7 @@ let gen_engine =
   QCheck2.Gen.oneofl
     [
       P.Alg E.Poly_delay; P.Alg E.Cs1; P.Alg E.Cs2; P.Alg E.Cs2_f;
-      P.Alg E.Cs2_p; P.Alg E.Cs2_pf; P.Alg E.Brute; P.Par;
+      P.Alg E.Cs2_p; P.Alg E.Cs2_pf; P.Alg E.Brute;
     ]
 
 let gen_name =
@@ -518,20 +518,52 @@ let test_differential_serving () =
                 [ 1; 2; 3 ])
             corpus))
 
+(* A daemon with par_workers = 2 runs every rooted query on the
+   work-stealing engine: CS1, CS2P and CS2PF answers are the sorted
+   sequential ones, and a truncated query resumes to the whole answer.
+   PD and brute queries stay in their scheduler domain, byte for byte. *)
 let test_differential_par_engine () =
-  with_server corpus (fun addr _srv ->
+  let sorted l = List.sort String.compare l in
+  with_server ~par_workers:2 corpus (fun addr _srv ->
       with_client addr (fun c ->
           List.iter
             (fun (name, g) ->
-              let expected =
-                List.map Stream.encode_set (E.sorted_results E.Cs2_pf g ~s:2)
-                |> List.sort String.compare
+              let answer alg = sorted (List.map Stream.encode_set (E.sorted_results alg g ~s:2)) in
+              List.iter
+                (fun alg ->
+                  let outcome, got =
+                    collect_query c (query ~engine:(P.Alg alg) ~graph:name ~s:2 ())
+                  in
+                  ignore (finished_done outcome : P.done_info);
+                  Alcotest.(check (list string))
+                    (Printf.sprintf "%s %s on 2 workers matches sequential" name (E.name alg))
+                    (answer alg) (sorted got))
+                [ E.Cs1; E.Cs2_p; E.Cs2_pf ];
+              let outcome1, part1 =
+                collect_query c (query ~max_results:4 ~graph:name ~s:2 ())
               in
-              let outcome, got = collect_query c (query ~engine:P.Par ~graph:name ~s:2 ()) in
-              ignore (finished_done outcome : P.done_info);
+              let resume =
+                match (finished_done outcome1).P.d_resume with
+                | Some st -> st
+                | None -> Alcotest.fail "truncated Done carried no resume token"
+              in
+              let outcome2, part2 = collect_query c (query ~resume ~graph:name ~s:2 ()) in
+              ignore (finished_done outcome2 : P.done_info);
               Alcotest.(check (list string))
-                (name ^ " par matches sequential") expected
-                (List.sort String.compare got))
+                (name ^ " truncated + resumed on 2 workers is the whole answer")
+                (answer E.Cs2_pf) (sorted (part1 @ part2));
+              List.iter
+                (fun alg ->
+                  let outcome, got =
+                    collect_query c (query ~engine:(P.Alg alg) ~graph:name ~s:2 ())
+                  in
+                  ignore (finished_done outcome : P.done_info);
+                  Alcotest.(check (list string))
+                    (Printf.sprintf "%s %s bit-identical" name (E.name alg))
+                    (local_stream alg g ~s:2) got)
+                (if Sgraph.Graph.n g <= Scliques_core.Brute_force.max_nodes then
+                   [ E.Poly_delay; E.Brute ]
+                 else [ E.Poly_delay ]))
             corpus))
 
 let test_differential_min_size () =
@@ -550,9 +582,8 @@ let test_truncate_and_resume ~engine ~graph_name =
       with_client addr (fun c ->
           let g = List.assoc graph_name corpus in
           let full =
-            match engine with
-            | P.Alg alg -> local_stream alg g ~s:2
-            | P.Par -> Alcotest.fail "use a sequential engine here"
+            let (P.Alg alg) = engine in
+            local_stream alg g ~s:2
           in
           let outcome1, part1 =
             collect_query c (query ~engine ~max_results:4 ~graph:graph_name ~s:2 ())
@@ -647,7 +678,17 @@ let test_concurrent_clients () =
       | fs -> Alcotest.fail (String.concat "; " fs))
 
 let test_bad_requests_typed () =
-  with_server corpus (fun addr srv ->
+  (* one query token and a refill of ~1000 s: a refusal that billed the
+     client would leave its valid query at the end throttled *)
+  let quota =
+    {
+      Quota.queries_per_sec = 0.001;
+      query_burst = 1;
+      mutate_bytes_per_sec = 1.;
+      mutate_burst = 40;
+    }
+  in
+  with_server ~quota (("big", er 7 ~n:200 ~m:600) :: corpus) (fun addr srv ->
       with_client addr (fun c ->
           let expect_bad q msg_part =
             match Client.run_query c q with
@@ -662,9 +703,48 @@ let test_bad_requests_typed () =
             (query ~engine:(P.Alg E.Poly_delay)
                ~resume:(Ckpt.Roots { retired = [] }) ~graph:"gadget" ~s:2 ())
             "resume token";
+          (* what Enumerate.run would refuse is refused before admission *)
+          expect_bad (query ~engine:(P.Alg E.Brute) ~graph:"big" ~s:2 ()) "200 nodes";
+          (* the refusals were free: the bucket's one token buys a whole
+             answer, and the next query finds the bucket empty *)
+          let outcome, got = collect_query c (query ~graph:"gadget" ~s:2 ()) in
+          ignore (finished_done outcome : P.done_info);
+          Alcotest.(check int) "full answer after the refusals" 20 (List.length got);
+          (match Client.run_query c (query ~id:2 ~graph:"gadget" ~s:2 ()) with
+          | Client.Throttled _ -> ()
+          | _ -> Alcotest.fail "the quota bucket held more than one token");
           (* the daemon is not wedged and nothing leaked *)
           Alcotest.(check bool) "still answers" true (Client.ping c);
           wait_idle srv))
+
+(* Engine byte 7 was the retired parallel tag and 8 was never one: both
+   decode to the typed Bad_payload, which the daemon answers with
+   Bad_request before it hangs up; a new connection is served. *)
+let test_unknown_engine_refused () =
+  let payload code =
+    let b = Bytes.of_string (P.encode_request (P.Query (query ~graph:"gadget" ~s:2 ()))) in
+    (* opcode 'Q', the u32 query id, then the engine byte *)
+    Alcotest.(check char) "engine byte of CS2PF" '\005' (Bytes.get b 5);
+    Bytes.set b 5 (Char.chr code);
+    Bytes.to_string b
+  in
+  List.iter
+    (fun code ->
+      match P.decode_request (payload code) with
+      | _ -> Alcotest.failf "engine byte %d decoded" code
+      | exception P.Error (P.Bad_payload _) -> ())
+    [ 7; 8 ];
+  with_server corpus (fun addr srv ->
+      with_client addr (fun c ->
+          Client.send_raw c (P.encode_frame (payload 7));
+          match Client.read_response c with
+          | Some (P.Error_resp { e_code = P.Bad_request; _ }) -> ()
+          | _ -> Alcotest.fail "engine byte 7 not answered with Bad_request");
+      with_client addr (fun c ->
+          let outcome, got = collect_query c (query ~graph:"gadget" ~s:2 ()) in
+          ignore (finished_done outcome : P.done_info);
+          Alcotest.(check int) "a new connection is served" 20 (List.length got));
+      wait_idle srv)
 
 (* ---------- fault drill ---------- *)
 
@@ -830,7 +910,6 @@ let test_busy_admission () =
 
 (* ---------- live mutation: quotas, epochs, durability ---------- *)
 
-module Quota = Scliques_daemon.Quota
 module Diff = Sgraph.Diff
 module Overlay = Sgraph.Overlay
 
@@ -1542,6 +1621,7 @@ let suites =
         Alcotest.test_case "4 concurrent clients, shuffled plans" `Quick
           test_concurrent_clients;
         Alcotest.test_case "bad requests get typed refusals" `Quick test_bad_requests_typed;
+        Alcotest.test_case "unknown engine byte refused" `Quick test_unknown_engine_refused;
         Alcotest.test_case "injected write fault contained" `Quick test_injected_write_fault;
         Alcotest.test_case "injected flush fault contained" `Quick test_injected_flush_fault;
         Alcotest.test_case "injected accept fault contained" `Quick

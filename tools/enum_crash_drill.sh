@@ -5,7 +5,10 @@
 # answer with no duplicates, and that its SCLQIDX1 sidecar loads.
 #
 # Every run gets a short --deadline, so a run that is not killed
-# truncates (exit 3) and saves a checkpoint. The graph yields tens of
+# truncates (exit 3) and saves a checkpoint. Every other run works on
+# two domains (--workers 2), so kills also land on runs whose roots
+# commit from worker domains, and resumes cross between the sequential
+# and the parallel engine. The graph yields tens of
 # thousands of results, so each run fills the stream's 64 KiB channel
 # buffer several times: a kill usually lands after some records reached
 # the file and before the run's checkpoint save, the window in which a
@@ -39,6 +42,7 @@ for round in $(seq 1 "$ROUNDS"); do
     # resume while a checkpoint exists; before the first one is saved,
     # (re)start from scratch
     if [ -f ck ]; then from=(--resume ck); else from=(--checkpoint ck); fi
+    if [ $((runs % 2)) -eq 0 ]; then from+=(--workers 2); fi
     "$SCLIQUES" enum g.edges -s 2 -a cs2pf --deadline 0.25 "${from[@]}" \
       > /dev/null 2> run.err &
     PID=$!
